@@ -34,6 +34,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use dst::{fuzz, FindingKind, FuzzConfig, Injection};
+use obs::json::Json;
 
 struct Args {
     budget: Option<Duration>,
@@ -65,6 +66,14 @@ fn parse_seed(raw: &str) -> Option<u64> {
     }
 }
 
+/// Parses a numeric flag value, or exits with the usage message.
+fn number<T: std::str::FromStr>(flag: &str, raw: &str) -> T {
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!("bad {flag} {raw:?}");
+        usage()
+    })
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         budget: None,
@@ -88,25 +97,9 @@ fn parse_args() -> Args {
         };
         match flag.as_str() {
             "--budget" => {
-                let raw = value("seconds value");
-                match raw.parse::<u64>() {
-                    Ok(s) => args.budget = Some(Duration::from_secs(s)),
-                    Err(_) => {
-                        eprintln!("bad --budget {raw:?}");
-                        usage()
-                    }
-                }
+                args.budget = Some(Duration::from_secs(number(&flag, &value("seconds value"))));
             }
-            "--cases" => {
-                let raw = value("count");
-                match raw.parse() {
-                    Ok(n) => args.cases = Some(n),
-                    Err(_) => {
-                        eprintln!("bad --cases {raw:?}");
-                        usage()
-                    }
-                }
-            }
+            "--cases" => args.cases = Some(number(&flag, &value("count"))),
             "--seed" => {
                 let raw = value("seed");
                 match parse_seed(&raw) {
@@ -121,16 +114,7 @@ fn parse_args() -> Args {
             "--no-netstack" => args.netstack = false,
             "--netstack-stress" => args.stress = true,
             "--storage" => args.storage = true,
-            "--multislot" => {
-                let raw = value("count");
-                match raw.parse() {
-                    Ok(n) => args.multislot = n,
-                    Err(_) => {
-                        eprintln!("bad --multislot {raw:?}");
-                        usage()
-                    }
-                }
-            }
+            "--multislot" => args.multislot = number(&flag, &value("count")),
             "--out" => args.out = value("path"),
             "--replay" => args.replay = Some(value("path")),
             "--help" | "-h" => usage(),
@@ -143,32 +127,36 @@ fn parse_args() -> Args {
     args
 }
 
-fn replay(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("btfuzz: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+/// How many cases a leg runs: `--cases` if given; else no cap under a
+/// `--budget` (the clock is the limit, not the case count); else the
+/// leg's own default.
+fn case_cap(args: &Args, default: u64) -> u64 {
+    let unbudgeted = if args.budget.is_some() {
+        u64::MAX
+    } else {
+        default
     };
-    let repro = match dst::parse_artifact(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("btfuzz: bad artifact {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    args.cases.unwrap_or(unbudgeted)
+}
+
+/// Re-executes the artifact at `path` and byte-verifies its trace.
+fn replay(path: &str) -> Result<(), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let repro = dst::parse_artifact(&text).map_err(|e| format!("bad artifact {path}: {e}"))?;
     println!("replaying {}", repro.scenario.describe());
-    match dst::verify_replay(&repro) {
-        Ok(()) => {
-            println!(
-                "replay ok: classes [{}] and trace reproduced byte-identically",
-                repro.classes.join(", ")
-            );
-            ExitCode::SUCCESS
-        }
+    dst::verify_replay(&repro).map_err(|e| format!("replay FAILED: {e}"))?;
+    println!(
+        "replay ok: classes [{}] and trace reproduced byte-identically",
+        repro.classes.join(", ")
+    );
+    Ok(())
+}
+
+fn exit_code(outcome: Result<(), String>) -> ExitCode {
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("replay FAILED: {e}");
+            eprintln!("btfuzz: {e}");
             ExitCode::FAILURE
         }
     }
@@ -191,129 +179,71 @@ fn multislot_sweep(args: &Args, master_seed: u64) -> ExitCode {
         println!("btfuzz: {line}");
     });
     println!("btfuzz: {} multislot cases", sweep.cases);
-    let Some((scenario, violations)) = sweep.finding else {
-        println!("btfuzz: no multislot violations");
+    let finding = sweep.finding.map(|(s, v)| (s.describe(), s.to_json(), v));
+    sweep_verdict(args, "multislot", finding)
+}
+
+/// The common tail of every sweep leg: exit 0 on a clean sweep; on a
+/// finding, print the violating scenario and its violations, write the
+/// scenario JSON to `--out`, and exit 1.
+fn sweep_verdict<V: std::fmt::Display>(
+    args: &Args,
+    name: &str,
+    finding: Option<(String, Json, Vec<V>)>,
+) -> ExitCode {
+    let Some((scenario, json, violations)) = finding else {
+        println!("btfuzz: no {name} violations");
         return ExitCode::SUCCESS;
     };
-    println!("btfuzz: multislot violated: {}", scenario.describe());
+    println!("btfuzz: {name} violated: {scenario}");
     for v in &violations {
         println!("btfuzz:   {v}");
     }
-    let artifact = scenario.to_json().render() + "\n";
-    if let Err(e) = std::fs::write(&args.out, artifact) {
+    if let Err(e) = std::fs::write(&args.out, json.render() + "\n") {
         eprintln!("btfuzz: cannot write artifact {}: {e}", args.out);
     } else {
-        println!("btfuzz: multislot scenario written to {}", args.out);
+        println!("btfuzz: {name} scenario written to {}", args.out);
     }
     ExitCode::FAILURE
 }
 
-/// The scale leg: loopback clusters up the size ladder to n=50, each
-/// under a healing partition and a seeded crash-restart. Exit 0 on a
-/// clean sweep (or a sandbox skip), exit 1 with the scenario JSON in
-/// `--out` on a violation.
-fn netstack_stress(args: &Args) -> ExitCode {
-    let mut config = dst::StressConfig::default();
-    if let Some(seed) = args.seed {
-        config.seed = seed;
-    }
-    config.budget = args.budget;
-    if let Some(cases) = args.cases {
-        config.max_cases = cases;
-    } else if args.budget.is_some() {
-        config.max_cases = u64::MAX;
-    }
+/// A loopback sweep leg (`--netstack-stress`: clusters up the size ladder
+/// to n=50, each under a healing partition and a seeded crash-restart;
+/// `--storage`: small clusters whose seeded crash victim reopens a
+/// byte-flipped WAL). Exit 0 on a clean sweep (or a sandbox skip), exit 1
+/// with the scenario JSON in `--out` on a violation.
+fn netstack_sweep(args: &Args, leg: &dst::NetLeg) -> ExitCode {
+    let name = leg.name;
+    let seed = args.seed.unwrap_or(leg.seed);
+    let cases = case_cap(args, leg.cases);
     println!(
-        "btfuzz: netstack stress, seed {:#018x}, ladder {:?} (clamp n={}), budget {:?}",
-        config.seed,
-        dst::STRESS_LADDER,
-        config.max_n,
-        config.budget
+        "btfuzz: netstack {name} sweep, seed {seed:#018x}, sizes {:?}, budget {:?}",
+        leg.ladder, args.budget
     );
-    let Some(outcome) = dst::fuzz_netstack_stress(&config, |line| println!("btfuzz: {line}"))
-    else {
-        println!("btfuzz: skipping netstack stress: loopback sockets unavailable in this sandbox");
+    let progress = |line: &str| println!("btfuzz: {line}");
+    let Some(outcome) = dst::sweep_netstack(leg, seed, cases, args.budget, progress) else {
+        println!("btfuzz: skipping {name} sweep: loopback sockets unavailable in this sandbox");
         return ExitCode::SUCCESS;
     };
     println!(
-        "btfuzz: {} stress cases, largest n={}, {} supervisor restart(s)",
-        outcome.cases, outcome.largest_n, outcome.restarts
+        "btfuzz: {} {name} cases, largest n={}, {} restart(s), {} corruption(s) detected, \
+         {} state transfer(s)",
+        outcome.cases, outcome.largest_n, outcome.restarts, outcome.corruptions, outcome.transfers
     );
-    let Some((scenario, violations)) = outcome.finding else {
-        println!("btfuzz: no stress violations");
-        return ExitCode::SUCCESS;
-    };
-    println!("btfuzz: stress violated: {}", scenario.describe());
-    for v in &violations {
-        println!("btfuzz:   {v}");
-    }
-    let artifact = scenario.to_json().render() + "\n";
-    if let Err(e) = std::fs::write(&args.out, artifact) {
-        eprintln!("btfuzz: cannot write artifact {}: {e}", args.out);
-    } else {
-        println!("btfuzz: stress scenario written to {}", args.out);
-    }
-    ExitCode::FAILURE
-}
-
-/// The amnesia leg: small clusters whose seeded crash victim reopens a
-/// byte-flipped WAL, held to corruption detection, quorum state
-/// transfer, zero equivocations, and the decision properties. Exit 0 on
-/// a clean sweep (or a sandbox skip), exit 1 with the scenario JSON in
-/// `--out` on a violation.
-fn storage(args: &Args) -> ExitCode {
-    let mut config = dst::StorageConfig::default();
-    if let Some(seed) = args.seed {
-        config.seed = seed;
-    }
-    config.budget = args.budget;
-    if let Some(cases) = args.cases {
-        config.max_cases = cases;
-    } else if args.budget.is_some() {
-        config.max_cases = u64::MAX;
-    }
-    println!(
-        "btfuzz: storage faults, seed {:#018x}, sizes {:?}, budget {:?}",
-        config.seed,
-        dst::STORAGE_SIZES,
-        config.budget
-    );
-    let Some(outcome) = dst::fuzz_netstack_storage(&config, |line| println!("btfuzz: {line}"))
-    else {
-        println!("btfuzz: skipping storage faults: loopback sockets unavailable in this sandbox");
-        return ExitCode::SUCCESS;
-    };
-    println!(
-        "btfuzz: {} storage cases, {} corruption(s) detected, {} state transfer(s)",
-        outcome.cases, outcome.corruptions, outcome.transfers
-    );
-    let Some((scenario, violations)) = outcome.finding else {
-        println!("btfuzz: no storage violations");
-        return ExitCode::SUCCESS;
-    };
-    println!("btfuzz: storage violated: {}", scenario.describe());
-    for v in &violations {
-        println!("btfuzz:   {v}");
-    }
-    let artifact = scenario.to_json().render() + "\n";
-    if let Err(e) = std::fs::write(&args.out, artifact) {
-        eprintln!("btfuzz: cannot write artifact {}: {e}", args.out);
-    } else {
-        println!("btfuzz: storage scenario written to {}", args.out);
-    }
-    ExitCode::FAILURE
+    let finding = outcome.finding.map(|(s, v)| (s.describe(), s.to_json(), v));
+    sweep_verdict(args, name, finding)
 }
 
 fn main() -> ExitCode {
     let args = parse_args();
     if let Some(path) = &args.replay {
-        return replay(path);
+        return exit_code(replay(path));
     }
     if args.stress {
-        return netstack_stress(&args);
+        return netstack_sweep(&args, &dst::STRESS);
     }
     if args.storage {
-        return storage(&args);
+        return netstack_sweep(&args, &dst::STORAGE);
     }
 
     let mut config = FuzzConfig {
@@ -324,12 +254,7 @@ fn main() -> ExitCode {
         config.seed = seed;
     }
     config.budget = args.budget;
-    if let Some(cases) = args.cases {
-        config.max_cases = cases;
-    } else if args.budget.is_some() {
-        // Budgeted runs: the clock is the limit, not the case count.
-        config.max_cases = u64::MAX;
-    }
+    config.max_cases = case_cap(&args, config.max_cases);
     if args.inject {
         config.inject = Some(Injection::WeakenFailStop {
             witness_slack: 100,
@@ -394,24 +319,9 @@ fn main() -> ExitCode {
 
     if args.inject {
         // Self-test: found, shrunk — now the artifact must replay.
-        let repro = match dst::parse_artifact(&finding.artifact) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("btfuzz: self-test artifact does not parse: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match dst::verify_replay(&repro) {
-            Ok(()) => {
-                println!("btfuzz: self-test passed — injected defect found, shrunk, replayed");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("btfuzz: self-test replay failed: {e}");
-                ExitCode::FAILURE
-            }
-        }
-    } else {
-        ExitCode::FAILURE
+        return exit_code(replay(&args.out).map(|()| {
+            println!("btfuzz: self-test passed — injected defect found, shrunk, replayed");
+        }));
     }
+    ExitCode::FAILURE
 }

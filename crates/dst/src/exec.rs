@@ -4,15 +4,16 @@
 //! with a JSONL trace attached — same scenario, same bytes, every time.
 //! [`run_netstack`] executes the *same* scenario over loopback TCP via
 //! `netstack::Cluster`, translating the schedule adversary into the
-//! nearest wall-clock link-fault plan. The socket runtime is only
+//! nearest wall-clock link-fault plan and, by [`NetMode`], adding a
+//! seed-derived crash-restart or corrupt-WAL restart. The socket runtime is only
 //! reproducible in fault *pattern* (the OS interleaves arrivals), so
 //! cross-runtime conformance is judged on decision properties, not traces.
 
-use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use adversary::{Crashing, Silent, TwoFacedMalicious};
+use adversary::TwoFacedMalicious;
 use bt_core::ablation::{AblatedFailStop, ThresholdRule};
 use bt_core::{Config, FailStop, Malicious, Simple, Termination};
 use netstack::{
@@ -25,6 +26,7 @@ use simnet::scheduler::{
 };
 use simnet::{Process, ProcessId, Role, RunReport, Scheduler, Selection, SharedSubscriber, Sim};
 
+use crate::invariants::{check, check_equivocations, check_storage, Violation};
 use crate::scenario::{FaultSpec, Injection, OrderSpec, ProtoKind, Scenario, SchedSpec};
 
 /// A simulated run's results: the report plus its JSONL trace.
@@ -93,20 +95,14 @@ fn run_generic<M: 'static>(
     SimOutcome { report, trace }
 }
 
-/// Wraps a correct process according to its fault spec.
+/// Wraps a correct process according to its fault spec — the same
+/// wrapping a socket node gets.
 fn apply_fault<P>(process: P, fault: FaultSpec) -> Box<dyn Process<Msg = P::Msg>>
 where
-    P: Process + 'static,
+    P: Process + Send + 'static,
     P::Msg: 'static,
 {
-    match fault {
-        FaultSpec::Correct => Box::new(process),
-        FaultSpec::CrashAfterSends(s) => Box::new(Crashing::new(process, CrashPlan::AfterSends(s))),
-        FaultSpec::CrashAtPhase(p) => Box::new(Crashing::new(process, CrashPlan::AtPhase(p))),
-        // A two-faced process only exists for the malicious message type;
-        // the malicious builder intercepts it before reaching here.
-        FaultSpec::Silent | FaultSpec::TwoFaced => Box::new(Silent::new()),
-    }
+    node_fault(fault).apply(process)
 }
 
 /// Runs the scenario in the simulator; `schedule`, if given, replays an
@@ -215,123 +211,41 @@ fn node_fault(fault: FaultSpec) -> NodeFault {
     }
 }
 
-/// Runs the scenario over loopback TCP, or `None` when the sandbox forbids
-/// sockets or the scenario carries an injection (the ablated protocol only
-/// exists in the simulator).
-#[must_use]
-pub fn run_netstack(scenario: &Scenario, timeout: Duration) -> Option<RunReport> {
-    if !sockets_available() || scenario.inject.is_some() {
-        return None;
-    }
-    let proto = match scenario.proto {
-        ProtoKind::FailStop => Proto::FailStop,
-        ProtoKind::Simple => Proto::Simple,
-        ProtoKind::Malicious => Proto::Malicious,
-    };
-    let options = ClusterOptions {
-        seed: scenario.seed,
-        inputs: scenario.inputs.clone(),
-        faults: scenario.faults.iter().map(|&f| node_fault(f)).collect(),
-        link_fault: netstack_fault_plan(scenario),
-        recovery: None,
-        admin: false,
-    };
-    let mut cluster = Cluster::spawn(scenario.n, scenario.k, proto, options, None).ok()?;
-    let report = cluster.await_verdict(timeout);
-    cluster.shutdown();
-    Some(report)
+/// What a loopback run injects beyond the scenario's own faults.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NetMode {
+    /// Nothing: WAL-less nodes under [`netstack_fault_plan`] only.
+    Plain,
+    /// Journaling nodes plus a crash-restart: one correct node, chosen by
+    /// seed, is killed mid-run and restarted from its WAL by the cluster
+    /// supervisor. All timing comes from the seed so a CI finding replays
+    /// on a laptop.
+    Crash,
+    /// [`NetMode::Crash`] plus a byte flip at offset 8 armed in the
+    /// victim's WAL storage. Offset 8 is the first body byte of the WAL's
+    /// first record, so the flip lands mid-log — unsafely damaged, never
+    /// a torn tail — and, because flips apply at open, the fresh boot
+    /// writes a clean log and only the post-kill reopen sees the damage:
+    /// the restarted node must detect it, boot amnesiac, and recover real
+    /// state by quorum transfer.
+    Storage,
 }
 
-/// A netstack run's results when crash-recovery is in play: the report
-/// plus the recovery-specific observables the invariant suite checks.
+/// A loopback run's results: the report plus the recovery observables
+/// the invariant suite checks (all zero/empty-handed under
+/// [`NetMode::Plain`], which restarts nobody).
 #[derive(Debug)]
 pub struct NetOutcome {
+    /// The mode the run was executed under.
+    pub mode: NetMode,
     /// The cluster's synthesized run report.
     pub report: RunReport,
     /// Per-node equivocation counters: conflicting re-sends each node
-    /// *observed* (must be all-zero on a correct tree).
+    /// *observed*. Must be all-zero on a correct tree — a restarted node
+    /// replays its journal, and an amnesiac one is muzzled precisely so
+    /// it cannot contradict its own forgotten sends.
     pub equivocations: Vec<u64>,
-    /// Supervisor restarts performed per node.
-    pub restarts: Vec<u32>,
-}
-
-/// The deterministic crash-restart schedule for a scenario: one correct
-/// node, chosen by seed, killed mid-run and restarted from its WAL. All
-/// timing comes from the seed so a CI finding replays on a laptop.
-#[must_use]
-pub fn netstack_crash_plan(scenario: &Scenario) -> FaultPlan {
-    let victim = pick_crash_victim(scenario);
-    let kill = Duration::from_millis(20 + (scenario.seed >> 8) % 20);
-    let restart = kill + Duration::from_millis(40 + (scenario.seed >> 16) % 40);
-    netstack_fault_plan(scenario).with_crash(victim, kill, restart)
-}
-
-/// Runs the scenario over loopback TCP with WALs in `wal_dir` and the
-/// seed-derived crash-restart schedule: a correct node is killed
-/// mid-consensus and restarted from its log by the cluster supervisor.
-/// `None` under the same conditions as [`run_netstack`]. The caller owns
-/// `wal_dir` (creation and cleanup).
-#[must_use]
-pub fn run_netstack_recovering(
-    scenario: &Scenario,
-    timeout: Duration,
-    wal_dir: &Path,
-) -> Option<NetOutcome> {
-    if !sockets_available() || scenario.inject.is_some() {
-        return None;
-    }
-    let proto = match scenario.proto {
-        ProtoKind::FailStop => Proto::FailStop,
-        ProtoKind::Simple => Proto::Simple,
-        ProtoKind::Malicious => Proto::Malicious,
-    };
-    let options = ClusterOptions {
-        seed: scenario.seed,
-        inputs: scenario.inputs.clone(),
-        faults: scenario.faults.iter().map(|&f| node_fault(f)).collect(),
-        link_fault: netstack_crash_plan(scenario),
-        recovery: Some(RecoveryOptions {
-            wal_dir: wal_dir.to_path_buf(),
-            // Exercise both recovery paths across seeds: genesis replay
-            // and snapshot-resume.
-            snapshot_every: if scenario.seed.is_multiple_of(2) {
-                0
-            } else {
-                8
-            },
-            max_restarts: 4,
-            backoff: Duration::from_millis(5),
-        }),
-        admin: false,
-    };
-    let mut cluster = Cluster::spawn(scenario.n, scenario.k, proto, options, None).ok()?;
-    let report = cluster.await_verdict(timeout);
-    let equivocations = cluster
-        .nodes()
-        .iter()
-        .map(|node| node.equivocations())
-        .collect();
-    let restarts = cluster.restarts().to_vec();
-    cluster.shutdown();
-    Some(NetOutcome {
-        report,
-        equivocations,
-        restarts,
-    })
-}
-
-/// A netstack run's results under an injected storage fault: the usual
-/// crash-recovery observables plus the amnesia path's counters and the
-/// seed-chosen victim they are judged against.
-#[derive(Debug)]
-pub struct StorageRun {
-    /// The cluster's synthesized run report.
-    pub report: RunReport,
-    /// Per-node equivocation counters (must be all-zero: an amnesiac
-    /// node is muzzled precisely so it cannot contradict its own
-    /// forgotten sends).
-    pub equivocations: Vec<u64>,
-    /// Supervisor restarts performed per node.
+    /// Restarts performed per node.
     pub restarts: Vec<u32>,
     /// Cluster-lifetime `bt_wal_corruptions_total`: boots that found the
     /// WAL unsafely damaged.
@@ -339,43 +253,35 @@ pub struct StorageRun {
     /// Cluster-lifetime `bt_state_transfers_total`: quorum state
     /// transfers completed by an amnesiac node.
     pub transfers: u64,
-    /// The node whose WAL carried the injected fault.
-    pub victim: usize,
+    /// The node the mode's crash (and flip) targets.
+    pub victim: Option<usize>,
 }
 
-/// The deterministic storage-fault schedule for a scenario: the same
-/// seed-chosen correct node and kill/restart timing as
-/// [`netstack_crash_plan`], plus a byte flip at offset 8 armed in that
-/// node's WAL storage. Offset 8 is the first body byte of the WAL's first
-/// record, so the flip lands mid-log — unsafely damaged, never a torn
-/// tail — and, because flips apply at open, the fresh boot writes a clean
-/// log and only the post-kill reopen sees the damage. Returns the plan
-/// and the victim index.
+impl NetOutcome {
+    /// Every invariant this run is held to: the decision properties, zero
+    /// observed equivocations, and — where a flip was armed — corruption
+    /// detected and healed.
+    #[must_use]
+    pub fn violations(&self, scenario: &Scenario) -> Vec<Violation> {
+        let mut out = check(scenario, &self.report, &[]);
+        out.extend(check_equivocations(&self.equivocations));
+        if let (NetMode::Storage, Some(victim)) = (self.mode, self.victim) {
+            out.extend(check_storage(self.corruptions, self.transfers, victim));
+        }
+        out
+    }
+}
+
+/// Distinguishes the scratch WAL directories of concurrent runs in one
+/// process (tests run on parallel threads).
+static RUN_ID: AtomicU64 = AtomicU64::new(0);
+
+/// Runs the scenario over loopback TCP under `mode`, or `None` when the
+/// sandbox forbids sockets or the scenario carries an injection (the
+/// ablated protocol only exists in the simulator). Journaling modes keep
+/// their WALs in a scratch directory that lives only for the run.
 #[must_use]
-pub fn netstack_storage_plan(scenario: &Scenario) -> (FaultPlan, usize) {
-    let victim = pick_crash_victim(scenario);
-    let plan = netstack_crash_plan(scenario).with_disk(victim, DiskFault::Flip { offset: 8 });
-    (plan, victim)
-}
-
-fn pick_crash_victim(scenario: &Scenario) -> usize {
-    let correct: Vec<usize> = (0..scenario.n)
-        .filter(|&i| !scenario.faults[i].is_faulty())
-        .collect();
-    correct[(scenario.seed as usize) % correct.len()]
-}
-
-/// Runs the scenario over loopback TCP with the seed-derived
-/// crash-restart schedule *and* a storage fault armed in the victim's
-/// WAL: the restarted node reopens a corrupted log, must detect it, boot
-/// amnesiac, and recover real state by quorum transfer. `None` under the
-/// same conditions as [`run_netstack`]. The caller owns `wal_dir`.
-#[must_use]
-pub fn run_netstack_storage(
-    scenario: &Scenario,
-    timeout: Duration,
-    wal_dir: &Path,
-) -> Option<StorageRun> {
+pub fn run_netstack(scenario: &Scenario, timeout: Duration, mode: NetMode) -> Option<NetOutcome> {
     if !sockets_available() || scenario.inject.is_some() {
         return None;
     }
@@ -384,42 +290,68 @@ pub fn run_netstack_storage(
         ProtoKind::Simple => Proto::Simple,
         ProtoKind::Malicious => Proto::Malicious,
     };
-    let (link_fault, victim) = netstack_storage_plan(scenario);
+    let mut link_fault = netstack_fault_plan(scenario);
+    let mut victim = None;
+    let mut recovery = None;
+    if mode != NetMode::Plain {
+        let correct: Vec<usize> = (0..scenario.n)
+            .filter(|&i| !scenario.faults[i].is_faulty())
+            .collect();
+        let v = correct[(scenario.seed as usize) % correct.len()];
+        let kill = Duration::from_millis(20 + (scenario.seed >> 8) % 20);
+        let restart = kill + Duration::from_millis(40 + (scenario.seed >> 16) % 40);
+        link_fault = link_fault.with_crash(v, kill, restart);
+        if mode == NetMode::Storage {
+            link_fault = link_fault.with_disk(v, DiskFault::Flip { offset: 8 });
+        }
+        victim = Some(v);
+        recovery = Some(RecoveryOptions {
+            wal_dir: std::env::temp_dir().join(format!(
+                "btdst-wal-{}-{}",
+                std::process::id(),
+                RUN_ID.fetch_add(1, Ordering::Relaxed)
+            )),
+            // Crash runs exercise both recovery paths across seeds:
+            // genesis replay and snapshot-resume. Storage runs never
+            // snapshot: the flip must hit protocol records.
+            snapshot_every: if mode == NetMode::Storage || scenario.seed.is_multiple_of(2) {
+                0
+            } else {
+                8
+            },
+            max_restarts: 4,
+            backoff: Duration::from_millis(5),
+        });
+    }
+    let wal_dir = recovery.as_ref().map(|r| r.wal_dir.clone());
     let options = ClusterOptions {
         seed: scenario.seed,
         inputs: scenario.inputs.clone(),
         faults: scenario.faults.iter().map(|&f| node_fault(f)).collect(),
         link_fault,
-        recovery: Some(RecoveryOptions {
-            wal_dir: wal_dir.to_path_buf(),
-            // No snapshots: the flip must hit protocol records, and the
-            // victim's post-transfer WAL should read as a plain adopted
-            // boot when inspected by hand.
-            snapshot_every: 0,
-            max_restarts: 4,
-            backoff: Duration::from_millis(5),
-        }),
+        recovery,
         admin: false,
     };
-    let mut cluster = Cluster::spawn(scenario.n, scenario.k, proto, options, None).ok()?;
-    let report = cluster.await_verdict(timeout);
-    let equivocations = cluster
-        .nodes()
-        .iter()
-        .map(|node| node.equivocations())
-        .collect();
-    let restarts = cluster.restarts().to_vec();
-    let corruptions = cluster.wal_corruptions();
-    let transfers = cluster.state_transfers();
-    cluster.shutdown();
-    Some(StorageRun {
-        report,
-        equivocations,
-        restarts,
-        corruptions,
-        transfers,
-        victim,
-    })
+    let outcome = Cluster::spawn(scenario.n, scenario.k, proto, options, None)
+        .ok()
+        .map(|mut cluster| {
+            let report = cluster.await_verdict(timeout);
+            let out = NetOutcome {
+                mode,
+                report,
+                equivocations: cluster.nodes().iter().map(|n| n.equivocations()).collect(),
+                restarts: cluster.restarts().to_vec(),
+                corruptions: cluster.wal_corruptions(),
+                transfers: cluster.state_transfers(),
+                victim,
+            };
+            cluster.shutdown();
+            out
+        });
+    if let Some(dir) = wal_dir {
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    outcome
 }
 
 #[cfg(test)]
@@ -454,8 +386,11 @@ mod tests {
         assert_eq!(original.report.status, replayed.report.status);
     }
 
+    /// The same four-node scenario under every run mode: all decide, the
+    /// mode's whole invariant set holds (`check_storage` only where a
+    /// flip is armed), and the journaling modes really restarted someone.
     #[test]
-    fn crash_restart_cross_check_holds_decision_properties() {
+    fn netstack_cross_check_holds_under_every_mode() {
         if !sockets_available() {
             eprintln!("skipping: loopback sockets unavailable in this sandbox");
             return;
@@ -471,71 +406,31 @@ mod tests {
             step_limit: 100_000,
             inject: None,
         };
-        let wal_dir = std::env::temp_dir().join(format!("btdst-exec-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&wal_dir);
-        let out = run_netstack_recovering(&s, Duration::from_secs(30), &wal_dir)
-            .expect("sockets probed available");
-        let _ = std::fs::remove_dir_all(&wal_dir);
-        assert_eq!(out.report.status, RunStatus::Stopped, "all decided");
-        assert!(
-            crate::invariants::check(&s, &out.report, &[]).is_empty(),
-            "decision properties hold across the crash-restart"
-        );
-        assert!(
-            crate::invariants::check_equivocations(&out.equivocations).is_empty(),
-            "no equivocation observed: {:?}",
-            out.equivocations
-        );
-        assert!(
-            out.restarts.iter().sum::<u32>() >= 1,
-            "the schedule actually restarted someone: {:?}",
-            out.restarts
-        );
-    }
-
-    #[test]
-    fn storage_fault_cross_check_detects_and_transfers() {
-        if !sockets_available() {
-            eprintln!("skipping: loopback sockets unavailable in this sandbox");
-            return;
+        for mode in [NetMode::Plain, NetMode::Crash, NetMode::Storage] {
+            let out =
+                run_netstack(&s, Duration::from_secs(30), mode).expect("sockets probed available");
+            assert_eq!(
+                out.report.status,
+                RunStatus::Stopped,
+                "{mode:?}: all decided"
+            );
+            let violations = out.violations(&s);
+            assert!(
+                violations.is_empty(),
+                "{mode:?}: {violations:?} (equivocations {:?}, {} corruption(s), {} transfer(s))",
+                out.equivocations,
+                out.corruptions,
+                out.transfers
+            );
+            let restarted = out.restarts.iter().sum::<u32>() >= 1;
+            assert_eq!(
+                restarted,
+                mode != NetMode::Plain,
+                "{mode:?}: the schedule restarts its victim and nobody else: {:?}",
+                out.restarts
+            );
+            assert_eq!(out.victim.is_some(), mode != NetMode::Plain);
         }
-        let s = Scenario {
-            proto: ProtoKind::FailStop,
-            n: 4,
-            k: 1,
-            seed: 0x0570_4A6E,
-            inputs: vec![simnet::Value::One; 4],
-            faults: vec![FaultSpec::Correct; 4],
-            sched: crate::scenario::SchedSpec::Fair(crate::scenario::OrderSpec::Random),
-            step_limit: 100_000,
-            inject: None,
-        };
-        let wal_dir = std::env::temp_dir().join(format!("btdst-storage-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&wal_dir);
-        let out = run_netstack_storage(&s, Duration::from_secs(30), &wal_dir)
-            .expect("sockets probed available");
-        let _ = std::fs::remove_dir_all(&wal_dir);
-        assert_eq!(out.report.status, RunStatus::Stopped, "all decided");
-        assert!(
-            crate::invariants::check(&s, &out.report, &[]).is_empty(),
-            "decision properties hold across the corrupt-WAL restart"
-        );
-        assert!(
-            crate::invariants::check_equivocations(&out.equivocations).is_empty(),
-            "no equivocation observed: {:?}",
-            out.equivocations
-        );
-        assert!(
-            crate::invariants::check_storage(out.corruptions, out.transfers, out.victim).is_empty(),
-            "flip detected ({} corruption(s)) and healed ({} transfer(s))",
-            out.corruptions,
-            out.transfers
-        );
-        assert!(
-            out.restarts.iter().sum::<u32>() >= 1,
-            "the schedule actually restarted the victim: {:?}",
-            out.restarts
-        );
     }
 
     #[test]

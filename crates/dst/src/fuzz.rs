@@ -19,8 +19,8 @@ use prng::Prng;
 use simnet::Value;
 
 use crate::artifact;
-use crate::exec::{run_netstack, run_netstack_recovering, run_sim};
-use crate::invariants::{check, check_equivocations, classes, Violation};
+use crate::exec::{run_netstack, run_sim, NetMode};
+use crate::invariants::{check, classes, Violation};
 use crate::scenario::{Injection, ProtoKind, Scenario};
 use crate::shrink::{shrink, Shrunk, DEFAULT_SHRINK_RUNS};
 
@@ -202,24 +202,14 @@ pub fn fuzz(config: &FuzzConfig, mut progress: impl FnMut(&str)) -> FuzzOutcome 
         if config.netstack && scenario.inject.is_none() && scenario.unanimous_input().is_some() {
             eligible += 1;
             if eligible % config.netstack_every == 1 {
-                let with_crash = (eligible / config.netstack_every) % 2 == 1;
-                let outcome = if with_crash {
-                    let wal_dir = std::env::temp_dir()
-                        .join(format!("btfuzz-wal-{}-{case}", std::process::id()));
-                    let _ = std::fs::remove_dir_all(&wal_dir);
-                    let out = run_netstack_recovering(&scenario, config.netstack_timeout, &wal_dir);
-                    let _ = std::fs::remove_dir_all(&wal_dir);
-                    out.map(|o| {
-                        let mut violations = check(&scenario, &o.report, &[]);
-                        violations.extend(check_equivocations(&o.equivocations));
-                        (o.report, violations)
-                    })
+                let mode = if (eligible / config.netstack_every) % 2 == 1 {
+                    NetMode::Crash
                 } else {
-                    run_netstack(&scenario, config.netstack_timeout)
-                        .map(|report| (report.clone(), check(&scenario, &report, &[])))
+                    NetMode::Plain
                 };
-                if let Some((_report, net_violations)) = outcome {
+                if let Some(net) = run_netstack(&scenario, config.netstack_timeout, mode) {
                     netstack_runs += 1;
+                    let net_violations = net.violations(&scenario);
                     if !net_violations.is_empty() {
                         progress(&format!(
                             "case {case}: netstack diverged [{}] in {}",

@@ -1,12 +1,11 @@
 //! The storage-fault leg: corrupt-WAL detection and quorum state
 //! transfer under seeded byte flips.
 //!
-//! Every case is a small fail-stop cluster with unanimous inputs and the
-//! seed-derived crash-restart schedule from
-//! [`crate::exec::netstack_crash_plan`], plus a byte flip armed in the
-//! victim's WAL storage (see [`crate::exec::netstack_storage_plan`]).
-//! The restarted victim reopens a corrupted log; the run is held to the
-//! full amnesia contract:
+//! [`STORAGE`] is a [`NetLeg`] for [`crate::stress::sweep_netstack`]:
+//! every case is a small fail-stop cluster with unanimous inputs, run
+//! under [`NetMode::Storage`] — the seed-derived crash-restart plus a
+//! byte flip armed in the victim's WAL storage. The restarted victim
+//! reopens a corrupted log; the run is held to the full amnesia contract:
 //!
 //! - the usual decision properties (agreement, validity, convergence) —
 //!   a node that silently replayed poisoned state would break these;
@@ -19,15 +18,12 @@
 //! A violating scenario is reported with its full JSON so the seed (and
 //! with it the victim, kill/restart timing, and flip) replays by hand.
 
-use std::time::{Duration, Instant};
-
-use netstack::sockets_available;
 use prng::Prng;
 use simnet::Value;
 
-use crate::exec::run_netstack_storage;
-use crate::invariants::{check, check_equivocations, check_storage, classes, Violation};
+use crate::exec::NetMode;
 use crate::scenario::{FaultSpec, OrderSpec, ProtoKind, Scenario, SchedSpec};
+use crate::stress::NetLeg;
 
 /// The cluster sizes a sweep cycles through. Small on purpose: the leg
 /// stresses the recovery path, not the runtime's scale, and `n = 4` is
@@ -35,48 +31,21 @@ use crate::scenario::{FaultSpec, OrderSpec, ProtoKind, Scenario, SchedSpec};
 /// victim drops out.
 pub const STORAGE_SIZES: &[usize] = &[4, 5, 7];
 
-/// Storage-leg configuration.
-#[derive(Clone, Debug)]
-pub struct StorageConfig {
-    /// Master seed: determines every scenario drawn.
-    pub seed: u64,
-    /// Wall-clock budget; the sweep stops at the first case past it.
-    pub budget: Option<Duration>,
-    /// Hard cap on cases (applies alongside the budget).
-    pub max_cases: u64,
-    /// Per-cluster verdict deadline.
-    pub timeout: Duration,
-}
-
-impl Default for StorageConfig {
-    fn default() -> Self {
-        StorageConfig {
-            seed: 0x5707_A6E1,
-            budget: None,
-            max_cases: 2 * STORAGE_SIZES.len() as u64,
-            timeout: Duration::from_secs(30),
-        }
-    }
-}
-
-/// Outcome of a storage sweep.
-#[derive(Clone, Debug)]
-pub struct StorageOutcome {
-    /// Cases executed to completion.
-    pub cases: u64,
-    /// WAL corruptions detected across the sweep (every case injects
-    /// one, so on a correct tree this equals `cases`).
-    pub corruptions: u64,
-    /// Quorum state transfers completed across the sweep.
-    pub transfers: u64,
-    /// The first violating scenario, with its violations.
-    pub finding: Option<(Scenario, Vec<Violation>)>,
-}
+/// The amnesia leg: [`storage_scenario`] over [`STORAGE_SIZES`] with a
+/// flipped WAL under the crash victim.
+pub const STORAGE: NetLeg = NetLeg {
+    name: "storage",
+    ladder: STORAGE_SIZES,
+    scenario: storage_scenario,
+    mode: NetMode::Storage,
+    seed: 0x5707_A6E1,
+    cases: 2 * STORAGE_SIZES.len() as u64,
+};
 
 /// Draws one storage case of size `n`: fail-stop, `k = 1`, unanimous
 /// inputs, all processes correct at the protocol level, fair delivery.
 /// The runtime-level crash, restart, and byte flip all derive from the
-/// scenario seed inside [`run_netstack_storage`].
+/// scenario seed under [`NetMode::Storage`].
 pub fn storage_scenario(rng: &mut Prng, n: usize) -> Scenario {
     let value = Value::from(rng.coin());
     Scenario {
@@ -92,76 +61,10 @@ pub fn storage_scenario(rng: &mut Prng, n: usize) -> Scenario {
     }
 }
 
-/// Runs the storage sweep until a finding, the case cap, or the
-/// wall-clock budget. Returns `None` when the sandbox forbids loopback
-/// sockets. `progress` receives one status line per case.
-pub fn fuzz_netstack_storage(
-    config: &StorageConfig,
-    mut progress: impl FnMut(&str),
-) -> Option<StorageOutcome> {
-    if !sockets_available() {
-        return None;
-    }
-    let started = Instant::now();
-    let mut rng = Prng::seed_from_u64(config.seed);
-    let mut cases = 0u64;
-    let mut corruptions = 0u64;
-    let mut transfers = 0u64;
-
-    while cases < config.max_cases {
-        if let Some(budget) = config.budget {
-            if started.elapsed() >= budget {
-                progress(&format!("storage budget exhausted after {cases} cases"));
-                break;
-            }
-        }
-        let n = STORAGE_SIZES[(cases as usize) % STORAGE_SIZES.len()];
-        let scenario = storage_scenario(&mut rng, n);
-        let wal_dir =
-            std::env::temp_dir().join(format!("btfuzz-storage-{}-{cases}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&wal_dir);
-        let case_started = Instant::now();
-        let out = run_netstack_storage(&scenario, config.timeout, &wal_dir)?;
-        let _ = std::fs::remove_dir_all(&wal_dir);
-        cases += 1;
-        corruptions += out.corruptions;
-        transfers += out.transfers;
-
-        let mut violations = check(&scenario, &out.report, &[]);
-        violations.extend(check_equivocations(&out.equivocations));
-        violations.extend(check_storage(out.corruptions, out.transfers, out.victim));
-        if violations.is_empty() {
-            progress(&format!(
-                "storage case {cases}: n={n} p{} flipped, detected, transferred in {:.2?}",
-                out.victim,
-                case_started.elapsed()
-            ));
-        } else {
-            progress(&format!(
-                "storage case {cases}: n={n} violated [{}] in {}",
-                classes(&violations).join(", "),
-                scenario.describe()
-            ));
-            return Some(StorageOutcome {
-                cases,
-                corruptions,
-                transfers,
-                finding: Some((scenario, violations)),
-            });
-        }
-    }
-
-    Some(StorageOutcome {
-        cases,
-        corruptions,
-        transfers,
-        finding: None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stress::sweep_netstack;
 
     /// The generator's contract: every drawn case is a legal, unanimous,
     /// all-correct fail-stop scenario — so any violation it reports
@@ -197,12 +100,7 @@ mod tests {
     /// via `btfuzz --storage` in `scripts/check.sh`.)
     #[test]
     fn small_storage_case_runs_clean() {
-        let config = StorageConfig {
-            seed: 0xFEED,
-            max_cases: 1,
-            ..StorageConfig::default()
-        };
-        let Some(outcome) = fuzz_netstack_storage(&config, |_| {}) else {
+        let Some(outcome) = sweep_netstack(&STORAGE, 0xFEED, 1, None, |_| {}) else {
             eprintln!("skipping: loopback sockets unavailable in this sandbox");
             return;
         };

@@ -1,90 +1,104 @@
-//! The netstack stress leg: large loopback clusters under crash-restart
-//! and partition faults — scale testing for the event-driven runtime.
+//! The loopback sweep, and its scale leg: large clusters under
+//! crash-restart and partition faults — scale testing for the
+//! event-driven runtime.
+//!
+//! [`sweep_netstack`] is the one budgeted loop over loopback clusters: it
+//! climbs a [`NetLeg`]'s size ladder, draws one scenario per rung, runs
+//! it through [`run_netstack`] under the leg's [`NetMode`], and holds the
+//! outcome to [`NetOutcome::violations`](crate::exec::NetOutcome::violations)
+//! — the decision properties, zero observed equivocations, and whatever
+//! the mode adds. A violating scenario is reported with its full JSON so
+//! `n`, seed, partition, and crash schedule can be replayed by hand. The
+//! amnesia leg ([`crate::storage`]) is the same loop under another
+//! generator and mode.
 //!
 //! The per-case fuzz loop ([`crate::fuzz`]) cross-checks small scenarios
-//! (`n ≤ 8`) against the socket runtime; this leg instead climbs a
-//! cluster-size ladder up to `n = 50`, where the single poll-loop thread
-//! per node is what makes a run affordable at all (the old
-//! thread-per-connection stack needed ~`2 + 2(n−1)` threads per node —
-//! about 5000 OS threads for one 50-node case). Every case is a *short
-//! schedule*: fail-stop with `k = 1` and unanimous inputs, so the
+//! (`n ≤ 8`) against the socket runtime; the [`STRESS`] leg instead
+//! climbs a cluster-size ladder up to `n = 50`, where the single
+//! poll-loop thread per node is what makes a run affordable at all
+//! (`2 + 2(n−1)` threads per node — about 5000 OS threads for one 50-node
+//! case — is what a thread per connection would cost). Every case is a
+//! *short schedule*: fail-stop with `k = 1` and unanimous inputs, so the
 //! protocol math stays trivial and the stress lands where it should — on
 //! the runtime's `O(n²)` connections, its readiness plumbing, and its
 //! recovery path:
 //!
 //! - a seeded healing **partition** cuts a random minority of the cluster
 //!   mid-run (exercising reconnect/backoff and backlog replay at scale);
-//! - the seed-derived **crash-restart** schedule from
-//!   [`crate::exec::netstack_crash_plan`] kills one correct node and
-//!   restarts it from its WAL (exercising listener handoff between event
-//!   loops and byte-identical re-sends).
-//!
-//! Outcomes are held to the same decision properties as every other
-//! netstack cross-check, plus zero observed equivocations. A violating
-//! scenario is reported with its full JSON so `n`, seed, partition, and
-//! crash schedule can be replayed by hand.
+//! - the seed-derived **crash-restart** of [`NetMode::Crash`] kills one
+//!   correct node and restarts it from its WAL (exercising listener
+//!   handoff between event loops and byte-identical re-sends).
 
 use std::time::{Duration, Instant};
 
-use netstack::sockets_available;
 use prng::Prng;
 use simnet::Value;
 
-use crate::exec::run_netstack_recovering;
-use crate::invariants::{check, check_equivocations, classes, Violation};
+use crate::exec::{run_netstack, NetMode};
+use crate::invariants::{classes, Violation};
 use crate::scenario::{FaultSpec, ProtoKind, Scenario, SchedSpec};
 
-/// The cluster-size ladder a sweep climbs, one rung per case, wrapping
-/// around for long sweeps. Early rungs catch gross breakage cheaply;
-/// the top rung is the issue's 50-node target.
+/// One loopback sweep: which sizes to climb, what to draw at each, and
+/// what [`run_netstack`] injects.
+#[derive(Clone, Copy, Debug)]
+pub struct NetLeg {
+    /// Short name for progress lines (`"stress"`, `"storage"`).
+    pub name: &'static str,
+    /// The cluster sizes a sweep climbs, one rung per case, wrapping
+    /// around for long sweeps.
+    pub ladder: &'static [usize],
+    /// Draws the case for one rung.
+    pub scenario: fn(&mut Prng, usize) -> Scenario,
+    /// What every run of the leg injects.
+    pub mode: NetMode,
+    /// Default master seed.
+    pub seed: u64,
+    /// Default case cap.
+    pub cases: u64,
+}
+
+/// The cluster-size ladder of the scale leg. Early rungs catch gross
+/// breakage cheaply; the top rung is the 50-node target.
 pub const STRESS_LADDER: &[usize] = &[8, 16, 25, 34, 50];
 
-/// Stress-leg configuration.
-#[derive(Clone, Debug)]
-pub struct StressConfig {
-    /// Master seed: determines every scenario drawn.
-    pub seed: u64,
-    /// Wall-clock budget; the sweep stops at the first case past it.
-    pub budget: Option<Duration>,
-    /// Hard cap on cases (applies alongside the budget).
-    pub max_cases: u64,
-    /// Per-cluster verdict deadline.
-    pub timeout: Duration,
-    /// Clamp on the ladder (tests use a low clamp to stay cheap).
-    pub max_n: usize,
-}
+/// The scale leg: [`stress_scenario`] up [`STRESS_LADDER`] under a
+/// seed-derived crash-restart.
+pub const STRESS: NetLeg = NetLeg {
+    name: "stress",
+    ladder: STRESS_LADDER,
+    scenario: stress_scenario,
+    mode: NetMode::Crash,
+    seed: 0x57E5_5001,
+    cases: STRESS_LADDER.len() as u64,
+};
 
-impl Default for StressConfig {
-    fn default() -> Self {
-        StressConfig {
-            seed: 0x57E5_5001,
-            budget: None,
-            max_cases: STRESS_LADDER.len() as u64,
-            timeout: Duration::from_secs(30),
-            max_n: 50,
-        }
-    }
-}
+/// Per-cluster verdict deadline.
+const TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Outcome of a stress sweep.
+/// Outcome of a sweep.
 #[derive(Clone, Debug)]
-pub struct StressOutcome {
+pub struct SweepOutcome {
     /// Cases executed to completion.
     pub cases: u64,
     /// Largest cluster booted.
     pub largest_n: usize,
-    /// Supervisor restarts observed across the sweep (the crash schedule
-    /// only fires when the run outlives its kill time, so this can be
-    /// below `cases` on a fast machine — but a sweep where it is *zero*
-    /// never exercised recovery at all).
+    /// Restarts observed across the sweep (the crash schedule only fires
+    /// when the run outlives its kill time, so this can be below `cases`
+    /// on a fast machine — but a sweep where it is *zero* never exercised
+    /// recovery at all).
     pub restarts: u64,
+    /// WAL corruptions detected across the sweep (a storage sweep injects
+    /// one per case, so on a correct tree this equals `cases`).
+    pub corruptions: u64,
+    /// Quorum state transfers completed across the sweep.
+    pub transfers: u64,
     /// The first violating scenario, with its violations.
     pub finding: Option<(Scenario, Vec<Violation>)>,
 }
 
 /// Draws one stress case of size `n`: fail-stop, `k = 1`, unanimous
 /// inputs, all processes correct at the protocol level (the runtime-level
-/// crash-restart comes from the seed-derived crash plan), and a healing
+/// crash-restart comes from [`NetMode::Crash`]), and a healing
 /// partition that cuts a random minority.
 pub fn stress_scenario(rng: &mut Prng, n: usize) -> Scenario {
     let value = Value::from(rng.coin());
@@ -113,71 +127,67 @@ pub fn stress_scenario(rng: &mut Prng, n: usize) -> Scenario {
     }
 }
 
-/// Runs the stress sweep until a finding, the case cap, or the wall-clock
-/// budget. Returns `None` when the sandbox forbids loopback sockets (the
-/// leg has nothing to test without them). `progress` receives one status
+/// Runs `leg` from master `seed` until a finding, `max_cases`, or the
+/// wall-clock `budget` (the sweep stops at the first case past it).
+/// Returns `None` when the sandbox forbids loopback sockets (the sweep
+/// has nothing to test without them). `progress` receives one status
 /// line per case.
-pub fn fuzz_netstack_stress(
-    config: &StressConfig,
+pub fn sweep_netstack(
+    leg: &NetLeg,
+    seed: u64,
+    max_cases: u64,
+    budget: Option<Duration>,
     mut progress: impl FnMut(&str),
-) -> Option<StressOutcome> {
-    if !sockets_available() {
-        return None;
-    }
+) -> Option<SweepOutcome> {
     let started = Instant::now();
-    let mut rng = Prng::seed_from_u64(config.seed);
-    let mut cases = 0u64;
-    let mut largest_n = 0;
-    let mut restarts = 0u64;
+    let mut rng = Prng::seed_from_u64(seed);
+    let mut sweep = SweepOutcome {
+        cases: 0,
+        largest_n: 0,
+        restarts: 0,
+        corruptions: 0,
+        transfers: 0,
+        finding: None,
+    };
+    let name = leg.name;
 
-    while cases < config.max_cases {
-        if let Some(budget) = config.budget {
-            if started.elapsed() >= budget {
-                progress(&format!("stress budget exhausted after {cases} cases"));
-                break;
-            }
+    while sweep.cases < max_cases {
+        if budget.is_some_and(|b| started.elapsed() >= b) {
+            let cases = sweep.cases;
+            progress(&format!("{name} budget exhausted after {cases} cases"));
+            break;
         }
-        let n = STRESS_LADDER[(cases as usize) % STRESS_LADDER.len()].min(config.max_n);
-        let scenario = stress_scenario(&mut rng, n);
-        let wal_dir =
-            std::env::temp_dir().join(format!("btfuzz-stress-{}-{cases}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&wal_dir);
+        let n = leg.ladder[(sweep.cases as usize) % leg.ladder.len()];
+        let scenario = (leg.scenario)(&mut rng, n);
         let case_started = Instant::now();
-        let out = run_netstack_recovering(&scenario, config.timeout, &wal_dir)?;
-        let _ = std::fs::remove_dir_all(&wal_dir);
-        cases += 1;
-        largest_n = largest_n.max(n);
-        let case_restarts = u64::from(out.restarts.iter().sum::<u32>());
-        restarts += case_restarts;
+        let out = run_netstack(&scenario, TIMEOUT, leg.mode)?;
+        sweep.cases += 1;
+        sweep.largest_n = sweep.largest_n.max(n);
+        let restarts = u64::from(out.restarts.iter().sum::<u32>());
+        sweep.restarts += restarts;
+        sweep.corruptions += out.corruptions;
+        sweep.transfers += out.transfers;
 
-        let mut violations = check(&scenario, &out.report, &[]);
-        violations.extend(check_equivocations(&out.equivocations));
-        if violations.is_empty() {
+        let cases = sweep.cases;
+        let violations = out.violations(&scenario);
+        if !violations.is_empty() {
             progress(&format!(
-                "stress case {cases}: n={n} clean in {:.2?} ({case_restarts} restart(s))",
-                case_started.elapsed()
-            ));
-        } else {
-            progress(&format!(
-                "stress case {cases}: n={n} violated [{}] in {}",
+                "{name} case {cases}: n={n} violated [{}] in {}",
                 classes(&violations).join(", "),
                 scenario.describe()
             ));
-            return Some(StressOutcome {
-                cases,
-                largest_n,
-                restarts,
-                finding: Some((scenario, violations)),
-            });
+            sweep.finding = Some((scenario, violations));
+            break;
         }
+        progress(&format!(
+            "{name} case {cases}: n={n} clean in {:.2?} ({restarts} restart(s), \
+             {} corruption(s) detected, {} state transfer(s))",
+            case_started.elapsed(),
+            out.corruptions,
+            out.transfers
+        ));
     }
-
-    Some(StressOutcome {
-        cases,
-        largest_n,
-        restarts,
-        finding: None,
-    })
+    Some(sweep)
 }
 
 #[cfg(test)]
@@ -226,13 +236,7 @@ mod tests {
     /// `btfuzz --netstack-stress` leg in `scripts/check.sh`.)
     #[test]
     fn small_stress_case_runs_clean() {
-        let config = StressConfig {
-            seed: 0xBEEF,
-            max_cases: 1,
-            max_n: 8,
-            ..StressConfig::default()
-        };
-        let Some(outcome) = fuzz_netstack_stress(&config, |_| {}) else {
+        let Some(outcome) = sweep_netstack(&STRESS, 0xBEEF, 1, None, |_| {}) else {
             eprintln!("skipping: loopback sockets unavailable in this sandbox");
             return;
         };

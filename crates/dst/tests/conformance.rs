@@ -7,7 +7,9 @@
 
 use std::time::Duration;
 
-use dst::{check, run_netstack, run_sim, FaultSpec, OrderSpec, ProtoKind, Scenario, SchedSpec};
+use dst::{
+    check, run_netstack, run_sim, FaultSpec, NetMode, OrderSpec, ProtoKind, Scenario, SchedSpec,
+};
 use markov::collapsed;
 use prng::Prng;
 use simnet::{RunStatus, Value};
@@ -39,10 +41,11 @@ fn shared_seed_scenarios_decide_identically_across_runtimes() {
             scenario.describe()
         );
 
-        let Some(net) = run_netstack(&scenario, Duration::from_secs(60)) else {
+        let Some(net) = run_netstack(&scenario, Duration::from_secs(60), NetMode::Plain) else {
             eprintln!("skipping: sandbox forbids loopback sockets");
             return;
         };
+        let net = net.report;
         let net_violations = check(&scenario, &net, &[]);
         assert!(
             net_violations.is_empty(),

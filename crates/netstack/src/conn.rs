@@ -8,11 +8,11 @@
 //! lock is ever taken on a connection, and a frame's bytes are written
 //! by exactly one call site.
 //!
-//! Reliability is **ack-gated**, exactly as in the threaded runtime this
-//! replaced. A successful `write` only proves the bytes reached the
-//! local kernel buffer — a connection that dies afterwards can still
-//! lose them — so a frame is retired from [`Link::backlog`] only when
-//! the receiver's cumulative [`Frame::Ack`] covers its sequence number.
+//! Reliability is **ack-gated**. A successful `write` only proves the
+//! bytes reached the local kernel buffer — a connection that dies
+//! afterwards can still lose them — so a frame is retired from
+//! [`Link::backlog`] only when the receiver's cumulative [`Frame::Ack`]
+//! covers its sequence number.
 //! Until then it survives reconnects, and after every reconnect the
 //! whole unacked backlog is retransmitted in order. The receiver
 //! delivers each sequence number exactly once, so the runtime presents
@@ -133,7 +133,7 @@ pub(crate) struct LoopStats {
     /// `write(2)`/`writev(2)` syscalls issued by the loop.
     pub write_syscalls: Counter,
     /// Frames offered to a single vectored write (the coalescing win:
-    /// the threaded runtime spent two write syscalls per frame).
+    /// unbatched, a frame costs a write syscall of its own).
     pub frames_per_writev: Histogram,
 }
 
@@ -171,11 +171,14 @@ impl LoopStats {
     }
 }
 
-/// The actual wait before a redial: at least half the nominal backoff is
-/// honoured, the rest is uniform — so repeated failures still back off
-/// exponentially, but a cluster of links whose shared peer died does
-/// not hammer its listener in synchronized waves when it comes back.
-pub(crate) fn jittered(nominal: Duration, draw: u64) -> Duration {
+/// The actual wait before a retry whose nominal backoff is `nominal`: at
+/// least half of it is honoured, the rest is uniform in `draw` — so
+/// repeated failures still back off exponentially, but retriers that
+/// failed together (links whose shared peer died, restarts after one
+/// incident, clients shed by one busy service) do not come back in
+/// synchronized waves. The one backoff jitter in the workspace: link
+/// redials, both supervisors and the rsm client's retry loop call it.
+pub fn jittered(nominal: Duration, draw: u64) -> Duration {
     let half = nominal / 2;
     let span = u64::try_from(half.as_micros())
         .unwrap_or(u64::MAX)

@@ -27,8 +27,9 @@
 //! * [`node`] — one node: sockets, event loop, status, obs publishing;
 //! * [`admin`] — HTTP/1.0 `/metrics` + `/status` endpoint and the
 //!   dependency-free scraper behind `btstat` and `Cluster::scrape`;
-//! * [`cluster`] — the loopback harness: `Cluster::spawn(n, k, proto)`,
-//!   inject inputs/faults, `await_verdict`.
+//! * [`cluster`] — the one loopback runner and supervisor:
+//!   `Cluster::spawn(n, k, proto)` or `Cluster::host(.., make)`, inject
+//!   inputs/faults, `kill`/`restart`, `await_verdict`.
 //!
 //! The `btnode` binary boots a single node from the command line so a
 //! cluster can also be assembled by hand across terminals (or machines).
@@ -60,8 +61,10 @@ pub mod wal;
 
 pub use admin::{http_get, scrape_all, AdminServer};
 pub use cluster::{
-    sockets_available, Cluster, ClusterOptions, CrashPlan, NodeFault, Proto, RecoveryOptions,
+    sockets_available, spawn_proto, synthesize_report, Cluster, ClusterOptions, CrashPlan,
+    NodeFault, Proto, RecoveryOptions,
 };
+pub use conn::jittered;
 pub use fault::{CrashRestart, FaultInjector, FaultPlan, LinkAction};
 pub use frame::{drain_frames, encode_chunk, read_frame, write_frame, Frame, MAX_FRAME_LEN};
 pub use node::{fnv1a64, spawn, NetCounters, NodeConfig, NodeHandle, NodeStatus};

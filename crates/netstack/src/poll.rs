@@ -1,7 +1,8 @@
 //! Readiness polling over raw syscalls: epoll on Linux, `poll(2)`
-//! elsewhere (or when forced) — the repo stays zero-dependency, so the
-//! two backends are declared here as `extern "C"` bindings against the
-//! libc every Rust program already links.
+//! elsewhere (or when epoll cannot be opened) — the repo stays
+//! zero-dependency, so the two backends are declared here as
+//! `extern "C"` bindings against the libc every Rust program already
+//! links.
 //!
 //! The [`Poller`] is the only place in the crate allowed to use `unsafe`
 //! (the crate root carries `#![deny(unsafe_code)]`, relaxed for this
@@ -22,9 +23,10 @@
 //!   on every wait, and honours [`Poller::set_write_interest`] to avoid
 //!   busy-waking on always-writable sockets.
 //!
-//! Setting `BT_NETSTACK_POLL=1` forces the `poll(2)` backend on Linux —
-//! how the portable path stays tested on the platform that would never
-//! otherwise take it.
+//! The choice is observed, never configured: `poll(2)` is the only path
+//! on non-Linux Unix and the fallback when `epoll_create1` fails. On
+//! Linux it stays tested by the in-module test that constructs
+//! `Backend::Poll` directly.
 //!
 //! Error and hangup conditions are folded into `readable`/`writable`: a
 //! dead socket reports ready, the subsequent read/write surfaces the
@@ -147,24 +149,23 @@ fn as_millis(timeout: Duration) -> c_int {
 }
 
 impl Poller {
-    /// Opens the best available backend: epoll on Linux (unless
-    /// `BT_NETSTACK_POLL` is set), `poll(2)` otherwise.
+    /// Opens the best available backend: epoll on Linux, `poll(2)`
+    /// otherwise.
     pub fn new() -> io::Result<Poller> {
         #[cfg(target_os = "linux")]
         {
-            if std::env::var_os("BT_NETSTACK_POLL").is_none() {
-                let epfd = unsafe { epoll_sys::epoll_create1(epoll_sys::EPOLL_CLOEXEC) };
-                if epfd >= 0 {
-                    return Ok(Poller {
-                        backend: Backend::Epoll {
-                            epfd,
-                            buf: vec![epoll_sys::EpollEvent { events: 0, data: 0 }; 256],
-                        },
-                    });
-                }
-                // epoll_create1 failing (container seccomp, exotic
-                // kernel) falls through to the portable backend.
+            // SAFETY: `epoll_create1` takes a flags word and no pointers.
+            let epfd = unsafe { epoll_sys::epoll_create1(epoll_sys::EPOLL_CLOEXEC) };
+            if epfd >= 0 {
+                return Ok(Poller {
+                    backend: Backend::Epoll {
+                        epfd,
+                        buf: vec![epoll_sys::EpollEvent { events: 0, data: 0 }; 256],
+                    },
+                });
             }
+            // epoll_create1 failing (container seccomp, exotic kernel)
+            // falls through to the portable backend.
         }
         Ok(Poller {
             backend: Backend::Poll { set: Vec::new() },
@@ -456,7 +457,8 @@ mod tests {
 
     #[test]
     fn poll_fallback_reports_readability() {
-        // Construct the portable backend directly, bypassing the env var.
+        // Construct the portable backend directly: on Linux `Poller::new`
+        // would pick epoll.
         poller_reports_readability(Poller {
             backend: Backend::Poll { set: Vec::new() },
         });

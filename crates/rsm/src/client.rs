@@ -128,22 +128,15 @@ impl RsmClient {
         let mut jitter =
             Prng::seed_from_u64(self.client.wrapping_mul(0x9E37_79B9).rotate_left(17) ^ request);
         let mut resp = self.propose(op.clone())?;
-        let mut attempt = 0u32;
+        let mut backoff = Duration::from_millis(2);
         while matches!(resp, ClientResp::Busy | ClientResp::Timeout) {
             let now = Instant::now();
             if now >= give_up {
                 break;
             }
-            let nominal = Duration::from_millis(2)
-                .saturating_mul(2u32.saturating_pow(attempt))
-                .min(Duration::from_millis(200));
-            let half = nominal / 2;
-            let span = u64::try_from(half.as_micros())
-                .unwrap_or(u64::MAX)
-                .saturating_add(1);
-            let wait = (half + Duration::from_micros(jitter.next_u64() % span)).min(give_up - now);
+            let wait = netstack::jittered(backoff, jitter.next_u64()).min(give_up - now);
             std::thread::sleep(wait);
-            attempt += 1;
+            backoff = (backoff * 2).min(Duration::from_millis(200));
             resp = self.retry(request, op.clone())?;
         }
         Ok(resp)

@@ -90,4 +90,12 @@ echo "==> replicated-log smoke test (btnode rsm cluster, btload, btstat)"
 # Skips internally (with a note) where the sandbox forbids sockets.
 sh scripts/smoke_rsm.sh
 
+echo "==> btbench (own workspace): unit tests + --quick smoke of every workload"
+# The root `cargo test` does not build btbench, yet it compiles against
+# RsmCluster/RsmClusterOptions/sockets_available and opens
+# <wal_dir>/rsm0.wal by name: an API or file-name break must show here,
+# not in the benchmark pipeline.
+cargo test --release --manifest-path btbench/Cargo.toml
+cargo run --release --quiet --manifest-path btbench/Cargo.toml -- run --quick
+
 echo "==> all checks passed"

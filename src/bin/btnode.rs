@@ -28,12 +28,12 @@
 //! WAL recovers the pre-crash state and re-sends the unacknowledged
 //! backlog byte-for-byte, so a restart can never turn into equivocation.
 //!
-//! `--supervise` (Unix only, requires `--wal`) adds the supervisor: the
-//! parent binds the listening socket once, hands a duplicate of it to a
-//! worker child via stdin, and if the worker dies to a signal (SIGKILL,
-//! SIGSEGV, OOM-killer) restarts it from the WAL — on the *same* port,
-//! with jittered exponential backoff, up to `--max-restarts` times
-//! (default 4). Normal exits, success or timeout, are propagated as-is.
+//! `--supervise` (requires `--wal`) adds the supervisor: the parent
+//! binds the listening socket once, hands a duplicate of it to a worker
+//! child via stdin, and if the worker dies to a signal (SIGKILL, SIGSEGV,
+//! OOM-killer) restarts it from the WAL — on the *same* port, with
+//! jittered exponential backoff, up to `--max-restarts` times (default
+//! 4). Normal exits, success or timeout, are propagated as-is.
 //!
 //! # Live telemetry
 //!
@@ -66,14 +66,16 @@ use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use benor::{BenOrConfig, BenOrProcess};
-use bt_core::{Config, FailStop, Malicious, Simple};
-use netstack::{spawn, FaultPlan, NodeConfig, NodeHandle};
-use obs::JsonlSink;
-use simnet::{
-    Metrics, Process, ProcessId, Role, RunReport, RunStatus, SharedSubscriber, Subscriber, Value,
-    Wire,
+use bt_core::Config;
+use netstack::admin::AdminServer;
+use netstack::{
+    jittered, spawn, spawn_proto, synthesize_report, FaultPlan, NodeConfig, NodeFault, NodeHandle,
+    Proto,
 };
+use obs::metrics::Registry;
+use obs::JsonlSink;
+use rsm::{RsmOptions, ServiceOptions};
+use simnet::{ProcessId, Role, SharedSubscriber, Subscriber, Value};
 
 const USAGE: &str = "usage: btnode --id I --n N --k K \
 --proto failstop|simple|malicious|benor|rsm [--input 0|1] \
@@ -86,14 +88,15 @@ struct Args {
     id: usize,
     n: usize,
     k: usize,
-    proto: String,
+    /// The one-shot protocol to run; `None` is `--proto rsm`.
+    proto: Option<Proto>,
     input: Option<Value>,
     /// Client-API port for `--proto rsm`.
     client: Option<u16>,
-    window: u64,
-    max_batch: usize,
-    queue_depth: usize,
-    submit_batch: usize,
+    /// `--window`/`--max-batch` over the replica's defaults.
+    replica: RsmOptions,
+    /// `--queue-depth`/`--submit-batch` over the service's defaults.
+    service: ServiceOptions,
     listen: SocketAddr,
     peers: Vec<SocketAddr>,
     seed: u64,
@@ -120,10 +123,8 @@ fn parse_args() -> Result<Args, String> {
     let mut proto = None;
     let mut input = None;
     let mut client = None;
-    let mut window = 8u64;
-    let mut max_batch = 64usize;
-    let mut queue_depth = 1024usize;
-    let mut submit_batch = 256usize;
+    let mut replica = RsmOptions::default();
+    let mut service = ServiceOptions::default();
     let mut listen = None;
     let mut peers = Vec::new();
     let mut seed = 0u64;
@@ -144,7 +145,12 @@ fn parse_args() -> Result<Args, String> {
             "--id" => id = Some(parse(&value("--id")?, "--id")?),
             "--n" => n = Some(parse(&value("--n")?, "--n")?),
             "--k" => k = Some(parse(&value("--k")?, "--k")?),
-            "--proto" => proto = Some(value("--proto")?),
+            "--proto" => {
+                proto = Some(match value("--proto")?.as_str() {
+                    "rsm" => None,
+                    name => Some(name.parse::<Proto>()?),
+                });
+            }
             "--input" => {
                 input = Some(match value("--input")?.as_str() {
                     "0" => Value::Zero,
@@ -153,10 +159,14 @@ fn parse_args() -> Result<Args, String> {
                 });
             }
             "--client" => client = Some(parse(&value("--client")?, "--client")?),
-            "--window" => window = parse(&value("--window")?, "--window")?,
-            "--max-batch" => max_batch = parse(&value("--max-batch")?, "--max-batch")?,
-            "--queue-depth" => queue_depth = parse(&value("--queue-depth")?, "--queue-depth")?,
-            "--submit-batch" => submit_batch = parse(&value("--submit-batch")?, "--submit-batch")?,
+            "--window" => replica.window = parse(&value("--window")?, "--window")?,
+            "--max-batch" => replica.max_batch = parse(&value("--max-batch")?, "--max-batch")?,
+            "--queue-depth" => {
+                service.queue_depth = parse(&value("--queue-depth")?, "--queue-depth")?;
+            }
+            "--submit-batch" => {
+                service.submit_batch = parse(&value("--submit-batch")?, "--submit-batch")?;
+            }
             "--listen" => listen = Some(parse_addr(&value("--listen")?)?),
             "--peer" => peers.push(parse_addr(&value("--peer")?)?),
             "--seed" => seed = parse(&value("--seed")?, "--seed")?,
@@ -184,10 +194,8 @@ fn parse_args() -> Result<Args, String> {
         proto: proto.ok_or("--proto is required")?,
         input,
         client,
-        window,
-        max_batch,
-        queue_depth,
-        submit_batch,
+        replica,
+        service,
         listen: listen.ok_or("--listen is required")?,
         peers,
         seed,
@@ -201,14 +209,14 @@ fn parse_args() -> Result<Args, String> {
         listen_stdin,
         expect_wal,
     };
-    if args.proto == "rsm" {
+    if args.proto.is_none() {
         if args.client.is_none() {
             return Err("--proto rsm requires --client PORT (the client-API port)".to_string());
         }
         if args.jsonl.is_some() {
             return Err("--jsonl applies to one-shot runs, not --proto rsm".to_string());
         }
-        if args.window == 0 || args.max_batch == 0 {
+        if args.replica.window == 0 || args.replica.max_batch == 0 {
             return Err("--window and --max-batch must be at least 1".to_string());
         }
     } else if args.input.is_none() {
@@ -245,39 +253,34 @@ fn parse_addr(s: &str) -> Result<SocketAddr, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(args) => args,
+    let outcome = parse_args()
+        .map_err(|err| format!("{err}\n{USAGE}"))
+        .and_then(|args| run(&args));
+    match outcome {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
         Err(err) => {
-            eprintln!("btnode: {err}\n{USAGE}");
-            return ExitCode::FAILURE;
+            eprintln!("btnode: {err}");
+            ExitCode::FAILURE
         }
-    };
+    }
+}
 
+/// Runs the node (or its supervisor) to completion: `Ok(true)` when it
+/// decided — or, under `--proto rsm`, served its full duration — and
+/// `Ok(false)` when it ran out of time; `Err` is a setup failure.
+fn run(args: &Args) -> Result<bool, String> {
     if args.supervise {
-        return run_supervisor(&args);
+        return run_supervisor(args);
     }
-
     let listener = if args.listen_stdin {
-        match listener_from_stdin() {
-            Ok(l) => l,
-            Err(err) => {
-                eprintln!("btnode: cannot inherit listener from stdin: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
+        listener_from_stdin().map_err(|e| format!("cannot inherit listener from stdin: {e}"))?
     } else {
-        match TcpListener::bind(args.listen) {
-            Ok(l) => l,
-            Err(err) => {
-                eprintln!("btnode: cannot bind {}: {err}", args.listen);
-                return ExitCode::FAILURE;
-            }
-        }
+        TcpListener::bind(args.listen).map_err(|e| format!("cannot bind {}: {e}", args.listen))?
     };
-
-    if args.proto == "rsm" {
-        return run_rsm(&args, listener);
-    }
+    let Some(proto) = args.proto else {
+        return run_rsm(args, listener);
+    };
 
     let sink = Arc::new(Mutex::new(JsonlSink::new()));
     let subscriber: Option<SharedSubscriber> = if args.jsonl.is_some() {
@@ -289,87 +292,20 @@ fn main() -> ExitCode {
         None
     };
 
-    let input = args.input.expect("validated in parse_args");
-    let booted = match args.proto.as_str() {
-        "failstop" => {
-            let config = match Config::fail_stop(args.n, args.k) {
-                Ok(c) => c,
-                Err(e) => return config_error(e),
-            };
-            boot(
-                &args,
-                listener,
-                subscriber,
-                Box::new(FailStop::new(config, input)),
-            )
-        }
-        "simple" => {
-            let config = match Config::fail_stop(args.n, args.k) {
-                Ok(c) => c,
-                Err(e) => return config_error(e),
-            };
-            boot(
-                &args,
-                listener,
-                subscriber,
-                Box::new(Simple::new(config, input)),
-            )
-        }
-        "malicious" => {
-            let config = match Config::malicious(args.n, args.k) {
-                Ok(c) => c,
-                Err(e) => return config_error(e),
-            };
-            boot(
-                &args,
-                listener,
-                subscriber,
-                Box::new(Malicious::new(config, input)),
-            )
-        }
-        "benor" => {
-            let config = match BenOrConfig::fail_stop(args.n, args.k) {
-                Ok(c) => c,
-                Err(e) => return config_error(e),
-            };
-            boot(
-                &args,
-                listener,
-                subscriber,
-                Box::new(BenOrProcess::new(config, input)),
-            )
-        }
-        other => {
-            eprintln!("btnode: unknown protocol {other:?}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let mut node = match booted {
-        Ok(node) => node,
-        Err(err) => {
-            eprintln!("btnode: cannot boot node: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // Live telemetry: serve /metrics and /status for the run's duration.
-    let _admin = match args.admin {
-        Some(port) => {
-            let bind = SocketAddr::new(args.listen.ip(), port);
-            match netstack::admin::serve_node(bind, &node, args.n) {
-                Ok(server) => {
-                    eprintln!("btnode: admin endpoint on http://{}/metrics", server.addr());
-                    Some(server)
-                }
-                Err(err) => {
-                    eprintln!("btnode: cannot bind admin endpoint {bind}: {err}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => None,
-    };
+    // Each worker incarnation gets a fresh registry; under --supervise
+    // the counters' pre-crash values live in the WAL's replay, not in
+    // memory.
+    let mut node = spawn_proto(
+        proto,
+        args.input.expect("validated in parse_args"),
+        NodeFault::Correct,
+        node_config(args, None),
+        listener,
+        args.peers.clone(),
+        subscriber,
+    )
+    .map_err(|e| format!("cannot boot node: {e}"))?;
+    let _admin = serve_admin(args, &node)?;
 
     // Wait for this node's decision (or the deadline).
     let deadline = Instant::now() + args.timeout;
@@ -434,30 +370,31 @@ fn main() -> ExitCode {
     );
 
     if let Some(path) = &args.jsonl {
-        let report = single_node_report(&args, &node, decided);
+        // This node's perspective of the run: only its own row is known.
+        let report = synthesize_report(vec![Role::Correct; args.n], [&node], decided);
         let mut sink = sink.lock().expect("sink lock");
         sink.on_run_end(&report);
-        if let Err(err) = sink.write_to_file(path) {
-            eprintln!("btnode: cannot write {path}: {err}");
-            return ExitCode::FAILURE;
-        }
+        sink.write_to_file(path)
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-
-    if decided {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(decided)
 }
 
-fn config_error(e: impl std::fmt::Display) -> ExitCode {
-    eprintln!("btnode: {e}");
-    ExitCode::FAILURE
+/// Live telemetry: with `--admin PORT`, serves the node's `/metrics` and
+/// `/status` on the listen host for as long as the returned server lives.
+fn serve_admin(args: &Args, node: &NodeHandle) -> Result<Option<AdminServer>, String> {
+    let Some(port) = args.admin else {
+        return Ok(None);
+    };
+    let bind = SocketAddr::new(args.listen.ip(), port);
+    let server = netstack::admin::serve_node(bind, node, args.n)
+        .map_err(|e| format!("cannot bind admin endpoint {bind}: {e}"))?;
+    eprintln!("btnode: admin endpoint on http://{}/metrics", server.addr());
+    Ok(Some(server))
 }
 
 /// The worker side of `--supervise`: the parent passed a duplicate of the
 /// listening socket as our stdin; reclaim it with safe std conversions.
-#[cfg(unix)]
 fn listener_from_stdin() -> std::io::Result<TcpListener> {
     use std::os::fd::AsFd;
     let fd = std::io::stdin().as_fd().try_clone_to_owned()?;
@@ -467,38 +404,18 @@ fn listener_from_stdin() -> std::io::Result<TcpListener> {
     Ok(listener)
 }
 
-#[cfg(not(unix))]
-fn listener_from_stdin() -> std::io::Result<TcpListener> {
-    Err(std::io::Error::new(
-        std::io::ErrorKind::Unsupported,
-        "--listen-stdin requires a Unix platform",
-    ))
-}
-
 /// The parent side of `--supervise`: bind the port once, run the worker
 /// on a duplicate of the socket, and restart it from the WAL — same port,
 /// jittered exponential backoff, bounded by `--max-restarts` — whenever
 /// it dies to a signal. Normal worker exits (decided, timed out, usage
 /// errors) are propagated unchanged.
-#[cfg(unix)]
-fn run_supervisor(args: &Args) -> ExitCode {
+fn run_supervisor(args: &Args) -> Result<bool, String> {
     use std::os::fd::OwnedFd;
     use std::process::{Command, Stdio};
 
-    let listener = match TcpListener::bind(args.listen) {
-        Ok(l) => l,
-        Err(err) => {
-            eprintln!("btnode: cannot bind {}: {err}", args.listen);
-            return ExitCode::FAILURE;
-        }
-    };
-    let exe = match std::env::current_exe() {
-        Ok(p) => p,
-        Err(err) => {
-            eprintln!("btnode: cannot locate own executable: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let listener =
+        TcpListener::bind(args.listen).map_err(|e| format!("cannot bind {}: {e}", args.listen))?;
+    let exe = std::env::current_exe().map_err(|e| format!("cannot locate own executable: {e}"))?;
     // The worker runs with our exact arguments minus --supervise, plus
     // the marker telling it the socket arrives on stdin.
     let worker_args: Vec<String> = std::env::args()
@@ -509,14 +426,11 @@ fn run_supervisor(args: &Args) -> ExitCode {
 
     let mut jitter = prng::Prng::seed_from_u64(args.seed ^ 0x7375_7056_6274u64);
     let mut restarts = 0u32;
+    let mut backoff = Duration::from_millis(10);
     loop {
-        let socket = match listener.try_clone() {
-            Ok(l) => OwnedFd::from(l),
-            Err(err) => {
-                eprintln!("btnode: cannot duplicate listener for worker: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let socket = listener
+            .try_clone()
+            .map_err(|e| format!("cannot duplicate listener for worker: {e}"))?;
         // From the first restart on, the worker follows a crash whose WAL
         // journaled at least the boot record: an empty or vanished log is
         // then amnesia, not a fresh start.
@@ -526,64 +440,38 @@ fn run_supervisor(args: &Args) -> ExitCode {
         }
         let status = Command::new(&exe)
             .args(&incarnation_args)
-            .stdin(Stdio::from(socket))
-            .status();
-        match status {
-            Ok(st) if st.code().is_some() => {
-                // Clean exit — the worker decided (0) or gave up (1).
-                return if st.success() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                };
-            }
-            Ok(_) => {
-                // Signal death: the crash the WAL exists for.
-                if restarts >= args.max_restarts {
-                    eprintln!(
-                        "btnode: worker for p{} killed again; restart budget ({}) exhausted",
-                        args.id, args.max_restarts
-                    );
-                    return ExitCode::FAILURE;
-                }
-                restarts += 1;
-                // Jittered exponential backoff: 10ms · 2^r nominal, at
-                // least half honoured, the rest uniform.
-                let nominal =
-                    Duration::from_millis(10).saturating_mul(2u32.saturating_pow(restarts - 1));
-                let half = nominal / 2;
-                let span = u64::try_from(half.as_micros())
-                    .unwrap_or(u64::MAX)
-                    .saturating_add(1);
-                let wait = half + Duration::from_micros(jitter.next_u64() % span);
-                eprintln!(
-                    "btnode: worker for p{} died to a signal; restarting from WAL \
-                     in {wait:?} (attempt {restarts}/{})",
-                    args.id, args.max_restarts
-                );
-                std::thread::sleep(wait);
-            }
-            Err(err) => {
-                eprintln!("btnode: cannot spawn worker: {err}");
-                return ExitCode::FAILURE;
-            }
+            .stdin(Stdio::from(OwnedFd::from(socket)))
+            .status()
+            .map_err(|e| format!("cannot spawn worker: {e}"))?;
+        if status.code().is_some() {
+            // Clean exit — the worker decided (0) or gave up (1).
+            return Ok(status.success());
         }
+        // Signal death: the crash the WAL exists for.
+        if restarts >= args.max_restarts {
+            return Err(format!(
+                "worker for p{} killed again; restart budget ({}) exhausted",
+                args.id, args.max_restarts
+            ));
+        }
+        restarts += 1;
+        // Jittered exponential backoff: 10ms · 2^r nominal.
+        let wait = jittered(backoff, jitter.next_u64());
+        backoff = backoff.saturating_mul(2);
+        eprintln!(
+            "btnode: worker for p{} died to a signal; restarting from WAL \
+             in {wait:?} (attempt {restarts}/{})",
+            args.id, args.max_restarts
+        );
+        std::thread::sleep(wait);
     }
 }
 
-#[cfg(not(unix))]
-fn run_supervisor(_args: &Args) -> ExitCode {
-    eprintln!("btnode: --supervise requires a Unix platform (socket passing via stdin)");
-    ExitCode::FAILURE
-}
-
-fn boot<M: Wire + Send + 'static>(
-    args: &Args,
-    listener: TcpListener,
-    subscriber: Option<SharedSubscriber>,
-    process: Box<dyn Process<Msg = M> + Send>,
-) -> std::io::Result<NodeHandle> {
-    let cfg = NodeConfig {
+/// This process's one node, as `--id`/`--n`/`--k`/`--seed`/`--wal` and
+/// friends describe it, recording into `metrics` (or a registry of its
+/// own).
+fn node_config(args: &Args, metrics: Option<Arc<Registry>>) -> NodeConfig {
+    NodeConfig {
         id: ProcessId::new(args.id),
         n: args.n,
         seed: args.seed.wrapping_add(args.id as u64),
@@ -592,105 +480,34 @@ fn boot<M: Wire + Send + 'static>(
         expect_history: args.expect_wal,
         wal: args.wal.clone(),
         snapshot_every: args.snapshot_every,
-        // Each worker incarnation gets a fresh registry; under
-        // --supervise the counters' pre-crash values live in the WAL's
-        // replay, not in memory.
-        metrics: None,
-    };
-    spawn(cfg, listener, args.peers.clone(), process, subscriber)
-}
-
-/// This node's perspective of the run: its own row is filled in, the other
-/// processes' rows are unknown (`None`) — one btnode cannot observe its
-/// peers' decisions, only its own.
-fn single_node_report(args: &Args, node: &NodeHandle, decided: bool) -> RunReport {
-    let status = node.status();
-    let mut decisions = vec![None; args.n];
-    let mut decision_steps = vec![None; args.n];
-    let mut decision_phases = vec![None; args.n];
-    decisions[args.id] = status.decision;
-    decision_steps[args.id] = status.decision_step;
-    decision_phases[args.id] = status.decision_phase;
-    let mut metrics = Metrics::new(args.n);
-    metrics.messages_sent = node.messages_sent();
-    metrics.messages_delivered = node.messages_delivered();
-    metrics.messages_dropped = node.messages_dropped();
-    metrics.sent_by[args.id] = node.messages_sent();
-    metrics.steps_by[args.id] = status.steps;
-    metrics.recovered = status.recovered;
-    metrics.equivocations = node.equivocations();
-    RunReport::synthesize(
-        if decided {
-            RunStatus::Stopped
-        } else {
-            RunStatus::StepLimitReached
-        },
-        decisions,
-        vec![Role::Correct; args.n],
-        status.steps,
-        decision_steps,
-        decision_phases,
-        status.phase,
         metrics,
-    )
+    }
 }
 
 /// `--proto rsm`: run this node as one replica of the replicated log,
 /// serving the client API on `--client` until `--timeout` elapses (0 =
 /// until killed) or the event loop dies.
-fn run_rsm(args: &Args, listener: TcpListener) -> ExitCode {
-    use netstack::admin::AdminServer;
+fn run_rsm(args: &Args, listener: TcpListener) -> Result<bool, String> {
     use obs::json::Json;
-    use obs::metrics::Registry;
-    use rsm::{GatewayConfig, LogView, Replica, RsmOptions, RsmService, ServiceOptions};
+    use rsm::{GatewayConfig, LogView, Replica, RsmService};
 
-    let config = match Config::malicious(args.n, args.k) {
-        Ok(c) => c,
-        Err(e) => return config_error(e),
-    };
+    let config = Config::malicious(args.n, args.k).map_err(|e| e.to_string())?;
     let me = ProcessId::new(args.id);
     let registry = Arc::new(Registry::new());
     let view = LogView::new();
-    let replica = Replica::new(
-        config,
-        me,
-        RsmOptions {
-            window: args.window,
-            max_batch: args.max_batch,
-        },
-    )
-    .with_view(view.clone())
-    .with_metrics(&registry);
+    let replica = Replica::new(config, me, args.replica)
+        .with_view(view.clone())
+        .with_metrics(&registry);
 
-    let cfg = NodeConfig {
-        id: me,
-        n: args.n,
-        seed: args.seed.wrapping_add(args.id as u64),
-        k: args.k,
-        fault: FaultPlan::reliable(),
-        expect_history: args.expect_wal,
-        wal: args.wal.clone(),
-        snapshot_every: args.snapshot_every,
-        metrics: Some(Arc::clone(&registry)),
-    };
-    let mut node = match spawn(cfg, listener, args.peers.clone(), Box::new(replica), None) {
-        Ok(node) => node,
-        Err(err) => {
-            eprintln!("btnode: cannot boot rsm replica: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let cfg = node_config(args, Some(Arc::clone(&registry)));
+    let mut node = spawn(cfg, listener, args.peers.clone(), Box::new(replica), None)
+        .map_err(|e| format!("cannot boot rsm replica: {e}"))?;
 
     let client_port = args.client.expect("validated in parse_args");
     let client_bind = SocketAddr::new(args.listen.ip(), client_port);
-    let client_listener = match TcpListener::bind(client_bind) {
-        Ok(l) => l,
-        Err(err) => {
-            eprintln!("btnode: cannot bind client port {client_bind}: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let service = match RsmService::spawn(
+    let client_listener = TcpListener::bind(client_bind)
+        .map_err(|e| format!("cannot bind client port {client_bind}: {e}"))?;
+    let service = RsmService::spawn(
         client_listener,
         GatewayConfig {
             me,
@@ -698,19 +515,10 @@ fn run_rsm(args: &Args, listener: TcpListener) -> ExitCode {
             initial_seq: node.next_expected_from(me),
         },
         view.clone(),
-        ServiceOptions {
-            queue_depth: args.queue_depth,
-            submit_batch: args.submit_batch,
-            propose_timeout: Duration::from_secs(10),
-        },
+        args.service,
         &registry,
-    ) {
-        Ok(s) => s,
-        Err(err) => {
-            eprintln!("btnode: cannot start client service: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
+    )
+    .map_err(|e| format!("cannot start client service: {e}"))?;
     eprintln!(
         "btnode: rsm replica p{} serving clients on {}",
         args.id,
@@ -718,48 +526,27 @@ fn run_rsm(args: &Args, listener: TcpListener) -> ExitCode {
     );
 
     // Admin endpoint with the node's status plus an `rsm` section.
-    let _admin = match args.admin {
-        Some(port) => {
-            let bind = SocketAddr::new(args.listen.ip(), port);
-            let base =
-                netstack::admin::status_source(me, args.n, node.status_cell(), node.metrics());
-            let status_view = view.clone();
-            let admin_listener = match TcpListener::bind(bind) {
-                Ok(l) => l,
-                Err(err) => {
-                    eprintln!("btnode: cannot bind admin endpoint {bind}: {err}");
-                    return ExitCode::FAILURE;
-                }
+    let admin = serve_admin(args, &node)?;
+    if let Some(admin) = &admin {
+        let base = netstack::admin::status_source(me, args.n, node.status_cell(), node.metrics());
+        let status_view = view.clone();
+        admin.set_status(Box::new(move || {
+            let Json::Obj(mut fields) = base() else {
+                return Json::Null;
             };
-            let status: netstack::admin::StatusFn = Box::new(move || {
-                let Json::Obj(mut fields) = base() else {
-                    return Json::Null;
-                };
-                let rsm = status_view.with(|a| {
-                    Json::Obj(vec![
-                        ("applied".into(), Json::num(a.next_slot())),
-                        ("digest".into(), Json::str(format!("{:016x}", a.digest()))),
-                        ("applied_commands".into(), Json::num(a.applied_commands)),
-                        ("deduped_commands".into(), Json::num(a.deduped_commands)),
-                        ("kv_len".into(), Json::num(a.kv.len() as u64)),
-                    ])
-                });
-                fields.push(("rsm".into(), rsm));
-                Json::Obj(fields)
+            let rsm = status_view.with(|a| {
+                Json::Obj(vec![
+                    ("applied".into(), Json::num(a.next_slot())),
+                    ("digest".into(), Json::str(format!("{:016x}", a.digest()))),
+                    ("applied_commands".into(), Json::num(a.applied_commands)),
+                    ("deduped_commands".into(), Json::num(a.deduped_commands)),
+                    ("kv_len".into(), Json::num(a.kv.len() as u64)),
+                ])
             });
-            match AdminServer::serve(admin_listener, Arc::clone(&registry), status) {
-                Ok(server) => {
-                    eprintln!("btnode: admin endpoint on http://{}/metrics", server.addr());
-                    Some(server)
-                }
-                Err(err) => {
-                    eprintln!("btnode: cannot start admin endpoint: {err}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => None,
-    };
+            fields.push(("rsm".into(), rsm));
+            Json::Obj(fields)
+        }));
+    }
 
     // Serve until the deadline (0 = forever) or the event loop dies.
     let deadline = (args.timeout > Duration::ZERO).then(|| Instant::now() + args.timeout);
@@ -783,9 +570,5 @@ fn run_rsm(args: &Args, listener: TcpListener) -> ExitCode {
         args.id,
         node.status().recovered,
     );
-    if healthy {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(healthy)
 }

@@ -12,8 +12,8 @@
 //! * [`modelcheck`] — executable lower-bound demonstrations;
 //! * [`obs`] — observability sinks (per-phase telemetry, JSONL traces,
 //!   console narration) for the simulator's subscriber hook;
-//! * [`netstack`] — the threaded TCP runtime running the same protocol
-//!   state machines over real sockets (see `docs/NETWORKING.md`);
+//! * [`netstack`] — the event-driven TCP runtime running the same
+//!   protocol state machines over real sockets (see `docs/NETWORKING.md`);
 //! * [`rsm`] — the replicated log service: pipelined multi-decree
 //!   consensus with batching, a client-facing TCP API, and WAL-backed
 //!   recovery (see `docs/RSM.md`);
