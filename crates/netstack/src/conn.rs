@@ -1,34 +1,33 @@
-//! Per-connection state machines for the event loop: outbound links with
-//! ack-gated backlogs, inbound connections with incremental framing, and
-//! the vectored-write plumbing both share.
+//! The link: one peer's worth of socket machinery, and the vectored-write
+//! plumbing inbound and outbound connections share.
 //!
-//! Nothing here owns a thread. Each node's single event thread (see
-//! [`crate::node`]) drives these machines from poller readiness events:
-//! the loop is the **single writer** for every socket it owns, so no
-//! lock is ever taken on a connection, and a frame's bytes are written
-//! by exactly one call site.
+//! The runtime is three parts — see [`crate::node`] for the map. The
+//! **core** ([`crate::core`]) decides *what* each peer must receive and
+//! keeps it on a per-peer [`SendQueue`] until acked; the **driver**
+//! ([`crate::node`]) owns the poller and turns readiness into calls; and
+//! the **link**, here, is the part in between that touches a
+//! `TcpStream`: [`Link`] dials (with jittered exponential backoff),
+//! replays the peer's whole queue in order after every reconnect, and
+//! reads the acks and probe answers coming back; [`InConn`] frames an
+//! accepted connection's bytes and writes the replies. A link holds no
+//! protocol state — drop one mid-run and nothing is lost but a
+//! connection — so nothing that must survive a crash belongs in this
+//! file.
 //!
-//! Reliability is **ack-gated**. A successful `write` only proves the
-//! bytes reached the local kernel buffer — a connection that dies
-//! afterwards can still lose them — so a frame is retired from
-//! [`Link::backlog`] only when the receiver's cumulative [`Frame::Ack`]
-//! covers its sequence number.
-//! Until then it survives reconnects, and after every reconnect the
-//! whole unacked backlog is retransmitted in order. The receiver
-//! delivers each sequence number exactly once, so the runtime presents
-//! a flaky TCP link to the protocol as the paper's §2.1 reliable
-//! channel: arbitrary finite delay, no loss, no duplication.
+//! Nothing here owns a thread. The driver is the **single writer** for
+//! every socket, so no lock is ever taken on a connection, and a frame's
+//! bytes are written by exactly one call site.
 //!
-//! Writes are **coalesced**: frames are pre-encoded once into shared
-//! [`Arc`] chunks (length prefix + body in one buffer) and queued; a
-//! flush hands as many queued chunks as possible to one `writev` via
+//! Writes are **coalesced**: the core pre-encodes each frame once into a
+//! shared [`Arc`] chunk (length prefix + body in one buffer); a flush
+//! hands as many queued chunks as possible to one `writev` via
 //! [`Write::write_vectored`], so a burst of protocol messages costs one
 //! syscall per peer per tick instead of two per frame. A chunk retired
 //! by an ack while still sitting in a connection's write queue simply
 //! flushes as a duplicate the receiver drops — harmless, and cheaper
 //! than surgically unqueueing partially-written bytes.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -37,6 +36,7 @@ use std::time::{Duration, Instant};
 use obs::metrics::{Counter, Gauge, Histogram, Registry};
 use simnet::ProcessId;
 
+use crate::core::SendQueue;
 use crate::frame::{drain_frames, encode_chunk, Frame};
 
 /// Initial redial backoff; doubles per consecutive failure.
@@ -51,8 +51,10 @@ const MAX_IOV: usize = 64;
 /// Handles address cells get-or-created in the node's [`Registry`] — a
 /// replacement link built over the *same* registry (a supervised
 /// restart) lands on the same cells, so long-run totals survive the
-/// teardown of the incarnation that accumulated them.
-#[derive(Debug)]
+/// teardown of the incarnation that accumulated them. One clone rides
+/// with the peer's [`SendQueue`] (the depth gauges and the ack
+/// watermark), one with its [`Link`] (everything a socket write counts).
+#[derive(Clone, Debug)]
 pub(crate) struct LinkStats {
     /// Frames written to the socket for the first time.
     pub frames_sent: Counter,
@@ -61,7 +63,7 @@ pub(crate) struct LinkStats {
     /// Times the connection had to be re-established after a failure.
     pub reconnects: Counter,
     /// Highest cumulative ack received: every seq below this was
-    /// delivered by the peer and retired from the backlog.
+    /// delivered by the peer and retired from the queue.
     pub acked: Gauge,
     /// Frames currently queued and not yet acked (the backlog depth).
     pub queue_depth: Gauge,
@@ -76,11 +78,11 @@ pub(crate) struct LinkStats {
 
 impl LinkStats {
     /// Registers (or re-attaches to) the link metrics for `me → peer`.
-    pub fn new(registry: &Registry, me: ProcessId, peer: usize) -> Arc<LinkStats> {
+    pub fn new(registry: &Registry, me: ProcessId, peer: usize) -> LinkStats {
         let node = me.index().to_string();
         let peer = peer.to_string();
         let labels: &[(&str, &str)] = &[("node", &node), ("peer", &peer)];
-        Arc::new(LinkStats {
+        LinkStats {
             frames_sent: registry.counter(
                 "bt_frames_sent_total",
                 "frames written to a peer socket for the first time",
@@ -116,12 +118,12 @@ impl LinkStats {
                 "first write to covering ack per frame (microseconds)",
                 labels,
             ),
-        })
+        }
     }
 }
 
-/// Event-loop I/O telemetry for one node, labelled `{node}`: the series
-/// the thread-per-connection → poll-loop rewrite is judged on.
+/// Event-loop I/O telemetry for one node, labelled `{node}`: what the
+/// driver's syscall and wakeup economy is judged on.
 #[derive(Clone, Debug)]
 pub(crate) struct LoopStats {
     /// Event-loop iterations (one poller wait each).
@@ -273,23 +275,9 @@ fn drain_readable(
     }
 }
 
-/// One message queued on an outbound link, pre-encoded to wire bytes.
-#[derive(Debug)]
-pub(crate) struct QueuedFrame {
-    /// Per-link sequence number (assigned by the node at enqueue time).
-    pub seq: u64,
-    /// Earliest wall-clock instant the frame may leave (fault injection).
-    /// Later frames on the link wait behind it, like a slow link.
-    pub not_before: Instant,
-    /// Payload byte count (for the backlog-bytes gauge).
-    pub payload_len: usize,
-    /// The full wire chunk: length prefix + encoded [`Frame::Msg`].
-    pub chunk: Arc<Vec<u8>>,
-}
-
 /// One live outbound connection: dialing or established, with its write
-/// queue and ack read buffer. Dropped wholesale on any failure — the
-/// durable state lives in [`Link`].
+/// queue and read buffer. Dropped wholesale on any failure — what must
+/// outlive it is on the peer's [`SendQueue`].
 #[derive(Debug)]
 pub(crate) struct OutConn {
     pub stream: TcpStream,
@@ -297,10 +285,10 @@ pub(crate) struct OutConn {
     pub token: u64,
     /// Still waiting for the nonblocking connect to resolve.
     pub connecting: bool,
-    /// Highest backlog seq handed to this connection's write queue;
-    /// `None` right after (re)connecting, which is what makes the whole
-    /// backlog eligible for replay.
-    pub written: Option<u64>,
+    /// Highest queue seq handed to this connection's write queue; `None`
+    /// right after (re)connecting, which is what makes the whole queue
+    /// eligible for replay.
+    written: Option<u64>,
     /// Wire chunks accepted for this connection but not yet fully
     /// written; front chunk is `wq_off` bytes in.
     wq: VecDeque<Arc<Vec<u8>>>,
@@ -312,31 +300,23 @@ pub(crate) struct OutConn {
     rbuf: Vec<u8>,
 }
 
-/// The durable per-peer outbound state: the ack-gated backlog plus
-/// redial bookkeeping. Lives exactly as long as the node, across any
-/// number of connections.
+/// The socket half of one peer's outbound path: the current connection
+/// (if any) plus redial bookkeeping. Lives as long as the node, across
+/// any number of connections; every method that moves frames is handed
+/// the peer's [`SendQueue`], which the core owns.
 #[derive(Debug)]
 pub(crate) struct Link {
     pub peer_addr: SocketAddr,
-    pub stats: Arc<LinkStats>,
+    stats: LinkStats,
     /// The pre-encoded `Hello` chunk opening every connection.
     hello: Arc<Vec<u8>>,
-    /// Frames written (or waiting to be written) but not yet acked, in
-    /// sequence order. The front is the oldest unacked frame.
-    backlog: VecDeque<QueuedFrame>,
-    /// Running payload-byte total of the backlog.
-    unacked_bytes: u64,
     /// Highest seq ever written on any connection; writes at or below it
     /// count as retransmits.
     ever_written: Option<u64>,
-    /// First-write instants of frames still awaiting their ack, for the
-    /// round-trip histogram. Populated only when the histogram records.
-    write_times: HashMap<u64, Instant>,
-    /// Control chunks (state-transfer probes) awaiting a connection.
-    /// Unlike the backlog these are neither sequenced nor ack-gated:
-    /// they are written once on the next live connection and dropped —
-    /// the sender re-probes on a timer, so a lost probe heals itself.
-    control: Vec<Arc<Vec<u8>>>,
+    /// `(seq, first-write instant)` of frames still awaiting their ack,
+    /// in seq order, for the round-trip histogram. Populated only when
+    /// the histogram records.
+    write_times: VecDeque<(u64, Instant)>,
     pub conn: Option<OutConn>,
     backoff: Duration,
     pub next_dial: Instant,
@@ -346,19 +326,16 @@ pub(crate) struct Link {
 }
 
 impl Link {
-    pub fn new(me: ProcessId, peer: usize, peer_addr: SocketAddr, registry: &Registry) -> Link {
+    pub fn new(me: ProcessId, peer_addr: SocketAddr, stats: LinkStats, now: Instant) -> Link {
         Link {
             peer_addr,
-            stats: LinkStats::new(registry, me, peer),
+            stats,
             hello: Arc::new(encode_chunk(&Frame::Hello { from: me })),
-            backlog: VecDeque::new(),
-            unacked_bytes: 0,
             ever_written: None,
-            write_times: HashMap::new(),
-            control: Vec::new(),
+            write_times: VecDeque::new(),
             conn: None,
             backoff: BACKOFF_INITIAL,
-            next_dial: Instant::now(),
+            next_dial: now,
             jitter: 0x6a69_7474_6572u64 ^ ((me.index() as u64) << 20) ^ u64::from(peer_addr.port()),
         }
     }
@@ -370,34 +347,14 @@ impl Link {
         self.jitter
     }
 
-    /// True when the link has something a connection could transmit.
-    pub fn wants_conn(&self) -> bool {
-        self.conn.is_none() && (!self.backlog.is_empty() || !self.control.is_empty())
-    }
-
-    /// Queues one frame on the ack-gated backlog.
-    pub fn enqueue(&mut self, frame: QueuedFrame) {
-        self.unacked_bytes += frame.payload_len as u64;
-        self.backlog.push_back(frame);
-        self.stats.queue_depth.set(self.backlog.len() as u64);
-        self.stats.backlog_bytes.set(self.unacked_bytes);
-    }
-
-    /// Queues one fire-and-forget control chunk (see [`Link::control`]):
-    /// written ahead of the backlog on the next pump, never replayed.
-    pub fn enqueue_control(&mut self, chunk: Arc<Vec<u8>>) {
-        self.control.push(chunk);
-    }
-
-    /// Drops control chunks not yet handed to a connection — the probe
-    /// path calls this before each re-probe so a dead link does not
-    /// accumulate an unbounded pile of identical requests.
-    pub fn clear_control(&mut self) {
-        self.control.clear();
+    /// True when `queue` has something to transmit and no connection
+    /// exists to carry it.
+    pub fn wants_conn(&self, queue: &SendQueue) -> bool {
+        self.conn.is_none() && queue.wants_transport()
     }
 
     /// Adopts a freshly dialed connection (possibly still connecting):
-    /// the handshake chunk is queued and the whole backlog becomes
+    /// the handshake chunk is queued and the whole send queue becomes
     /// eligible for (re)play.
     pub fn adopt(&mut self, stream: TcpStream, token: u64, connecting: bool) {
         let mut wq = VecDeque::new();
@@ -425,19 +382,19 @@ impl Link {
     /// connection that had completed its dial — those count as
     /// reconnects and redial immediately; a failed dial backs off
     /// (jittered, exponential) instead.
-    pub fn conn_failed(&mut self, established: bool) {
+    pub fn conn_failed(&mut self, established: bool, now: Instant) {
         self.conn = None;
         if established {
             self.stats.reconnects.inc();
-            self.next_dial = Instant::now();
+            self.next_dial = now;
         } else {
             let draw = self.next_jitter();
-            self.next_dial = Instant::now() + jittered(self.backoff, draw);
+            self.next_dial = now + jittered(self.backoff, draw);
             self.backoff = (self.backoff * 2).min(BACKOFF_MAX);
         }
     }
 
-    /// Moves every transmittable backlog frame onto the connection's
+    /// Moves every transmittable frame of `queue` onto the connection's
     /// write queue and flushes with vectored writes. Transmittable means
     /// past the connection's written watermark and released by the fault
     /// injector's delay — a delayed frame holds later frames back (FIFO).
@@ -445,21 +402,24 @@ impl Link {
     /// # Errors
     ///
     /// Propagates socket errors: the caller tears the connection down
-    /// (the backlog keeps every unacked frame for the replay).
-    pub fn pump(&mut self, now: Instant, stats: &LoopStats) -> io::Result<()> {
+    /// (the queue keeps every unacked frame for the replay).
+    pub fn pump(
+        &mut self,
+        queue: &mut SendQueue,
+        now: Instant,
+        stats: &LoopStats,
+    ) -> io::Result<()> {
         let Some(conn) = &mut self.conn else {
             return Ok(());
         };
         if conn.connecting {
             return Ok(());
         }
-        // Control chunks jump the queue: they are not sequenced, so
-        // ordering them against protocol frames is meaningless, and a
-        // state-transfer probe should not wait behind a delayed backlog.
-        for chunk in self.control.drain(..) {
-            conn.wq.push_back(chunk);
-        }
-        for f in &self.backlog {
+        // The probe jumps the queue: it is not sequenced, so ordering it
+        // against protocol frames is meaningless, and a state-transfer
+        // probe should not wait behind a delayed frame.
+        conn.wq.extend(queue.take_control());
+        for f in queue.frames() {
             if conn.written.is_some_and(|w| f.seq <= w) {
                 continue;
             }
@@ -474,7 +434,7 @@ impl Link {
                 self.ever_written = Some(f.seq);
                 self.stats.frames_sent.inc();
                 if self.stats.ack_rtt_us.enabled() {
-                    self.write_times.insert(f.seq, now);
+                    self.write_times.push_back((f.seq, now));
                 }
             }
         }
@@ -490,84 +450,70 @@ impl Link {
     /// # Errors
     ///
     /// Propagates socket errors, as [`Link::pump`].
-    pub fn on_writable(&mut self, now: Instant, stats: &LoopStats) -> io::Result<()> {
+    pub fn on_writable(
+        &mut self,
+        queue: &mut SendQueue,
+        now: Instant,
+        stats: &LoopStats,
+    ) -> io::Result<()> {
         if let Some(conn) = &mut self.conn {
             conn.write_blocked = false;
         }
-        self.pump(now, stats)
+        self.pump(queue, now, stats)
     }
 
     /// Handles a readable event on the outbound connection: drains the
-    /// socket, parses frames, retires backlog frames covered by acks.
-    /// Non-ack frames (a peer answering a state-transfer probe with
-    /// [`Frame::StateChunk`]) are pushed to `out` for the caller.
+    /// socket and parses what the peer sent back — cumulative acks and
+    /// answers to state-transfer probes — into `out` for the core.
     ///
     /// # Errors
     ///
     /// Socket errors, EOF (`UnexpectedEof`), and unparseable bytes
-    /// (`InvalidData`) — in every case the caller tears down.
+    /// (`InvalidData`) — in every case the caller tears down, after
+    /// handling the frames that did parse.
     pub fn on_readable(&mut self, stats: &LoopStats, out: &mut Vec<Frame>) -> io::Result<()> {
         let Some(conn) = &mut self.conn else {
             return Ok(());
         };
         let eof = drain_readable(&mut conn.stream, &mut conn.rbuf, stats)?;
-        let mut frames = Vec::new();
-        drain_frames(&mut conn.rbuf, &mut frames)?;
-        for frame in frames {
-            if let Frame::Ack { next } = frame {
-                self.on_ack(next);
-            } else {
-                out.push(frame);
-            }
-        }
+        drain_frames(&mut conn.rbuf, out)?;
         if eof {
             return Err(io::ErrorKind::UnexpectedEof.into());
         }
         Ok(())
     }
 
-    /// Retires every backlog frame a cumulative ack covers.
-    pub fn on_ack(&mut self, next: u64) {
-        while self.backlog.front().is_some_and(|f| f.seq < next) {
-            let f = self.backlog.pop_front().expect("front was Some");
-            self.unacked_bytes -= f.payload_len as u64;
-            if let Some(t) = self.write_times.remove(&f.seq) {
-                self.stats.ack_rtt_us.record_us(t.elapsed());
-            }
+    /// Records the round trip of every frame a cumulative ack covers
+    /// (the core retires them from the queue).
+    pub fn on_ack(&mut self, next: u64, now: Instant) {
+        while self.write_times.front().is_some_and(|&(seq, _)| seq < next) {
+            let (_, sent) = self.write_times.pop_front().expect("front was Some");
+            self.stats
+                .ack_rtt_us
+                .record_us(now.saturating_duration_since(sent));
         }
-        self.stats.acked.set_max(next);
-        self.stats.queue_depth.set(self.backlog.len() as u64);
-        self.stats.backlog_bytes.set(self.unacked_bytes);
     }
 
     /// The earliest instant this link needs attention without any
     /// readiness event: its redial time, or the release of a delayed
     /// frame at the transmit head. `None` when only readiness matters.
-    pub fn next_deadline(&self, now: Instant) -> Option<Instant> {
-        if self.conn.is_none() {
-            return self.wants_conn().then_some(self.next_dial);
-        }
-        let conn = self.conn.as_ref().expect("checked above");
+    pub fn next_deadline(&self, queue: &SendQueue, now: Instant) -> Option<Instant> {
+        let Some(conn) = &self.conn else {
+            return queue.wants_transport().then_some(self.next_dial);
+        };
         if conn.connecting {
             return None;
         }
-        for f in &self.backlog {
-            if conn.written.is_some_and(|w| f.seq <= w) {
-                continue;
-            }
-            if f.not_before > now {
-                return Some(f.not_before);
-            }
-            // An undelayed untransmitted frame means pump() should run
-            // now; report it as an immediate deadline.
-            return Some(now);
-        }
-        None
+        // An undelayed untransmitted frame means pump() should run now;
+        // report it as an immediate deadline.
+        (queue.frames())
+            .find(|f| conn.written.is_none_or(|w| f.seq > w))
+            .map(|f| f.not_before.max(now))
     }
 }
 
 /// One accepted inbound connection: handshake, incremental read
-/// framing, and the (rarely blocking) ack write queue.
+/// framing, and the (rarely blocking) reply write queue.
 #[derive(Debug)]
 pub(crate) struct InConn {
     pub stream: TcpStream,
@@ -604,15 +550,10 @@ impl InConn {
         Ok(eof)
     }
 
-    /// Queues a cumulative ack for the peer; flushed by
-    /// [`InConn::flush`] at the end of the event batch.
-    pub fn queue_ack(&mut self, next: u64) {
-        self.queue_frame(&Frame::Ack { next });
-    }
-
-    /// Queues an arbitrary frame for the peer — the reply path for
-    /// state-transfer chunks, which travel on the connection the
-    /// request arrived on. Flushed with the acks.
+    /// Queues one of the core's replies — a cumulative ack or a
+    /// state-transfer chunk — for the peer; replies travel on the
+    /// connection the request arrived on. Flushed by [`InConn::flush`]
+    /// at the end of the event batch.
     pub fn queue_frame(&mut self, frame: &Frame) {
         self.wq.push_back(encode_chunk(frame));
     }
@@ -653,13 +594,12 @@ mod tests {
         LoopStats::new(&Registry::new(), ProcessId::new(0))
     }
 
-    fn msg_chunk(seq: u64, payload: Vec<u8>) -> QueuedFrame {
-        QueuedFrame {
-            seq,
-            not_before: Instant::now(),
-            payload_len: payload.len(),
-            chunk: Arc::new(encode_chunk(&Frame::Msg { seq, payload })),
-        }
+    /// The socket half and the core-owned half of one `p0 → p1` path.
+    fn link_to(addr: SocketAddr) -> (Link, SendQueue) {
+        let me = ProcessId::new(0);
+        let stats = LinkStats::new(&Registry::new(), me, 1);
+        let link = Link::new(me, addr, stats.clone(), Instant::now());
+        (link, SendQueue::new(stats))
     }
 
     #[test]
@@ -686,15 +626,14 @@ mod tests {
         };
         let addr = listener.local_addr().unwrap();
         let stats = test_stats();
-        let registry = Registry::new();
-        let mut link = Link::new(ProcessId::new(0), 1, addr, &registry);
+        let (mut link, mut queue) = link_to(addr);
         for seq in 0..2 {
-            link.enqueue(msg_chunk(seq, vec![seq as u8]));
+            queue.push(seq, vec![seq as u8], Instant::now());
         }
 
         // First connection: hello + both frames arrive in one writev.
         link.adopt(TcpStream::connect(addr).unwrap(), 1, false);
-        link.pump(Instant::now(), &stats).unwrap();
+        link.pump(&mut queue, Instant::now(), &stats).unwrap();
         let (mut conn, _) = listener.accept().unwrap();
         assert_eq!(
             read_frame(&mut conn).unwrap(),
@@ -712,10 +651,10 @@ mod tests {
 
         // The peer dies without acking: both frames must replay, from 0.
         drop(conn);
-        link.conn_failed(true);
+        link.conn_failed(true, Instant::now());
         assert!(link.stats.reconnects.get() >= 1);
         link.adopt(TcpStream::connect(addr).unwrap(), 1, false);
-        link.pump(Instant::now(), &stats).unwrap();
+        link.pump(&mut queue, Instant::now(), &stats).unwrap();
         let (mut conn, _) = listener.accept().unwrap();
         assert_eq!(
             read_frame(&mut conn).unwrap(),
@@ -738,23 +677,23 @@ mod tests {
         };
         let addr = listener.local_addr().unwrap();
         let stats = test_stats();
-        let registry = Registry::new();
-        let mut link = Link::new(ProcessId::new(0), 1, addr, &registry);
+        let (mut link, mut queue) = link_to(addr);
         for seq in 0..3 {
-            link.enqueue(msg_chunk(seq, vec![seq as u8]));
+            queue.push(seq, vec![seq as u8], Instant::now());
         }
         link.adopt(TcpStream::connect(addr).unwrap(), 1, false);
-        link.pump(Instant::now(), &stats).unwrap();
+        link.pump(&mut queue, Instant::now(), &stats).unwrap();
         let (_conn, _) = listener.accept().unwrap();
         assert_eq!(link.stats.frames_sent.get(), 3);
 
         // A cumulative ack retires 0 and 1; a reconnect replays only 2.
-        link.on_ack(2);
+        queue.on_ack(2);
+        link.on_ack(2, Instant::now());
         assert_eq!(link.stats.acked.get(), 2);
         assert_eq!(link.stats.queue_depth.get(), 1);
-        link.conn_failed(true);
+        link.conn_failed(true, Instant::now());
         link.adopt(TcpStream::connect(addr).unwrap(), 1, false);
-        link.pump(Instant::now(), &stats).unwrap();
+        link.pump(&mut queue, Instant::now(), &stats).unwrap();
         let (mut conn, _) = listener.accept().unwrap();
         assert_eq!(
             read_frame(&mut conn).unwrap(),
@@ -779,21 +718,17 @@ mod tests {
         };
         let addr = listener.local_addr().unwrap();
         let stats = test_stats();
-        let registry = Registry::new();
-        let mut link = Link::new(ProcessId::new(0), 1, addr, &registry);
+        let (mut link, mut queue) = link_to(addr);
         let now = Instant::now();
         // A far-future delayed head gates the whole backlog...
-        link.enqueue(QueuedFrame {
-            not_before: now + Duration::from_secs(60),
-            ..msg_chunk(0, vec![0])
-        });
+        queue.push(0, vec![0], now + Duration::from_secs(60));
         let probe = Frame::StateRequest {
             from: ProcessId::new(0),
         };
-        link.enqueue_control(Arc::new(encode_chunk(&probe)));
-        assert!(link.wants_conn(), "pending control alone justifies a dial");
+        queue.set_control(Arc::new(encode_chunk(&probe)));
+        assert!(link.wants_conn(&queue), "a pending probe justifies a dial");
         link.adopt(TcpStream::connect(addr).unwrap(), 1, false);
-        link.pump(now, &stats).unwrap();
+        link.pump(&mut queue, now, &stats).unwrap();
         let (mut conn, _) = listener.accept().unwrap();
         assert_eq!(
             read_frame(&mut conn).unwrap(),
@@ -807,9 +742,9 @@ mod tests {
         // A reconnect replays the backlog machinery only: the control
         // chunk was fire-and-forget and must not reappear.
         drop(conn);
-        link.conn_failed(true);
+        link.conn_failed(true, Instant::now());
         link.adopt(TcpStream::connect(addr).unwrap(), 1, false);
-        link.pump(now, &stats).unwrap();
+        link.pump(&mut queue, now, &stats).unwrap();
         let (mut conn, _) = listener.accept().unwrap();
         assert_eq!(
             read_frame(&mut conn).unwrap(),
@@ -824,13 +759,14 @@ mod tests {
             "control chunk must not replay"
         );
 
-        // Cleared control chunks never leave at all.
-        link.enqueue_control(Arc::new(encode_chunk(&probe)));
-        link.clear_control();
-        link.pump(now, &stats).unwrap();
+        // A re-probe replaces the one no connection took: one leaves.
+        queue.set_control(Arc::new(encode_chunk(&probe)));
+        queue.set_control(Arc::new(encode_chunk(&probe)));
+        link.pump(&mut queue, now, &stats).unwrap();
+        assert_eq!(read_frame(&mut conn).unwrap(), probe);
         assert!(
             read_frame(&mut conn).is_err(),
-            "cleared control chunk must not transmit"
+            "a superseded probe must not transmit"
         );
     }
 
@@ -842,33 +778,29 @@ mod tests {
         };
         let addr = listener.local_addr().unwrap();
         let stats = test_stats();
-        let registry = Registry::new();
-        let mut link = Link::new(ProcessId::new(0), 1, addr, &registry);
+        let (mut link, mut queue) = link_to(addr);
         let now = Instant::now();
         let release = now + Duration::from_millis(50);
-        link.enqueue(QueuedFrame {
-            not_before: release,
-            ..msg_chunk(0, vec![0])
-        });
-        link.enqueue(msg_chunk(1, vec![1]));
+        queue.push(0, vec![0], release);
+        queue.push(1, vec![1], now);
         link.adopt(TcpStream::connect(addr).unwrap(), 1, false);
         let (_conn, _) = listener.accept().unwrap();
 
         // Before the release instant nothing but the hello may leave —
         // frame 1 is undelayed but FIFO holds it behind frame 0.
-        link.pump(now, &stats).unwrap();
+        link.pump(&mut queue, now, &stats).unwrap();
         assert_eq!(
             link.stats.frames_sent.get(),
             0,
             "delayed head gates the link"
         );
         assert_eq!(
-            link.next_deadline(now),
+            link.next_deadline(&queue, now),
             Some(release),
             "timer is the release"
         );
 
-        link.pump(release, &stats).unwrap();
+        link.pump(&mut queue, release, &stats).unwrap();
         assert_eq!(
             link.stats.frames_sent.get(),
             2,

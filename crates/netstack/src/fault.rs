@@ -27,7 +27,6 @@
 //! reproducible in *pattern*, not in interleaving).
 
 use std::fmt;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use prng::Prng;
@@ -377,50 +376,47 @@ pub enum LinkAction {
 
 /// Applies a [`FaultPlan`] to a node's outbound messages.
 ///
-/// One injector lives in each node; its clock starts when the node boots,
-/// which is what partition healing is measured against.
+/// One injector lives in each node. It never reads the clock: its owner
+/// hands it the boot instant (`epoch`, what partition healing is measured
+/// against) and the current time of every decision.
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    rng: Mutex<Prng>,
+    rng: Prng,
     epoch: Instant,
 }
 
 impl FaultInjector {
-    /// Creates an injector whose random stream is derived from `seed`.
+    /// Creates an injector, booted at `epoch`, whose random stream is
+    /// derived from `seed`.
     #[must_use]
-    pub fn new(plan: FaultPlan, seed: u64) -> Self {
+    pub fn new(plan: FaultPlan, seed: u64, epoch: Instant) -> Self {
         FaultInjector {
             plan,
-            rng: Mutex::new(Prng::seed_from_u64(seed)),
-            epoch: Instant::now(),
+            rng: Prng::seed_from_u64(seed),
+            epoch,
         }
     }
 
-    /// Creates an injector whose random stream resumes from a saved
+    /// Resumes the random stream from a saved
     /// [`FaultInjector::rng_state`] — recovery uses this so that replayed
     /// sends draw the *same* fate decisions (in particular the same
     /// drops, which gate sequence-number assignment) as the pre-crash
-    /// incarnation. The epoch still restarts at `now`: partition healing
-    /// is a wall-clock fault and is not replayed.
-    #[must_use]
-    pub fn with_state(plan: FaultPlan, state: [u64; 4]) -> Self {
-        FaultInjector {
-            plan,
-            rng: Mutex::new(Prng::from_state(state)),
-            epoch: Instant::now(),
-        }
+    /// incarnation. The epoch stays this boot's: partition healing is a
+    /// wall-clock fault and is not replayed.
+    pub fn restore(&mut self, state: [u64; 4]) {
+        self.rng = Prng::from_state(state);
     }
 
     /// The injector's current 256-bit RNG state, for checkpointing.
     #[must_use]
     pub fn rng_state(&self) -> [u64; 4] {
-        self.rng.lock().expect("fault rng poisoned").state()
+        self.rng.state()
     }
 
-    /// Decides the fate of one message from `from` to `to`.
-    pub fn action(&self, from: ProcessId, to: ProcessId) -> LinkAction {
-        let mut rng = self.rng.lock().expect("fault rng poisoned");
+    /// Decides the fate of one message from `from` to `to` sent at `now`.
+    pub fn action(&mut self, from: ProcessId, to: ProcessId, now: Instant) -> LinkAction {
+        let rng = &mut self.rng;
         if self.plan.drop_per_mille > 0 && rng.below_u64(1000) < u64::from(self.plan.drop_per_mille)
         {
             return LinkAction::Drop;
@@ -440,7 +436,7 @@ impl FaultInjector {
             let cut = partition.side_a.get(from.index()).copied().unwrap_or(false)
                 != partition.side_a.get(to.index()).copied().unwrap_or(false);
             if cut {
-                let elapsed = self.epoch.elapsed();
+                let elapsed = now.saturating_duration_since(self.epoch);
                 if elapsed < partition.heal_after {
                     delay = delay.max(partition.heal_after - elapsed);
                 }
@@ -460,10 +456,14 @@ mod tests {
 
     #[test]
     fn reliable_plan_always_delivers() {
-        let inj = FaultInjector::new(FaultPlan::reliable(), 1);
+        let mut inj = FaultInjector::new(FaultPlan::reliable(), 1, Instant::now());
         for i in 0..50 {
             assert_eq!(
-                inj.action(ProcessId::new(i % 4), ProcessId::new((i + 1) % 4)),
+                inj.action(
+                    ProcessId::new(i % 4),
+                    ProcessId::new((i + 1) % 4),
+                    Instant::now()
+                ),
                 LinkAction::Deliver
             );
         }
@@ -471,10 +471,10 @@ mod tests {
 
     #[test]
     fn full_drop_loses_everything() {
-        let inj = FaultInjector::new(FaultPlan::reliable().with_drop(1000), 1);
+        let mut inj = FaultInjector::new(FaultPlan::reliable().with_drop(1000), 1, Instant::now());
         for _ in 0..20 {
             assert_eq!(
-                inj.action(ProcessId::new(0), ProcessId::new(1)),
+                inj.action(ProcessId::new(0), ProcessId::new(1), Instant::now()),
                 LinkAction::Drop
             );
         }
@@ -484,9 +484,13 @@ mod tests {
     fn delay_stays_in_range() {
         let min = Duration::from_millis(2);
         let max = Duration::from_millis(9);
-        let inj = FaultInjector::new(FaultPlan::reliable().with_delay(min, max), 7);
+        let mut inj = FaultInjector::new(
+            FaultPlan::reliable().with_delay(min, max),
+            7,
+            Instant::now(),
+        );
         for _ in 0..100 {
-            match inj.action(ProcessId::new(0), ProcessId::new(1)) {
+            match inj.action(ProcessId::new(0), ProcessId::new(1), Instant::now()) {
                 LinkAction::DelayBy(d) => assert!(d >= min && d <= max, "{d:?}"),
                 other => panic!("expected a delay, got {other:?}"),
             }
@@ -496,21 +500,23 @@ mod tests {
     #[test]
     fn partition_delays_cross_cut_only_until_heal() {
         let plan = FaultPlan::reliable().with_partition(4, &[0, 1], Duration::from_millis(40));
-        let inj = FaultInjector::new(plan, 3);
-        // Cross-cut: delayed by (roughly) the remaining partition time.
-        match inj.action(ProcessId::new(0), ProcessId::new(2)) {
-            LinkAction::DelayBy(d) => assert!(d <= Duration::from_millis(40)),
-            other => panic!("expected cross-cut delay, got {other:?}"),
-        }
+        let boot = Instant::now();
+        let mut inj = FaultInjector::new(plan, 3, boot);
+        // Cross-cut: delayed by exactly the remaining partition time.
+        let at = boot + Duration::from_millis(10);
+        assert_eq!(
+            inj.action(ProcessId::new(0), ProcessId::new(2), at),
+            LinkAction::DelayBy(Duration::from_millis(30))
+        );
         // Same side: unaffected.
         assert_eq!(
-            inj.action(ProcessId::new(0), ProcessId::new(1)),
+            inj.action(ProcessId::new(0), ProcessId::new(1), at),
             LinkAction::Deliver
         );
-        std::thread::sleep(Duration::from_millis(50));
         // Healed: cross-cut flows again.
+        let healed = boot + Duration::from_millis(50);
         assert_eq!(
-            inj.action(ProcessId::new(0), ProcessId::new(2)),
+            inj.action(ProcessId::new(0), ProcessId::new(2), healed),
             LinkAction::Deliver
         );
     }
@@ -518,12 +524,12 @@ mod tests {
     #[test]
     fn same_plan_and_seed_repeat_the_same_pattern() {
         let plan = FaultPlan::reliable().with_drop(500);
-        let a = FaultInjector::new(plan.clone(), 42);
-        let b = FaultInjector::new(plan, 42);
+        let mut a = FaultInjector::new(plan.clone(), 42, Instant::now());
+        let mut b = FaultInjector::new(plan, 42, Instant::now());
         for _ in 0..64 {
             assert_eq!(
-                a.action(ProcessId::new(0), ProcessId::new(1)),
-                b.action(ProcessId::new(0), ProcessId::new(1))
+                a.action(ProcessId::new(0), ProcessId::new(1), Instant::now()),
+                b.action(ProcessId::new(0), ProcessId::new(1), Instant::now())
             );
         }
     }
@@ -608,17 +614,18 @@ mod tests {
     #[test]
     fn rng_state_round_trip_resumes_the_decision_stream() {
         let plan = FaultPlan::reliable().with_drop(500);
-        let a = FaultInjector::new(plan.clone(), 99);
+        let mut a = FaultInjector::new(plan.clone(), 99, Instant::now());
         // Burn part of the stream, checkpoint, keep going on `a`.
         for _ in 0..17 {
-            let _ = a.action(ProcessId::new(0), ProcessId::new(1));
+            let _ = a.action(ProcessId::new(0), ProcessId::new(1), Instant::now());
         }
         let state = a.rng_state();
-        let b = FaultInjector::with_state(plan, state);
+        let mut b = FaultInjector::new(plan, 0, Instant::now());
+        b.restore(state);
         for _ in 0..64 {
             assert_eq!(
-                a.action(ProcessId::new(0), ProcessId::new(1)),
-                b.action(ProcessId::new(0), ProcessId::new(1))
+                a.action(ProcessId::new(0), ProcessId::new(1), Instant::now()),
+                b.action(ProcessId::new(0), ProcessId::new(1), Instant::now())
             );
         }
     }
@@ -635,9 +642,9 @@ mod tests {
         assert!(!plan.is_lossy(), "a crash-restart is not message loss");
         // The per-link injector executes link faults only; crash-restart
         // belongs to the cluster supervisor.
-        let inj = FaultInjector::new(plan, 1);
+        let mut inj = FaultInjector::new(plan, 1, Instant::now());
         assert_eq!(
-            inj.action(ProcessId::new(1), ProcessId::new(0)),
+            inj.action(ProcessId::new(1), ProcessId::new(0), Instant::now()),
             LinkAction::Deliver
         );
     }

@@ -11,20 +11,30 @@
 //!
 //! | paper §2.1 model            | simnet                    | netstack |
 //! |-----------------------------|---------------------------|----------|
-//! | reliable channel            | buffer, never loses       | ack-gated retransmit + seq-dedup ([`conn`], [`frame`]) |
+//! | reliable channel            | buffer, never loses       | ack-gated send queues + seq-dedup (`core`, [`frame`]) |
 //! | arbitrary finite delay      | scheduler's choice        | OS scheduling + injected delay ([`fault`]) |
 //! | authenticated sender (§3.1) | envelope `from` field     | per-connection `Hello` handshake ([`frame`]) |
-//! | atomic step                 | engine calls `on_receive` | one event-loop thread per node ([`node`]) |
+//! | atomic step                 | engine calls `on_receive` | one core, one event-loop thread per node ([`node`]) |
 //! | adversarial scheduler       | `DelayingScheduler` etc.  | [`FaultPlan`] delay/partition/drop knobs |
 //!
-//! Module map:
+//! Module map — a node is a **core** driven through **links** by a
+//! **driver**:
 //!
-//! * [`frame`] — length-prefixed framing and the connection protocol;
-//! * [`conn`] (private) — per-connection state machines: ack-gated
-//!   backlogs with reconnect/backoff, coalesced vectored writes;
+//! * `core` (private) — the sans-IO node state machine: seq-dedup,
+//!   durability-gated acks, log-before-send journaling and replay,
+//!   equivocation evidence, amnesia and `k + 1` adoption, the per-peer
+//!   send queues. No sockets, no clock; tested one frame at a time. A new
+//!   obligation a node must keep goes here;
+//! * [`conn`] (private) — the links: per-connection socket machinery
+//!   (dial/backoff, framing, coalesced vectored writes) that carries the
+//!   core's queues and replies. A new transport concern goes here;
+//! * [`node`] — the driver: `spawn`, `NodeHandle`, config/telemetry
+//!   types, and the poll loop that moves frames between links and core;
 //! * `poll` (private) — epoll/`poll(2)` readiness over raw syscalls;
+//! * [`frame`] — length-prefixed framing and the connection protocol;
+//! * [`wal`] / [`storage`] — the write-ahead log and the file-I/O trait
+//!   under it (the seam disk faults — and in-memory tests — plug into);
 //! * [`fault`] — seeded link-fault injection (delay, drop, partition);
-//! * [`node`] — one node: sockets, event loop, status, obs publishing;
 //! * [`admin`] — HTTP/1.0 `/metrics` + `/status` endpoint and the
 //!   dependency-free scraper behind `btstat` and `Cluster::scrape`;
 //! * [`cluster`] — the one loopback runner and supervisor:
@@ -48,6 +58,7 @@
 pub mod admin;
 pub mod cluster;
 mod conn;
+mod core;
 pub mod fault;
 pub mod frame;
 pub mod node;

@@ -8,8 +8,8 @@
 //! delivered message, with an optional [`WalRecord::Snapshot`] checkpoint
 //! so replay need not start from genesis.
 //!
-//! The recovery invariant is **log-before-send**: the event loop appends
-//! (and flushes) the delivery record *before* dispatching any message that
+//! The recovery invariant is **log-before-send**: the node core appends
+//! (and flushes) the delivery record *before* queueing any message that
 //! delivery produced. A node restarted from its log re-derives the exact
 //! state it had durably reached, and re-produces byte-identical frames
 //! under the same sequence numbers — pure retransmission, which the
@@ -52,7 +52,7 @@
 //!   contain, so replaying the prefix and rejoining would re-send
 //!   different bytes under used sequence numbers (equivocation). The log
 //!   is left untouched as evidence and the caller must refuse to rejoin
-//!   from it (see `node`'s amnesiac mode).
+//!   from it (see the node core's amnesiac mode).
 //!
 //! A *missing* log (the third unsafe shape: lost rename, deleted file) is
 //! indistinguishable from a fresh boot down here; the node layer detects

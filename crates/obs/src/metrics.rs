@@ -259,6 +259,21 @@ impl Histogram {
         self.record(u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
     }
 
+    /// Runs `f` and records how long it took, in microseconds. The clock
+    /// is read here and only when the histogram records, so a caller
+    /// that must not read the clock itself (a deterministic state
+    /// machine) can still report latencies.
+    #[inline]
+    pub fn time_us<T>(&self, f: impl FnOnce() -> T) -> T {
+        if !self.on {
+            return f();
+        }
+        let started = std::time::Instant::now();
+        let out = f();
+        self.record_us(started.elapsed());
+        out
+    }
+
     /// A point-in-time copy of this histogram.
     #[must_use]
     pub fn snapshot(&self) -> HistogramSnapshot {

@@ -11,6 +11,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> sans-IO gate: netstack core.rs names no socket, poller, thread or clock read"
+# Comments and the test module excluded: the seam must not silently close.
+if sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' crates/netstack/src/core.rs | grep -nE 'std::net|std::os|crate::poll|TcpStream|Instant::now|thread::'; then echo "core.rs must stay sans-IO"; exit 1; fi
+
 echo "==> cargo test"
 cargo test --workspace -q
 
