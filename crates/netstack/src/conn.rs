@@ -18,11 +18,12 @@
 //! every socket, so no lock is ever taken on a connection, and a frame's
 //! bytes are written by exactly one call site.
 //!
-//! Writes are **coalesced**: the core pre-encodes each frame once into a
-//! shared [`Arc`] chunk (length prefix + body in one buffer); a flush
-//! hands as many queued chunks as possible to one `writev` via
+//! Writes are **coalesced**: the core seals a tick's messages for a peer
+//! into one frame, pre-encoded once into a shared [`Arc`] chunk (length
+//! prefix + body in one buffer); a flush hands as many queued chunks as
+//! possible — a whole backlog, after a reconnect — to one `writev` via
 //! [`Write::write_vectored`], so a burst of protocol messages costs one
-//! syscall per peer per tick instead of two per frame. A chunk retired
+//! syscall per peer per tick. A chunk retired
 //! by an ack while still sitting in a connection's write queue simply
 //! flushes as a duplicate the receiver drops — harmless, and cheaper
 //! than surgically unqueueing partially-written bytes.
@@ -512,6 +513,48 @@ impl Link {
     }
 }
 
+/// The replies owed on one inbound connection, bounded whatever the peer
+/// does. Acks are cumulative, so only the newest unsent one matters; a
+/// state-transfer answer is the whole replicated state, and the prober
+/// re-probes on a timer, so one unsent answer is enough. A peer that
+/// floods frames and never reads its replies therefore holds at most two
+/// replies here and two more partly written — not one per frame sent.
+#[derive(Debug, Default)]
+struct ReplyQueue {
+    /// The newest cumulative ack not yet handed to the socket.
+    ack: Option<u64>,
+    /// The one encoded `StateChunk` not yet handed to the socket.
+    state: Option<Vec<u8>>,
+    /// Replies handed to the socket and not yet fully written; the front
+    /// chunk is `wq_off` bytes in.
+    wq: VecDeque<Vec<u8>>,
+    wq_off: usize,
+}
+
+impl ReplyQueue {
+    /// Queues a reply: a newer ack replaces an unsent older one, and a
+    /// state chunk is dropped while an earlier one is still unsent.
+    fn push(&mut self, reply: &Frame) {
+        match reply {
+            Frame::Ack { next } => self.ack = Some(*next),
+            Frame::StateChunk { .. } if self.state.is_none() => {
+                self.state = Some(encode_chunk(reply));
+            }
+            _ => {}
+        }
+    }
+
+    /// Hands the pending replies to the write queue — once the replies
+    /// before them are fully written, which is what bounds the queue.
+    fn load(&mut self) {
+        if self.wq.is_empty() {
+            let ack = self.ack.take().map(|next| Frame::Ack { next });
+            self.wq.extend(ack.map(|frame| encode_chunk(&frame)));
+            self.wq.extend(self.state.take());
+        }
+    }
+}
+
 /// One accepted inbound connection: handshake, incremental read
 /// framing, and the (rarely blocking) reply write queue.
 #[derive(Debug)]
@@ -519,10 +562,11 @@ pub(crate) struct InConn {
     pub stream: TcpStream,
     /// The peer that said Hello; `None` until the handshake frame.
     pub peer: Option<ProcessId>,
+    /// The connection carried protocol frames since the last tick: the
+    /// driver owes it one cumulative ack after the next.
+    pub ack_due: bool,
     rbuf: Vec<u8>,
-    /// Encoded ack frames not yet fully written.
-    wq: VecDeque<Vec<u8>>,
-    wq_off: usize,
+    replies: ReplyQueue,
     pub write_blocked: bool,
 }
 
@@ -531,9 +575,9 @@ impl InConn {
         InConn {
             stream,
             peer: None,
+            ack_due: false,
             rbuf: Vec::new(),
-            wq: VecDeque::new(),
-            wq_off: 0,
+            replies: ReplyQueue::default(),
             write_blocked: false,
         }
     }
@@ -550,24 +594,33 @@ impl InConn {
         Ok(eof)
     }
 
-    /// Queues one of the core's replies — a cumulative ack or a
-    /// state-transfer chunk — for the peer; replies travel on the
-    /// connection the request arrived on. Flushed by [`InConn::flush`]
-    /// at the end of the event batch.
-    pub fn queue_frame(&mut self, frame: &Frame) {
-        self.wq.push_back(encode_chunk(frame));
+    /// Queues one reply — the tick's cumulative ack, or the core's answer
+    /// to a state-transfer probe — for the peer; replies travel on the
+    /// connection the request arrived on. Sent by [`InConn::flush`].
+    pub fn queue_reply(&mut self, reply: &Frame) {
+        self.replies.push(reply);
     }
 
-    /// Flushes queued acks (vectored, one syscall for a whole batch).
+    /// Whether a state-transfer answer is still waiting to be sent: a
+    /// probe arriving now would only have its answer dropped.
+    pub fn owes_state(&self) -> bool {
+        self.replies.state.is_some()
+    }
+
+    /// Writes the queued replies (vectored, one syscall for the lot).
     ///
     /// # Errors
     ///
     /// Propagates socket errors; the caller tears down.
     pub fn flush(&mut self, stats: &LoopStats) -> io::Result<()> {
-        if self.write_blocked {
-            return Ok(());
+        let q = &mut self.replies;
+        while !self.write_blocked {
+            q.load();
+            if q.wq.is_empty() {
+                break;
+            }
+            self.write_blocked = flush_chunks(&mut self.stream, &mut q.wq, &mut q.wq_off, stats)?;
         }
-        self.write_blocked = flush_chunks(&mut self.stream, &mut self.wq, &mut self.wq_off, stats)?;
         Ok(())
     }
 
@@ -616,6 +669,36 @@ mod tests {
             .map(|d| jittered(Duration::from_millis(400), d * 7919).as_micros())
             .collect();
         assert!(spread.len() > 16, "jitter barely varies: {spread:?}");
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_its_replies_holds_a_bounded_queue() {
+        let state = Frame::StateChunk {
+            from: ProcessId::new(0),
+            decision: None,
+            phase: 0,
+            app_digest: 1,
+            app: Some(vec![7; 4096]),
+        };
+        let mut q = ReplyQueue::default();
+        for next in 0..10_000 {
+            q.push(&Frame::Ack { next });
+            q.push(&state);
+            if next == 0 {
+                q.load(); // the first flush; the socket then blocks for good
+            }
+        }
+        assert_eq!(q.wq.len(), 2, "one ack and one answer partly written");
+        assert_eq!(q.ack, Some(9_999), "the newest ack replaced the rest");
+        assert!(
+            q.state.is_some(),
+            "one answer waits; later ones were dropped"
+        );
+        // When the socket drains, the newest ack is what follows.
+        q.wq.clear();
+        q.load();
+        assert_eq!(q.wq[0], encode_chunk(&Frame::Ack { next: 9_999 }));
+        assert_eq!((q.wq.len(), q.ack, q.state.is_some()), (2, None, false));
     }
 
     #[test]

@@ -11,32 +11,50 @@
 //! so a test swaps memory for disk and runs the same code.
 //!
 //! ```text
-//! inputs                                     outputs
-//!   boot(config, process, wal, now)            frames pushed on the per-peer SendQueues
-//!   on_frame(peer, Msg | StateRequest, now) ─▶ the reply frame: Ack{durable watermark} | StateChunk
-//!   on_reply(peer, Ack | StateChunk)           (retires queue frames / collects transfer offers)
-//!   tick(now)                               ─▶ the next timer deadline
+//! inputs                                   outputs
+//!   boot(config, process, wal, now)          the frames on_start causes, sealed on the SendQueues
+//!   on_frame(peer, Msg)                      (admitted: seq-checked, decoded, validated — not yet stepped)
+//!   on_frame(peer, StateRequest)          ─▶ the StateChunk to answer with
+//!   on_reply(peer, Ack | StateChunk)         (retires queue frames / collects transfer offers)
+//!   tick(now)                             ─▶ the next timer deadline; everything admitted is now
+//!                                            journalled and stepped, its frames sealed on the SendQueues
+//!   ack(peer)                             ─▶ the cumulative ack peer is owed: the durable watermark
 //! ```
 //!
-//! Three obligations turn the paper's §2.1 atomic step and reliable
-//! channel into a node that may crash and restart, and all three are
-//! enforced here and nowhere else:
+//! **The tick is the unit.** The paper's §2.1 atomic step is receive →
+//! compute → send, and nothing in the model forbids taking several steps
+//! before any output leaves: that is one legal schedule. So everything
+//! that is not the protocol step itself is paid once per tick, not once
+//! per message — one journal write per round of deliveries (the admitted
+//! frames, then each round of the self-sends they cause), one frame per
+//! peer holding every message the tick produced for it (split only at
+//! `FRAME_BUDGET` bytes), one ack per connection, one status
+//! publication.
 //!
-//! * **Log before send.** [`NodeCore::deliver`] appends the
-//!   [`DeliveryRecord`] before the step runs, and the frames the step
-//!   causes exist only on the queues afterwards — a driver cannot hand
-//!   out a frame whose cause is not durable. A failed append panics: the
-//!   driver surfaces it as `NodeStatus::died` (fail-stop is the honest
-//!   mode once durability is gone).
+//! Three obligations turn the atomic step and the reliable channel into a
+//! node that may crash and restart, and all three are enforced here and
+//! nowhere else:
+//!
+//! * **Log before send — per group.** [`NodeCore::tick`] appends a
+//!   round's [`DeliveryRecord`]s in one write *before* it steps any of
+//!   them, and what the steps send is only *staged*: frames exist — on
+//!   the queues, under sequence numbers — only once the tick's last round
+//!   has run and the tick is sealed. A driver cannot hand out a frame
+//!   whose cause is not durable, because until every cause is journalled
+//!   there is no frame. A failed append panics: the driver surfaces it as
+//!   `NodeStatus::died` (fail-stop is the honest mode once durability is
+//!   gone).
 //! * **One payload per `(sender, seq)`.** A run is a deterministic
 //!   function of the configuration and the delivery sequence (coins
 //!   included — the RNG is seeded and checkpointed, and so is the fault
-//!   injector, whose drops gate seq assignment), so replaying the log
-//!   re-derives byte-identical frames under the same sequence numbers.
-//!   Acks are *durability-gated* — with a WAL the reply covers only what
-//!   is journalled — so a sender never retires a frame this node could
-//!   still lose. Receivers cross-check with a `(peer, seq) → hash` table
-//!   filled at the same point in live delivery and in replay.
+//!   injector, whose drops gate what is staged), and where the ticks
+//!   ended is in the log too ([`WalRecord::Seal`]), so replaying the log
+//!   re-seals at the same points and re-derives byte-identical frames
+//!   under the same sequence numbers. Acks are *durability-gated* — with
+//!   a WAL, [`NodeCore::ack`] covers only what is journalled — so a
+//!   sender never retires a frame this node could still lose. Receivers
+//!   cross-check with a `(peer, seq) → hash` table filled from the same
+//!   bytes in live delivery and in replay.
 //! * **Foreign state needs `k + 1` matching answers.** A node whose log
 //!   is unsafely damaged or lost boots *amnesiac*: silent on the protocol
 //!   plane, probing peers. It adopts `(decision, digest)` only when
@@ -50,17 +68,28 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use obs::metrics::Registry;
-use simnet::{Ctx, Envelope, Event, Process, ProcessId, SharedSubscriber, SimRng, Wire};
+use simnet::{
+    Ctx, Envelope, Event, Process, ProcessId, SharedSubscriber, SimRng, Wire, WireReader,
+};
 
 use crate::conn::LinkStats;
 use crate::fault::{FaultInjector, LinkAction};
 use crate::frame::{encode_chunk, Frame};
 use crate::node::{fnv1a64, lock_status, NetCounters, NodeConfig, NodeMetrics, NodeStatus};
-use crate::wal::{BootRecord, DeliveryRecord, Recovered, SnapshotRecord, Wal, WalRecord};
+use crate::wal::{
+    frame_into, BootRecord, DeliveryRecord, Recovered, SnapshotRecord, Wal, WalRecord, WAL_VERSION,
+};
 
 /// How often an amnesiac node re-probes its peers with
 /// [`Frame::StateRequest`] until `k + 1` matching answers arrive.
 const PROBE_EVERY: Duration = Duration::from_millis(25);
+
+/// Most payload bytes of one sealed frame. A tick's messages for a peer
+/// fill frames up to this size in order, so where a stage splits depends
+/// on the messages alone (replay splits identically); only a single
+/// message larger than the budget makes a larger frame. Far under
+/// [`crate::frame::MAX_FRAME_LEN`].
+const FRAME_BUDGET: usize = 64 * 1024;
 
 /// The published copy of the receiver's next-expected table, read by
 /// `NodeHandle::next_expected_from`. Each cell publishes only itself, so
@@ -76,10 +105,30 @@ fn words4(v: &[u64], what: &str) -> io::Result<[u64; 4]> {
     v.try_into().map_err(|_| bad(what))
 }
 
-/// One message queued for a peer, pre-encoded to wire bytes.
+/// Decodes a frame payload: one or more messages back to back. `None`
+/// rejects the payload *whole* — if it is empty, or if any message in it
+/// does not decode, decodes from no bytes at all (such an encoding does
+/// not delimit itself; the loop would never end), or is out of range for
+/// a system of `n`. Byzantine bytes end here; they never reach (and
+/// possibly kill) the protocol.
+fn decode_all<M: Wire>(payload: &[u8], n: usize) -> Option<Vec<M>> {
+    let mut reader = WireReader::new(payload);
+    let mut msgs = Vec::new();
+    while reader.remaining() > 0 {
+        let at = reader.offset();
+        let msg = M::decode(&mut reader).ok().filter(|m: &M| m.validate(n))?;
+        if reader.offset() == at {
+            return None;
+        }
+        msgs.push(msg);
+    }
+    (!msgs.is_empty()).then_some(msgs)
+}
+
+/// One sealed frame queued for a peer, pre-encoded to wire bytes.
 #[derive(Debug)]
 pub(crate) struct QueuedFrame {
-    /// Per-link sequence number (assigned by the core at queueing time).
+    /// Per-link sequence number (assigned by the core at sealing time).
     pub seq: u64,
     /// Earliest instant the frame may leave (fault injection). Later
     /// frames to the same peer wait behind it, like a slow link.
@@ -131,8 +180,9 @@ impl SendQueue {
         }
     }
 
-    /// Queues one protocol message under `seq` — the core's job; nothing
-    /// else assigns sequence numbers.
+    /// Queues one sealed frame under `seq` — the core's job, at sealing
+    /// time (and when a checkpoint's backlog is re-offered); nothing else
+    /// assigns sequence numbers.
     pub fn push(&mut self, seq: u64, payload: Vec<u8>, not_before: Instant) {
         let payload_len = payload.len();
         let chunk = Arc::new(encode_chunk(&Frame::Msg { seq, payload }));
@@ -183,6 +233,39 @@ impl SendQueue {
     }
 }
 
+/// One frame in the making: what the current tick's steps have sent one
+/// peer so far. It has no sequence number and is on no queue — nothing
+/// can transmit it — until the tick is sealed.
+#[derive(Debug)]
+struct StagedFrame {
+    /// The messages, encoded back to back.
+    payload: Vec<u8>,
+    /// The latest release instant among them (fault-injected delays).
+    not_before: Instant,
+}
+
+/// Adds one message to a peer's stage: onto the open (last) frame, or
+/// onto a new one if that would take the open frame over
+/// [`FRAME_BUDGET`].
+fn stage<M: Wire>(frames: &mut Vec<StagedFrame>, msg: &M, not_before: Instant) {
+    let payload = match frames.last_mut() {
+        Some(open) => {
+            let at = open.payload.len();
+            msg.encode(&mut open.payload);
+            if open.payload.len() <= FRAME_BUDGET {
+                open.not_before = open.not_before.max(not_before);
+                return;
+            }
+            open.payload.split_off(at)
+        }
+        None => msg.to_bytes(),
+    };
+    frames.push(StagedFrame {
+        payload,
+        not_before,
+    });
+}
+
 /// One peer's answer to a state-transfer probe, held until `k + 1` of
 /// them match on `(decision, app_digest)`.
 #[derive(Clone, Debug)]
@@ -203,10 +286,22 @@ pub(crate) struct NodeCore<M: Wire> {
     step: u64,
     out_seq: Vec<u64>,
     outbox: Vec<(ProcessId, M)>,
-    /// Pending self-deliveries (encoded), oldest first. Self-addressed
-    /// sends (the paper's broadcasts include the sender) never leave the
-    /// core, which also makes them checkpointable.
-    self_queue: VecDeque<Vec<u8>>,
+    /// Frames admitted since the last tick — `(sender, seq, messages)` in
+    /// arrival order — awaiting their journal write and their steps.
+    admitted: Vec<(ProcessId, u64, Vec<M>)>,
+    /// The delivery records of the round about to be stepped, framed for
+    /// one [`Wal::append_group`].
+    group: Vec<u8>,
+    /// The log's tail holds deliveries with no [`WalRecord::Seal`] after
+    /// them, though the tick that stepped them has sealed: the next group
+    /// starts with the marker.
+    seal_owed: bool,
+    /// Pending self-deliveries, encoded back to back: the next round.
+    /// Self-addressed sends (the paper's broadcasts include the sender)
+    /// never leave the core.
+    self_stage: Vec<u8>,
+    /// What the current tick has sent each peer so far, by peer index.
+    stages: Vec<Vec<StagedFrame>>,
     /// Outbound queues by peer index (`None` at this node's own slot).
     queues: Vec<Option<SendQueue>>,
     wal: Option<Wal>,
@@ -218,13 +313,18 @@ pub(crate) struct NodeCore<M: Wire> {
     /// incarnation journalled re-arrive as duplicates, not deliveries.
     next_seq: Vec<u64>,
     /// The journalled prefix of `next_seq` — what acks may cover. Lags
-    /// `next_seq` only across frames rejected at the wire.
+    /// `next_seq` across frames rejected at the wire, and across frames
+    /// admitted since the last tick.
     durable_next: Vec<u64>,
     /// The published copy of `next_seq`, for the node's handle.
     pub next_seq_mirror: SeqMirror,
-    /// Payload hashes of delivered frames per peer, for the
-    /// no-equivocation check on duplicates.
+    /// Payload hashes of the frames accepted since the last checkpoint,
+    /// per peer, for the no-equivocation check on duplicates: what a
+    /// restart from that checkpoint would rebuild, and no more.
     hashes: Vec<HashMap<u64, u64>>,
+    /// The core's own copy of the node status, updated every step and
+    /// published to `status` once per tick.
+    st: NodeStatus,
     /// The live status cell, shared with the node's handle.
     pub status: Arc<Mutex<NodeStatus>>,
     /// This node's message counters (handles into its registry).
@@ -263,8 +363,9 @@ impl<M: Wire> NodeCore<M> {
     /// # Errors
     ///
     /// WAL I/O errors, a log that belongs to a different node or
-    /// configuration, and a snapshot or delivery inconsistent with this
-    /// system (`InvalidData`).
+    /// configuration or was written in another format version, and a
+    /// snapshot or delivery inconsistent with this system
+    /// (`InvalidData`).
     pub fn boot(
         cfg: &NodeConfig,
         process: Box<dyn Process<Msg = M> + Send>,
@@ -288,13 +389,18 @@ impl<M: Wire> NodeCore<M> {
             step: 0,
             out_seq: vec![0; cfg.n],
             outbox: Vec::new(),
-            self_queue: VecDeque::new(),
+            admitted: Vec::new(),
+            group: Vec::new(),
+            seal_owed: false,
+            self_stage: Vec::new(),
+            stages: (0..cfg.n).map(|_| Vec::new()).collect(),
             queues,
             wal: None,
             boot: BootRecord {
                 node: me,
                 n: cfg.n,
                 seed: cfg.seed,
+                version: WAL_VERSION,
             },
             snapshot_every: cfg.snapshot_every,
             since_snapshot: 0,
@@ -302,6 +408,7 @@ impl<M: Wire> NodeCore<M> {
             durable_next: vec![0; cfg.n],
             next_seq_mirror: Arc::new((0..cfg.n).map(|_| AtomicU64::new(0)).collect()),
             hashes: vec![HashMap::new(); cfg.n],
+            st: NodeStatus::default(),
             status: Arc::new(Mutex::new(NodeStatus::default())),
             counters: NetCounters::new(registry, me),
             metrics: NodeMetrics::new(registry, me),
@@ -316,6 +423,7 @@ impl<M: Wire> NodeCore<M> {
         };
         let Some((mut wal, recovered)) = wal else {
             core.run_start(true, now);
+            core.publish_status();
             return Ok(core);
         };
         if recovered.damage.is_unsafe() || (recovered.records.is_empty() && cfg.expect_history) {
@@ -328,10 +436,8 @@ impl<M: Wire> NodeCore<M> {
             // replaces it, and the node joins the network silently.
             core.counters.wal_corruptions.inc();
             core.amnesiac = true;
-            let mut st = lock_status(&core.status);
-            st.amnesiac = true;
-            st.steps = 1;
-            drop(st);
+            core.st.amnesiac = true;
+            core.st.steps = 1;
             core.wal = Some(wal);
         } else if recovered.records.is_empty() {
             wal.append(&WalRecord::Boot(core.boot.clone()))?;
@@ -341,23 +447,29 @@ impl<M: Wire> NodeCore<M> {
             let on_disk = recovered
                 .boot()
                 .ok_or_else(|| bad("wal has no boot header"))?;
+            if on_disk.version != WAL_VERSION {
+                // Another version grouped messages into frames
+                // differently, and its frames are already on the wire:
+                // replayed under this grouping they would be renumbered.
+                return Err(bad("wal was written in another format version"));
+            }
             if *on_disk != core.boot {
                 return Err(bad("wal belongs to a different node or configuration"));
             }
             core.wal = Some(wal);
-            let (snapshot, deliveries) = recovered.replay_plan();
+            let (snapshot, tail) = recovered.replay_plan();
             let replay_us = core.metrics.recovery_replay_us.clone();
-            let replayed =
-                replay_us.time_us(|| core.recover(snapshot.cloned(), &deliveries, now))?;
+            let replayed = replay_us.time_us(|| core.recover(snapshot.cloned(), tail, now))?;
             core.metrics.recoveries.inc();
             core.metrics.recovered_deliveries.add(replayed);
-            lock_status(&core.status).recovered = replayed;
+            core.st.recovered = replayed;
             core.publish(Event::Recover {
                 step: core.step,
                 pid: me,
                 replayed,
             });
         }
+        core.publish_status();
         Ok(core)
     }
 
@@ -377,29 +489,46 @@ impl<M: Wire> NodeCore<M> {
         }
     }
 
+    /// Copies the core's status to the cell the node's handle reads.
+    fn publish_status(&self) {
+        lock_status(&self.status).clone_from(&self.st);
+    }
+
     fn set_next_seq(&mut self, peer: usize, next: u64) {
         self.next_seq[peer] = next;
         self.next_seq_mirror[peer].store(next, Relaxed);
     }
 
+    /// Whether deliveries are journalled: there is a log, and it can be
+    /// trusted. An amnesiac's damaged file is evidence, not a journal; its
+    /// deliveries feed the process as a passive learner only — `dispatch`
+    /// stays silent — so skipping durability cannot cause equivocation.
+    fn journals(&self) -> bool {
+        self.wal.is_some() && !self.amnesiac
+    }
+
     /// One frame a peer sent *to* this node (after the driver resolved
-    /// its `Hello`): a protocol message or a state-transfer probe.
-    /// Returns the frame to answer with on the same connection.
-    pub fn on_frame(&mut self, from: ProcessId, frame: Frame, now: Instant) -> Option<Frame> {
+    /// its `Hello`). A protocol frame is *admitted* — sequence-checked,
+    /// decoded, validated — and waits for the next [`NodeCore::tick`]; the
+    /// driver owes the connection one [`NodeCore::ack`] after that tick.
+    /// A state-transfer probe is answered at once: the returned frame
+    /// goes back on the same connection.
+    pub fn on_frame(&mut self, from: ProcessId, frame: Frame) -> Option<Frame> {
         match frame {
-            Frame::Msg { seq, payload } => Some(Frame::Ack {
-                next: self.on_msg(from, seq, &payload, now),
-            }),
+            Frame::Msg { seq, payload } => {
+                self.admit(from, seq, payload);
+                None
+            }
             // Serve our durable state to the prober. An amnesiac has
             // nothing trustworthy to serve and stays silent.
             Frame::StateRequest { .. } if !self.amnesiac => {
                 self.counters.state_requests_served.inc();
                 Some(Frame::StateChunk {
                     from: self.me,
-                    // The status cell's decision, not the process's: an
+                    // The status's decision, not the process's: an
                     // adopted learner's decision lives there, and it is
                     // just as quorum-backed as one the process derived.
-                    decision: lock_status(&self.status).decision,
+                    decision: self.st.decision,
                     phase: self.process.phase(),
                     app_digest: self.process.transfer_digest(),
                     app: self.process.transfer_state(),
@@ -408,6 +537,23 @@ impl<M: Wire> NodeCore<M> {
             // Acks and state chunks are *replies*; they belong on this
             // node's own outbound connections. Harmless noise here.
             _ => None,
+        }
+    }
+
+    /// The cumulative ack `peer` is owed, sent once per tick on every
+    /// connection that carried its frames — duplicates and gaps included,
+    /// so a reconnected sender can retire its queue and resync. With a
+    /// WAL this is the durable watermark: read after a tick it covers
+    /// everything the tick journalled, read before it nothing that is not
+    /// journalled yet. An amnesiac journals nothing but may still ack
+    /// speculatively: a learner never sends protocol messages, so the
+    /// replay-equivocation hazard durable acks exist to prevent cannot
+    /// arise, and adoption pins this same watermark durably.
+    pub fn ack(&self, peer: usize) -> u64 {
+        if self.journals() {
+            self.durable_next[peer]
+        } else {
+            self.next_seq[peer]
         }
     }
 
@@ -438,13 +584,49 @@ impl<M: Wire> NodeCore<M> {
         }
     }
 
-    /// Timer input: delivers pending self-sends (boot leaves some) and,
-    /// while amnesiac, (re)issues a [`Frame::StateRequest`] to every peer
-    /// each [`PROBE_EVERY`]; answered or lost probes are simply
-    /// superseded by the next round. Returns when the core next needs a
-    /// tick regardless of traffic.
+    /// Runs everything admitted since the last tick, as rounds: the
+    /// admitted frames first, then the self-sends they caused, then
+    /// theirs, until none is left. Each round is journalled with one
+    /// write before any of it is stepped; when the last has run, what the
+    /// steps sent is sealed into frames — one per peer — the status is
+    /// published and a checkpoint taken if one is due.
+    ///
+    /// Also the timer input: while amnesiac, (re)issues a
+    /// [`Frame::StateRequest`] to every peer each [`PROBE_EVERY`];
+    /// answered or lost probes are simply superseded by the next round.
+    /// Returns when the core next needs a tick regardless of traffic.
     pub fn tick(&mut self, now: Instant) -> Option<Instant> {
-        self.drain_self(now);
+        let journals = self.journals();
+        let admitted = std::mem::take(&mut self.admitted);
+        // Steps are the only source of self-sends, so a tick with neither
+        // input nor pending self-sends has nothing to run or seal.
+        let idle = admitted.is_empty() && self.self_stage.is_empty();
+        self.append_group();
+        for (from, seq, msgs) in admitted {
+            if journals {
+                // Now — and only now — may acks cover this frame.
+                let durable = &mut self.durable_next[from.index()];
+                *durable = (*durable).max(seq + 1);
+            }
+            for msg in msgs {
+                self.deliver(from, msg, true, now);
+            }
+        }
+        while !self.self_stage.is_empty() {
+            let bytes = std::mem::take(&mut self.self_stage);
+            let msgs = decode_all::<M>(&bytes, self.n).expect("locally encoded self-sends decode");
+            self.journal(self.me, None, bytes);
+            self.append_group();
+            for msg in msgs {
+                self.deliver(self.me, msg, true, now);
+            }
+        }
+        if !idle {
+            self.seal();
+            self.seal_owed |= journals;
+            self.publish_status();
+        }
+        self.maybe_snapshot();
         if !self.amnesiac {
             return None;
         }
@@ -458,49 +640,42 @@ impl<M: Wire> NodeCore<M> {
         self.probe_at
     }
 
-    /// Delivers pending self-sends, oldest first, until the queue is dry
-    /// (a delivery may enqueue more).
-    fn drain_self(&mut self, now: Instant) {
-        while let Some(bytes) = self.self_queue.pop_front() {
-            let msg = M::from_bytes(&bytes).expect("locally encoded self-delivery decodes");
-            self.deliver(self.me, None, msg, &bytes, true, now);
-        }
-    }
-
-    /// One inbound protocol message: consult the sequence table, apply
-    /// the no-equivocation cross-check, deliver if it is the next
-    /// expected frame, and return the cumulative ack.
-    fn on_msg(&mut self, from: ProcessId, seq: u64, payload: &[u8], now: Instant) -> u64 {
+    /// One inbound protocol frame: consult the sequence table, apply the
+    /// no-equivocation cross-check, and admit it if it is the next
+    /// expected one. Nothing is stepped here.
+    fn admit(&mut self, from: ProcessId, seq: u64, payload: Vec<u8>) {
         let peer = from.index();
         let next = self.next_seq[peer];
         match seq.cmp(&next) {
-            // The next expected frame: consume the seq, deliver.
+            // The next expected frame: consume the seq and keep its hash,
+            // whatever the payload turns out to hold.
             Ordering::Equal => {
                 self.set_next_seq(peer, next + 1);
-                // Byzantine bytes: payloads that do not decode, or decode
-                // to contents out of range for this system, are dropped
-                // here — they must never reach (and possibly kill) the
-                // protocol. The link stays up, the seq stays consumed.
+                self.hashes[peer].insert(seq, fnv1a64(&payload));
                 let decode_us = &self.metrics.msg_decode_us;
-                match decode_us.time_us(|| M::from_bytes(payload)) {
-                    Ok(msg) if msg.validate(self.n) => {
-                        let bytes = msg.to_bytes();
-                        self.deliver(from, Some(seq), msg, &bytes, true, now);
-                        self.drain_self(now);
+                match decode_us.time_us(|| decode_all::<M>(&payload, self.n)) {
+                    Some(msgs) => {
+                        self.journal(from, Some(seq), payload);
+                        self.admitted.push((from, seq, msgs));
                     }
-                    _ => {
+                    // Rejected whole; the link stays up, and the ack does
+                    // not move: no log holds this seq (the next frame
+                    // journalled carries the watermark past the hole).
+                    // It counts towards the checkpoint cadence, so a
+                    // flood of garbage cannot grow the evidence table.
+                    None => {
                         self.counters.wire_rejected.inc();
-                        self.hashes[peer].insert(seq, fnv1a64(payload));
+                        self.since_snapshot += 1;
                     }
                 }
             }
-            // Already delivered (a reconnect replay): ack again, drop. A
+            // Already accepted (a reconnect replay): ack again, drop. A
             // retransmission must be byte-identical to the frame first
-            // delivered under this seq — recovered nodes included.
+            // accepted under this seq — recovered nodes included.
             // Anything else is equivocation.
             Ordering::Less => {
                 let first = self.hashes[peer].get(&seq);
-                if first.is_some_and(|&h| h != fnv1a64(payload)) {
+                if first.is_some_and(|&h| h != fnv1a64(&payload)) {
                     self.counters.equivocations.inc();
                 }
             }
@@ -510,32 +685,52 @@ impl<M: Wire> NodeCore<M> {
             // drop, never deliver out of order.
             Ordering::Greater => self.counters.seq_gaps.inc(),
         }
-        // Cumulative ack per Msg — re-sent even for duplicates and gaps
-        // so a reconnected sender can retire its queue and resync. With a
-        // WAL the ack is the durable watermark, read *after* the delivery
-        // journalled, so it already covers this frame. An amnesiac
-        // journals nothing but may still ack speculatively: a learner
-        // never sends protocol messages, so the replay-equivocation
-        // hazard durable acks exist to prevent cannot arise, and adoption
-        // pins this same watermark durably.
-        if self.wal.is_some() && !self.amnesiac {
-            self.durable_next[peer]
-        } else {
-            self.next_seq[peer]
-        }
     }
 
-    /// The initial atomic step. With `live` false this is a replay
-    /// re-derivation: same state, same sends, no publishing, no counting.
+    /// Frames one delivery record into the pending group — behind the
+    /// seal marker the previous tick owes, if this is the first record
+    /// since.
+    fn journal(&mut self, from: ProcessId, seq: Option<u64>, payload: Vec<u8>) {
+        if !self.journals() {
+            return;
+        }
+        if std::mem::take(&mut self.seal_owed) {
+            frame_into(&mut self.group, &WalRecord::Seal);
+        }
+        let record = DeliveryRecord { from, seq, payload };
+        frame_into(&mut self.group, &WalRecord::Delivery(record));
+    }
+
+    /// Log-before-send: appends the pending group with one write. Its
+    /// records must be durable before any of them is stepped; a failed
+    /// append forfeits that guarantee, so die (the driver catches the
+    /// panic and reports `NodeStatus::died`).
+    fn append_group(&mut self) {
+        if self.group.is_empty() {
+            return;
+        }
+        let wal = self.wal.as_mut().expect("only a journalling node frames");
+        (self.metrics.wal_append_us)
+            .time_us(|| wal.append_group(&self.group))
+            .expect("wal append failed: cannot guarantee no-equivocation");
+        self.group.clear();
+    }
+
+    /// The initial atomic step, sealed on its own: no delivery causes
+    /// `on_start`'s sends, so no seal marker could say where they ended —
+    /// they always form the first frames, live and in replay. With `live`
+    /// false this is a replay re-derivation: same state, same sends, no
+    /// publishing, no counting.
     fn run_start(&mut self, live: bool, now: Instant) {
         if live {
             self.publish(Event::Start { pid: self.me });
         }
         self.step_process(live, now, |process, ctx| process.on_start(ctx));
+        self.seal();
     }
 
     /// Runs the process for one atomic step, then the tail every step
-    /// shares: publish what the protocol emitted, route its sends,
+    /// shares: publish what the protocol emitted, stage its sends,
     /// refresh the status.
     fn step_process(
         &mut self,
@@ -563,12 +758,16 @@ impl<M: Wire> NodeCore<M> {
         self.observe(live);
     }
 
-    /// Restores the snapshot (if any) and replays the logged deliveries —
-    /// one pass over the log — returning how many were replayed.
+    /// Restores the snapshot (if any) and replays the log after it — one
+    /// pass: deliveries are stepped, seals re-seal where the crashed
+    /// incarnation's ticks ended — returning how many messages were
+    /// replayed. The end of the log seals implicitly: the tick it cuts
+    /// short released no frame, so where it would have ended is not a
+    /// fact anyone saw.
     fn recover(
         &mut self,
         snapshot: Option<SnapshotRecord>,
-        deliveries: &[&DeliveryRecord],
+        tail: &[WalRecord],
         now: Instant,
     ) -> io::Result<u64> {
         match snapshot {
@@ -594,7 +793,7 @@ impl<M: Wire> NodeCore<M> {
                     return Err(bad("protocol state machine rejected its snapshot"));
                 }
                 self.out_seq = s.out_seq;
-                self.self_queue = s.self_queue.into();
+                self.self_stage = s.self_queue.concat();
                 for (peer, &next) in s.next_seq.iter().enumerate() {
                     self.set_next_seq(peer, next);
                 }
@@ -612,31 +811,55 @@ impl<M: Wire> NodeCore<M> {
             // No checkpoint: re-derive genesis, silently.
             None => self.run_start(false, now),
         }
-        for d in deliveries {
-            if d.from.index() >= self.n {
+        let mut replayed = 0;
+        for record in tail {
+            let d = match record {
+                WalRecord::Delivery(d) => d,
+                WalRecord::Seal => {
+                    self.seal();
+                    self.seal_owed = false;
+                    continue;
+                }
+                WalRecord::Boot(_) | WalRecord::Snapshot(_) => continue,
+            };
+            let peer = d.from.index();
+            if peer >= self.n {
                 return Err(bad("wal delivery from a process outside the system"));
             }
-            let msg = match d.seq {
-                // A logged self-delivery consumes the queue head, which
-                // determinism says must be byte-identical to the record.
+            match d.seq {
+                // A logged round of self-deliveries consumes the pending
+                // self-sends, which determinism says must be
+                // byte-identical to the record.
                 None => {
                     if d.from != self.me {
                         return Err(bad("wal self-delivery not from this node"));
                     }
-                    let bytes = self
-                        .self_queue
-                        .pop_front()
-                        .ok_or_else(|| bad("wal self-delivery with no pending self-send"))?;
-                    if bytes != d.payload {
+                    if std::mem::take(&mut self.self_stage) != d.payload {
                         return Err(bad("replay diverged: self-delivery bytes differ from log"));
                     }
-                    M::from_bytes(&bytes).map_err(|_| bad("undecodable logged self-delivery"))?
                 }
-                Some(_) => M::from_bytes(&d.payload)
-                    .map_err(|_| bad("undecodable logged delivery payload"))?,
-            };
-            self.deliver(d.from, d.seq, msg, &d.payload, false, now);
+                // The equivocation evidence, from the journalled bytes —
+                // the frame's payload as it arrived — so that replay
+                // rebuilds exactly the table live admission built. The
+                // record also *is* the sequence table: the log's highest
+                // seq per peer is what was accepted.
+                Some(seq) => {
+                    self.hashes[peer].insert(seq, fnv1a64(&d.payload));
+                    if seq >= self.next_seq[peer] {
+                        self.set_next_seq(peer, seq + 1);
+                        self.durable_next[peer] = seq + 1;
+                    }
+                }
+            }
+            let msgs = decode_all::<M>(&d.payload, self.n)
+                .ok_or_else(|| bad("undecodable logged delivery payload"))?;
+            replayed += msgs.len() as u64;
+            for msg in msgs {
+                self.deliver(d.from, msg, false, now);
+            }
+            self.seal_owed = true;
         }
+        self.seal();
         // Refresh the externally visible status from the recovered state
         // even when every delivery was compacted into the snapshot — a
         // decision restored from the checkpoint alone must still be
@@ -645,57 +868,17 @@ impl<M: Wire> NodeCore<M> {
         if self.adopted {
             self.report_adoption();
         }
-        Ok(deliveries.len() as u64)
+        Ok(replayed)
     }
 
-    /// One delivery step — the WAL append, the process step, the sends it
-    /// causes, and the status/telemetry fallout. With `live` false this
-    /// is log replay: the append is skipped (the record is the log) and
-    /// nothing is published or counted, but sends still queue — they are
-    /// retransmissions of frames the crashed incarnation already owned.
-    fn deliver(
-        &mut self,
-        from: ProcessId,
-        seq: Option<u64>,
-        msg: M,
-        payload: &[u8],
-        live: bool,
-        now: Instant,
-    ) {
-        if let Some(s) = seq {
-            // The equivocation evidence, taken from the journalled bytes
-            // so that replay rebuilds exactly the table live delivery
-            // built. In replay the record also *is* the sequence table:
-            // the log's highest seq per peer is what was accepted.
-            self.hashes[from.index()].insert(s, fnv1a64(payload));
-            if !live && s >= self.next_seq[from.index()] {
-                self.set_next_seq(from.index(), s + 1);
-                self.durable_next[from.index()] = s + 1;
-            }
-        }
-        // An amnesiac has no trustworthy log to append to (the damaged
-        // file is evidence, not a journal). Its deliveries feed the
-        // process as a passive learner only — `dispatch` stays silent —
-        // so skipping durability here cannot cause equivocation.
-        if live && !self.amnesiac {
-            if let Some(wal) = &mut self.wal {
-                // Log-before-send: the record must be durable before any
-                // message this delivery produces is queued. A failed
-                // append forfeits that guarantee, so die (the driver
-                // catches the panic and reports NodeStatus::died).
-                let record = WalRecord::Delivery(DeliveryRecord {
-                    from,
-                    seq,
-                    payload: payload.to_vec(),
-                });
-                (self.metrics.wal_append_us)
-                    .time_us(|| wal.append(&record))
-                    .expect("wal append failed: cannot guarantee no-equivocation");
-                if let Some(s) = seq {
-                    // Now — and only now — may acks cover this frame.
-                    self.durable_next[from.index()] = s + 1;
-                }
-            }
+    /// One delivery step — the process step, the sends it stages, and the
+    /// status/telemetry fallout; its record is already in the log. With
+    /// `live` false this is log replay: nothing is published or counted,
+    /// but sends are still staged — sealed, they are retransmissions of
+    /// frames the crashed incarnation already owned.
+    fn deliver(&mut self, from: ProcessId, msg: M, live: bool, now: Instant) {
+        if live {
+            self.since_snapshot += 1;
         }
         if self.process.halted() {
             if live {
@@ -719,16 +902,13 @@ impl<M: Wire> NodeCore<M> {
         self.step_process(live, now, |process, ctx| {
             process.on_receive(Envelope::new(from, msg), ctx);
         });
-        if live {
-            self.maybe_snapshot();
-        }
     }
 
-    /// Routes one step's outbox: self-sends join the local queue, remote
-    /// sends pass the fault injector and join the peer's [`SendQueue`].
-    /// The injector is consulted (and its RNG stream advanced) in replay
-    /// too — drop decisions gate sequence-number assignment, so skipping
-    /// them would renumber the replayed frames.
+    /// Routes one step's outbox: self-sends join the next round, remote
+    /// sends pass the fault injector and are staged for their peer. The
+    /// injector is consulted (and its RNG stream advanced) in replay too
+    /// — a drop keeps a message out of its frame, so skipping the draws
+    /// would change the replayed frames.
     fn dispatch(&mut self, live: bool, now: Instant) {
         // A node without a trusted durable history must stay silent on
         // the protocol plane, forever: its pre-damage send history is
@@ -751,10 +931,10 @@ impl<M: Wire> NodeCore<M> {
                 });
             }
             if to == self.me {
-                self.self_queue.push_back(msg.to_bytes());
+                msg.encode(&mut self.self_stage);
                 continue;
             }
-            let Some(queue) = self.queues.get_mut(to.index()).and_then(Option::as_mut) else {
+            let Some(frames) = self.stages.get_mut(to.index()) else {
                 continue; // address outside the system: a Byzantine no-op
             };
             let not_before = match self.injector.action(self.me, to, now) {
@@ -767,12 +947,24 @@ impl<M: Wire> NodeCore<M> {
                 LinkAction::Deliver => now,
                 LinkAction::DelayBy(d) => now + d,
             };
-            let seq = self.out_seq[to.index()];
-            self.out_seq[to.index()] += 1;
-            let payload = self.metrics.msg_encode_us.time_us(|| msg.to_bytes());
-            queue.push(seq, payload, not_before);
+            stage(frames, &msg, not_before);
         }
         self.outbox = outbox;
+    }
+
+    /// Ends a tick's sending: every staged frame gets the peer's next
+    /// sequence number and joins its [`SendQueue`] — the only point at
+    /// which protocol frames come to exist.
+    fn seal(&mut self) {
+        for (to, frames) in self.stages.iter_mut().enumerate() {
+            for frame in frames.drain(..) {
+                let queue = self.queues[to].as_mut().expect("staged for a peer");
+                let seq = self.out_seq[to];
+                self.out_seq[to] += 1;
+                (self.metrics.msg_encode_us)
+                    .time_us(|| queue.push(seq, frame.payload, frame.not_before));
+            }
+        }
     }
 
     /// Mirrors `Sim::observe`: records decisions and halts exactly once.
@@ -781,29 +973,22 @@ impl<M: Wire> NodeCore<M> {
     /// world already saw those events from the previous incarnation.
     fn observe(&mut self, live: bool) {
         let halted = self.process.halted();
-        let mut newly_decided = None;
-        {
-            let mut st = lock_status(&self.status);
-            st.steps = self.step + 1;
-            st.phase = self.process.phase();
-            st.halted = halted;
-            if !self.decided {
-                if let Some(v) = self.process.decision() {
-                    self.decided = true;
-                    st.decision = Some(v);
-                    st.decision_phase = self.process.decision_phase();
-                    st.decision_step = Some(self.step);
-                    newly_decided = Some(v);
+        self.st.steps = self.step + 1;
+        self.st.phase = self.process.phase();
+        self.st.halted = halted;
+        if !self.decided {
+            if let Some(value) = self.process.decision() {
+                self.decided = true;
+                self.st.decision = Some(value);
+                self.st.decision_phase = self.process.decision_phase();
+                self.st.decision_step = Some(self.step);
+                if live {
+                    self.publish(Event::Decide {
+                        step: self.step,
+                        pid: self.me,
+                        value,
+                    });
                 }
-            }
-        }
-        if let Some(value) = newly_decided {
-            if live {
-                self.publish(Event::Decide {
-                    step: self.step,
-                    pid: self.me,
-                    value,
-                });
             }
         }
         if halted && !self.halt_published {
@@ -836,14 +1021,28 @@ impl<M: Wire> NodeCore<M> {
         }
     }
 
-    /// Compacts the WAL to boot + snapshot every `snapshot_every`
-    /// processed deliveries, if the protocol supports checkpointing.
+    /// Drops the equivocation evidence a checkpoint supersedes. At a tick
+    /// boundary every hashed seq is below `next_seq`, and a restart from
+    /// the checkpoint rebuilds none of them — so none is kept. Without
+    /// this the table grows with every frame ever accepted, and whether
+    /// an old duplicate counts as equivocation would depend on whether
+    /// the receiver happened to restart.
+    fn prune_evidence(&mut self) {
+        self.hashes.iter_mut().for_each(HashMap::clear);
+    }
+
+    /// Every `snapshot_every` deliveries (and frames rejected at the
+    /// wire), at the tick boundary (nothing staged, no self-send
+    /// pending): compacts the WAL to boot + snapshot, if the protocol
+    /// supports checkpointing, and prunes the evidence table to match. A
+    /// node that journals nothing prunes on the same cadence.
     fn maybe_snapshot(&mut self) {
-        if self.snapshot_every == 0 || self.wal.is_none() || self.amnesiac {
+        if self.snapshot_every == 0 || self.since_snapshot < self.snapshot_every {
             return;
         }
-        self.since_snapshot += 1;
-        if self.since_snapshot < self.snapshot_every {
+        if !self.journals() {
+            self.since_snapshot = 0;
+            self.prune_evidence();
             return;
         }
         let Some(process_bytes) = self.process.snapshot() else {
@@ -859,21 +1058,21 @@ impl<M: Wire> NodeCore<M> {
                     frames.map(|f| (f.seq, f.payload().to_vec())).collect()
                 })
                 .collect(),
-            self_queue: self.self_queue.iter().cloned().collect(),
             // The durable watermark: what this node has journalled and
             // therefore acked. Anything beyond it was never acked, so a
             // post-crash sender re-offers it.
             ..self.snapshot_record(process_bytes, self.durable_next.clone())
         };
-        if let Some(wal) = &mut self.wal {
-            // A failed compaction is not fatal — the log just stays long
-            // and replay starts further back.
-            let compacted = (self.metrics.wal_compact_us)
-                .time_us(|| wal.compact(&self.boot, &snapshot))
-                .is_ok();
-            if compacted {
-                self.metrics.wal_compactions.inc();
-            }
+        let wal = self.wal.as_mut().expect("a journalling node has a wal");
+        // A failed compaction is not fatal — the log just stays long
+        // and replay starts further back.
+        let compacted = (self.metrics.wal_compact_us)
+            .time_us(|| wal.compact(&self.boot, &snapshot))
+            .is_ok();
+        if compacted {
+            self.metrics.wal_compactions.inc();
+            self.seal_owed = false;
+            self.prune_evidence();
         }
     }
 
@@ -948,13 +1147,16 @@ impl<M: Wire> NodeCore<M> {
             }
         }
         self.durable_next.clone_from(&self.next_seq);
+        self.prune_evidence();
+        self.since_snapshot = 0;
         self.amnesiac = false;
         self.adopted = true;
         self.adopted_decision = decision;
         self.offers.clear();
         self.counters.state_transfers.inc();
-        lock_status(&self.status).amnesiac = false;
+        self.st.amnesiac = false;
         self.report_adoption();
+        self.publish_status();
         self.publish(Event::Recover {
             step: self.step,
             pid: self.me,
@@ -963,15 +1165,14 @@ impl<M: Wire> NodeCore<M> {
         true
     }
 
-    /// Surfaces learner state in the status cell: the transfer itself,
-    /// and the quorum's decision unless the process already has its own.
+    /// Surfaces learner state in the status: the transfer itself, and the
+    /// quorum's decision unless the process already has its own.
     fn report_adoption(&mut self) {
-        let mut st = lock_status(&self.status);
-        st.state_transferred = true;
+        self.st.state_transferred = true;
         if let Some(v) = self.adopted_decision {
-            if st.decision.is_none() {
-                st.decision = Some(v);
-                st.decision_step = Some(self.step);
+            if self.st.decision.is_none() {
+                self.st.decision = Some(v);
+                self.st.decision_step = Some(self.step);
             }
             self.decided = true;
         }
@@ -982,8 +1183,10 @@ impl<M: Wire> NodeCore<M> {
 mod tests {
     //! A deterministic harness for the core: `n` cores over in-memory
     //! logs, a virtual clock, and a pool of in-flight frames the test
-    //! delivers in any order. No socket, no file, no sleep.
+    //! feeds in any order and burst shape, ticking the cores and sending
+    //! their acks as a driver would. No socket, no file, no sleep.
 
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::path::Path;
 
     use bt_core::{Config, Malicious, MaliciousMsg};
@@ -999,24 +1202,49 @@ mod tests {
     const K: usize = 1;
     type Core = NodeCore<MaliciousMsg>;
 
-    /// [`Storage`] over a shared byte vector that outlives the core — the
-    /// "disk" a rebooted core recovers from.
+    /// What outlives a core: its log, how often it was appended to, and
+    /// an armed write failure.
+    #[derive(Debug, Default)]
+    struct Platter {
+        log: Vec<u8>,
+        appends: u64,
+        /// Rounds of self-sends ever appended (one record each).
+        self_rounds: u64,
+        /// The append this many calls from now fails, writing nothing.
+        fail_in: Option<u64>,
+    }
+
+    /// [`Storage`] over a shared [`Platter`] — the "disk" a rebooted core
+    /// recovers from.
     #[derive(Clone, Debug, Default)]
     struct MemDisk {
-        log: Arc<Mutex<Vec<u8>>>,
+        platter: Arc<Mutex<Platter>>,
         staged: Vec<u8>,
     }
 
     impl Storage for MemDisk {
         fn open(&mut self, _: &Path) -> io::Result<Vec<u8>> {
-            Ok(self.log.lock().unwrap().clone())
+            Ok(self.platter.lock().unwrap().log.clone())
         }
         fn truncate(&mut self, len: u64) -> io::Result<()> {
-            self.log.lock().unwrap().truncate(len as usize);
+            self.platter.lock().unwrap().log.truncate(len as usize);
             Ok(())
         }
         fn append(&mut self, bytes: &[u8]) -> io::Result<()> {
-            self.log.lock().unwrap().extend_from_slice(bytes);
+            let group = MemDisk::default();
+            group.platter.lock().unwrap().log = bytes.to_vec();
+            let self_rounds = group.deliveries().into_iter().filter(|d| d.seq.is_none());
+            let mut platter = self.platter.lock().unwrap();
+            platter.appends += 1;
+            platter.self_rounds += self_rounds.count() as u64;
+            if let Some(left) = platter.fail_in.as_mut() {
+                *left -= 1;
+                if *left == 0 {
+                    platter.fail_in = None;
+                    return Err(io::Error::other("injected append failure"));
+                }
+            }
+            platter.log.extend_from_slice(bytes);
             Ok(())
         }
         fn stage_replacement(&mut self, bytes: &[u8]) -> io::Result<()> {
@@ -1024,7 +1252,7 @@ mod tests {
             Ok(())
         }
         fn commit_replacement(&mut self) -> io::Result<()> {
-            *self.log.lock().unwrap() = std::mem::take(&mut self.staged);
+            self.platter.lock().unwrap().log = std::mem::take(&mut self.staged);
             Ok(())
         }
         fn sync_dir(&mut self) -> io::Result<()> {
@@ -1037,13 +1265,31 @@ mod tests {
             Wal::open_with("mem", Box::new(self.clone())).unwrap()
         }
 
+        /// `(append calls, rounds of self-sends appended)` so far.
+        fn appends(&self) -> (u64, u64) {
+            let platter = self.platter.lock().unwrap();
+            (platter.appends, platter.self_rounds)
+        }
+
+        /// The log's delivery records, checkpointed ones excluded.
+        fn deliveries(&self) -> Vec<DeliveryRecord> {
+            let records = self.open().1.records.into_iter();
+            records
+                .filter_map(|r| match r {
+                    WalRecord::Delivery(d) => Some(d),
+                    _ => None,
+                })
+                .collect()
+        }
+
         /// The journalled watermark for `peer`: one past the highest seq
         /// the log vouches for, checkpointed or delivered since.
         fn watermark(&self, peer: usize) -> u64 {
             let (_, recovered) = self.open();
-            let (snapshot, deliveries) = recovered.replay_plan();
-            let logged = deliveries.iter().filter(|d| d.from.index() == peer);
-            (logged.filter_map(|d| d.seq).map(|s| s + 1))
+            let (snapshot, _) = recovered.replay_plan();
+            let logged = self.deliveries().into_iter();
+            (logged.filter(|d| d.from.index() == peer))
+                .filter_map(|d| d.seq.map(|s| s + 1))
                 .chain(snapshot.map(|s| s.next_seq[peer]))
                 .max()
                 .unwrap_or(0)
@@ -1060,16 +1306,38 @@ mod tests {
         frame: Frame,
     }
 
+    /// How the wire's contents reach the cores between two ticks.
+    #[derive(Clone, Copy, Debug)]
+    enum Feed {
+        /// One packet, picked at random, per tick: the finest grain, and
+        /// it reorders frames within a link.
+        OneAtRandom,
+        /// Everything in flight, in sending order: the coalesced burst a
+        /// busy event loop sees.
+        Burst,
+        /// The same burst back to front.
+        Reversed,
+        /// The same burst dealt round-robin across senders.
+        Interleaved,
+    }
+
     struct Sim {
         cores: Vec<Option<Core>>,
         disks: Vec<MemDisk>,
         registries: Vec<Registry>,
+        inputs: [Value; N],
         /// `handed[i][j]`: the next seq of `i`'s queue to `j` not yet put
         /// on the wire — a connection's written watermark.
         handed: Vec<Vec<u64>>,
+        /// `(receiver, sender)` connections that carried protocol frames
+        /// since the receiver's last tick: each is owed one ack.
+        ack_due: Vec<(usize, usize)>,
         in_flight: Vec<Packet>,
         /// Every packet delivered so far, in order.
         trace: Vec<Packet>,
+        /// `sealed[i][j]`: every frame `i` ever queued for `j`, by seq, as
+        /// wire bytes — across `i`'s incarnations.
+        sealed: Vec<Vec<BTreeMap<u64, Vec<u8>>>>,
         rng: Prng,
         now: Instant,
         snapshot_every: u64,
@@ -1082,9 +1350,12 @@ mod tests {
                 cores: (0..N).map(|_| None).collect(),
                 disks: (0..N).map(|_| MemDisk::default()).collect(),
                 registries: (0..N).map(|_| Registry::new()).collect(),
+                inputs: [Value::Zero, Value::One, Value::Zero, Value::One],
                 handed: vec![vec![0; N]; N],
+                ack_due: Vec::new(),
                 in_flight: Vec::new(),
                 trace: Vec::new(),
+                sealed: vec![vec![BTreeMap::new(); N]; N],
                 rng: Prng::seed_from_u64(seed),
                 now: Instant::now(), // the virtual epoch; only ever added to
                 snapshot_every,
@@ -1108,15 +1379,17 @@ mod tests {
                 snapshot_every: self.snapshot_every,
                 ..NodeConfig::new(ProcessId::new(i), N, 7 + i as u64, FaultPlan::reliable())
             };
-            let input = [Value::Zero, Value::One][i % 2];
-            let process = Box::new(Malicious::new(Config::malicious(N, K).unwrap(), input));
+            let config = Config::malicious(N, K).unwrap();
+            let process = Box::new(Malicious::new(config, self.inputs[i]));
             let wal = Some(self.disks[i].open());
             let core = Core::boot(&cfg, process, wal, &self.registries[i], None, self.now);
             self.cores[i] = Some(core.unwrap());
+            self.ack_due.retain(|&(to, from)| to != i && from != i);
             for j in 0..N {
                 self.handed[i][j] = 0;
                 self.handed[j][i] = 0;
             }
+            self.record_sealed(i);
         }
 
         /// Drops core `i` where it stands: its queues, tables and process
@@ -1133,14 +1406,56 @@ mod tests {
             lock_status(&self.cores[i].as_ref().expect("core is up").status).clone()
         }
 
-        /// Ticks core `i` and puts everything new on its queues on the
-        /// wire, decoded back from the exact bytes a socket would carry.
+        /// Files what core `i` has on its queues under `sealed`. A seq
+        /// seen before must carry the bytes seen before: the
+        /// no-equivocation obligation, checked at the source on every
+        /// tick and every reboot.
+        fn record_sealed(&mut self, i: usize) {
+            for j in 0..N {
+                for (seq, chunk) in self.queued(i, j) {
+                    let first = self.sealed[i][j]
+                        .entry(seq)
+                        .or_insert_with(|| chunk.clone());
+                    assert_eq!(
+                        *first, chunk,
+                        "p{i} re-sealed seq {seq} to p{j} differently"
+                    );
+                }
+            }
+        }
+
+        /// Ticks core `i` as a driver does after a wakeup's events: the
+        /// tick, then one ack per connection that carried frames, then
+        /// everything new on the queues onto the wire, decoded back from
+        /// the exact bytes a socket would carry. Checks two obligations
+        /// on every tick: a tick costs at most one append plus one per
+        /// round of self-sends, and no ack is past the journal.
         fn hand_out(&mut self, i: usize) {
             let now = self.now;
             let Some(core) = self.cores[i].as_mut() else {
                 return;
             };
+            let disk = &self.disks[i];
+            let (appends, rounds) = disk.appends();
             core.tick(now);
+            let after = disk.appends();
+            assert!(
+                after.0 - appends <= 1 + after.1 - rounds,
+                "a tick appends once, plus once per round of self-sends"
+            );
+            for (_, from) in self.ack_due.extract_if(.., |&mut (to, _)| to == i) {
+                let next = core.ack(from);
+                assert!(
+                    core.amnesiac || next <= disk.watermark(from),
+                    "ack past the log"
+                );
+                self.in_flight.push(Packet {
+                    from: i,
+                    to: from,
+                    back: true,
+                    frame: Frame::Ack { next },
+                });
+            }
             for j in 0..N {
                 let Some(queue) = core.queue_mut(j) else {
                     continue;
@@ -1163,15 +1478,16 @@ mod tests {
                         frame,
                     }));
             }
+            self.record_sealed(i);
         }
 
-        /// Delivers in-flight packet `idx` (lost if its target is down);
-        /// a reply goes back on the wire. Checks the ack obligation on
-        /// every message: never past the journalled watermark.
+        /// Feeds in-flight packet `idx` to its target (lost if that is
+        /// down): a reply retires frames or files an offer; a protocol
+        /// frame is admitted and its connection owed an ack after the
+        /// next tick; a probe's answer goes back on the wire.
         fn deliver(&mut self, idx: usize) {
             let p = self.in_flight.remove(idx);
             self.trace.push(p.clone());
-            let now = self.now;
             let Some(core) = self.cores[p.to].as_mut() else {
                 return;
             };
@@ -1179,30 +1495,26 @@ mod tests {
                 core.on_reply(p.from, p.frame);
                 return;
             }
-            let Some(reply) = core.on_frame(ProcessId::new(p.from), p.frame, now) else {
-                return;
-            };
-            if let (Frame::Ack { next }, false) = (&reply, core.amnesiac) {
-                assert!(
-                    *next <= self.disks[p.to].watermark(p.from),
-                    "ack past the log"
-                );
+            if matches!(p.frame, Frame::Msg { .. }) && !self.ack_due.contains(&(p.to, p.from)) {
+                self.ack_due.push((p.to, p.from));
             }
-            self.in_flight.push(Packet {
-                from: p.to,
-                to: p.from,
-                back: true,
-                frame: reply,
-            });
+            if let Some(frame) = core.on_frame(ProcessId::new(p.from), p.frame) {
+                self.in_flight.push(Packet {
+                    from: p.to,
+                    to: p.from,
+                    back: true,
+                    frame,
+                });
+            }
         }
 
-        /// Runs a seeded schedule — hand out, deliver one packet picked at
-        /// random, advance the clock — until `done` or nothing is left to
-        /// send. Random picks reorder frames within a link, which a
-        /// receiver answers by dropping the gap; so when the wire runs
-        /// dry every connection "breaks" and the senders replay their
-        /// unacked queues, as a link does after a reconnect.
-        fn run(&mut self, mut done: impl FnMut(&Sim) -> bool) {
+        /// Runs a seeded schedule — tick every core, feed the wire to
+        /// them in the shape `feed` says, advance the clock — until `done`
+        /// or nothing is left to send. Frames reordered within a link are
+        /// answered by dropping the gap; so when the wire runs dry every
+        /// connection "breaks" and the senders replay their unacked
+        /// queues, as a link does after a reconnect.
+        fn run_fed(&mut self, feed: Feed, mut done: impl FnMut(&Sim) -> bool) {
             let mut replayed = false;
             for _ in 0..200_000 {
                 (0..N).for_each(|i| self.hand_out(i));
@@ -1218,15 +1530,56 @@ mod tests {
                     continue;
                 }
                 replayed = false;
-                let idx = self.rng.index(self.in_flight.len());
-                self.deliver(idx);
+                match feed {
+                    Feed::OneAtRandom => {
+                        let idx = self.rng.index(self.in_flight.len());
+                        self.deliver(idx);
+                    }
+                    Feed::Burst => (0..self.in_flight.len()).for_each(|_| self.deliver(0)),
+                    Feed::Reversed => {
+                        (0..self.in_flight.len())
+                            .rev()
+                            .for_each(|idx| self.deliver(idx));
+                    }
+                    Feed::Interleaved => {
+                        let mut sender = 0;
+                        while !self.in_flight.is_empty() {
+                            let next = self.in_flight.iter().position(|p| p.from == sender % N);
+                            next.into_iter().for_each(|idx| self.deliver(idx));
+                            sender += 1;
+                        }
+                    }
+                }
                 self.now += Duration::from_millis(1);
             }
             panic!("schedule did not finish");
         }
 
+        fn run(&mut self, done: impl FnMut(&Sim) -> bool) {
+            self.run_fed(Feed::OneAtRandom, done);
+        }
+
+        /// Runs for `ticks` rounds of the schedule: mid-protocol.
+        fn run_for(&mut self, ticks: u32) {
+            let mut left = ticks;
+            self.run(|_| {
+                left -= 1;
+                left == 0
+            });
+        }
+
         fn all_decided(&self) -> bool {
             (0..N).all(|i| self.cores[i].is_none() || self.status(i).decision.is_some())
+        }
+
+        /// Runs to the end and checks the verdict every test wants: all
+        /// decided the same value, and nobody saw an equivocation.
+        fn finish(&mut self, feed: Feed) -> Value {
+            self.run_fed(feed, Sim::all_decided);
+            let decisions: Vec<_> = (0..N).map(|i| self.status(i).decision).collect();
+            assert!(decisions.iter().all(|d| d.is_some() && *d == decisions[0]));
+            assert!((0..N).all(|i| self.counter(i, "bt_equivocations_total") == 0));
+            decisions[0].unwrap()
         }
 
         /// Core `i`'s queue to `j` as `(seq, wire bytes)`.
@@ -1241,6 +1594,13 @@ mod tests {
                 .snapshot()
                 .scalar_total(name)
                 .unwrap_or(0)
+        }
+
+        /// The index of an in-flight protocol frame for core `i`.
+        fn msg_for(&self, i: usize) -> usize {
+            (self.in_flight.iter())
+                .position(|p| p.to == i && !p.back && matches!(p.frame, Frame::Msg { .. }))
+                .expect("a message for the core is on the wire")
         }
     }
 
@@ -1258,22 +1618,19 @@ mod tests {
         }
     }
 
-    /// Feeds core 0 one frame from peer 1 and returns the ack.
+    /// Feeds core 0 one frame from peer 1, ticks it, and returns the ack.
     fn feed(sim: &mut Sim, frame: Frame) -> u64 {
         let now = sim.now;
-        match sim.core(0).on_frame(ProcessId::new(1), frame, now) {
-            Some(Frame::Ack { next }) => next,
-            other => panic!("expected an ack, got {other:?}"),
-        }
+        assert_eq!(sim.core(0).on_frame(ProcessId::new(1), frame), None);
+        sim.core(0).tick(now);
+        sim.core(0).ack(1)
     }
 
     #[test]
     fn seeded_schedule_is_deterministic_and_agrees() {
         let run = |seed| {
             let mut sim = Sim::booted(seed, 0);
-            sim.run(Sim::all_decided);
-            let decisions: Vec<_> = (0..N).map(|i| sim.status(i).decision).collect();
-            assert!(decisions.iter().all(|d| d.is_some() && *d == decisions[0]));
+            sim.finish(Feed::OneAtRandom);
             sim.trace
         };
         let a = run(11);
@@ -1281,40 +1638,82 @@ mod tests {
         assert_ne!(a, run(12), "the seed picks the schedule");
     }
 
+    /// The Attiya–Flam–Welch obligation: a loop that hands the protocol
+    /// coalesced bursts must not be correct only for burst-shaped
+    /// arrivals. Every shape must terminate in agreement — which value,
+    /// with mixed inputs, legitimately depends on the schedule — and with
+    /// unanimous inputs every shape must reach the same decisions.
     #[test]
-    fn crash_between_append_and_send_rederives_identical_frames() {
+    fn every_arrival_shape_reaches_agreement() {
+        let shapes = [
+            Feed::OneAtRandom,
+            Feed::Burst,
+            Feed::Reversed,
+            Feed::Interleaved,
+        ];
+        for feed in shapes {
+            let mut mixed = Sim::booted(21, 0);
+            mixed.finish(feed);
+            let mut unanimous = Sim::new(21, 0);
+            unanimous.inputs = [Value::One; N];
+            (0..N).for_each(|i| unanimous.boot(i, false));
+            assert_eq!(unanimous.finish(feed), Value::One, "{feed:?}");
+        }
+    }
+
+    #[test]
+    fn sealed_ticks_replay_to_identical_frames_and_the_unsealed_tail_was_never_seen() {
         let mut sim = Sim::booted(3, 0);
-        // Get core 0 into mid-protocol, then let it journal one more
-        // delivery whose frames nobody ever sees.
-        let mut steps = 0;
-        sim.run(|_| {
-            steps += 1;
-            steps > 40
-        });
-        let idx = (sim.in_flight.iter())
-            .position(|p| p.to == 0 && !p.back && matches!(p.frame, Frame::Msg { .. }))
-            .expect("a message for core 0 is on the wire");
-        let delivered_before = sim.counter(0, "bt_msgs_delivered_total");
+        sim.run_for(40);
+        // Core 0 is mid-protocol, with sealed ticks behind it. Now a tick
+        // that dies between its first append and its seal: the admitted
+        // frame is journalled and stepped, the round of self-sends it
+        // causes is not.
+        let idx = sim.msg_for(0);
         sim.deliver(idx);
-        assert!(sim.counter(0, "bt_msgs_delivered_total") > delivered_before);
         let before: Vec<_> = (1..N).map(|j| sim.queued(0, j)).collect();
-        assert!(before.iter().any(|q| !q.is_empty()));
+        let journalled = sim.disks[0].deliveries().len();
+        sim.disks[0].platter.lock().unwrap().fail_in = Some(2);
+        let now = sim.now;
+        let died = catch_unwind(AssertUnwindSafe(|| sim.core(0).tick(now)));
+        assert!(died.is_err(), "a failed append is fail-stop");
+        assert_eq!(sim.disks[0].deliveries().len(), journalled + 1);
+        let unsealed: Vec<_> = (1..N).map(|j| sim.queued(0, j)).collect();
+        assert_eq!(unsealed, before, "no frame exists before the seal");
 
         sim.crash(0);
         sim.boot(0, true);
         assert!(sim.status(0).recovered > 0);
-        for (j, before) in (1..N).zip(before) {
-            // Replay from genesis re-derives every frame ever sent, acked
-            // ones included; from the crashed queue's head on, the two
-            // must match byte for byte, with nothing renumbered or added.
+        // Replay from genesis re-derived every frame ever sealed, acked
+        // ones included, byte for byte under its seq (`record_sealed`
+        // checked each), and the tail's frames — sealed now, for the
+        // first time — follow them.
+        for j in 1..N {
             let after = sim.queued(0, j);
-            let head = before.first().map_or(after.len(), |(seq, _)| *seq as usize);
-            assert_eq!(after[head..], before[..], "frames to p{j}");
+            assert!(sim.sealed[0][j].len() as u64 == after.last().unwrap().0 + 1);
+            assert!(after.len() > before[j - 1].last().map_or(0, |f| f.0 as usize + 1));
         }
-        // And the cluster still finishes, with zero equivocations seen.
-        sim.run(Sim::all_decided);
-        assert!(sim.all_decided());
-        assert!((0..N).all(|i| sim.counter(i, "bt_equivocations_total") == 0));
+        sim.finish(Feed::OneAtRandom);
+    }
+
+    #[test]
+    fn a_tick_lost_before_its_append_was_never_visible() {
+        let mut sim = Sim::booted(4, 0);
+        sim.run_for(40);
+        // Admitted — sequence numbers consumed, evidence kept — but the
+        // core dies before the tick that would have journalled them.
+        let log = sim.disks[0].deliveries();
+        while let Some(idx) = (sim.in_flight.iter()).position(|p| p.to == 0 && !p.back) {
+            sim.deliver(idx);
+        }
+        assert!(!sim.core(0).admitted.is_empty());
+        assert!((1..N).all(|j| sim.core(0).ack(j) <= sim.disks[0].watermark(j)));
+        sim.crash(0);
+        assert_eq!(sim.disks[0].deliveries(), log, "nothing reached the log");
+        // The reboot knows nothing of them; the peers, never acked,
+        // re-offer, and the frames land as fresh deliveries.
+        sim.boot(0, true);
+        sim.finish(Feed::OneAtRandom);
     }
 
     #[test]
@@ -1330,6 +1729,13 @@ mod tests {
         // The next journalled frame carries the watermark past the hole.
         assert_eq!(feed(&mut sim, msg(2, &good)), 3);
         assert_eq!(sim.disks[0].watermark(1), 3);
+        // Before its tick an admitted frame is not journalled, and the
+        // ack does not cover it.
+        let now = sim.now;
+        sim.core(0).on_frame(ProcessId::new(1), msg(3, &good));
+        assert_eq!(sim.core(0).ack(1), 3);
+        sim.core(0).tick(now);
+        assert_eq!(sim.core(0).ack(1), 4);
         // Without a WAL there is nothing to gate on: acks are immediate.
         let cfg = NodeConfig::new(ProcessId::new(0), N, 7, FaultPlan::reliable());
         let process = Box::new(Malicious::new(
@@ -1337,8 +1743,41 @@ mod tests {
             Value::Zero,
         ));
         let mut bare = Core::boot(&cfg, process, None, &Registry::new(), None, sim.now).unwrap();
-        let ack = bare.on_frame(ProcessId::new(1), msg(0, &[0xff; 3]), sim.now);
-        assert_eq!(ack, Some(Frame::Ack { next: 1 }));
+        bare.on_frame(ProcessId::new(1), msg(0, &[0xff; 3]));
+        assert_eq!(bare.ack(1), 1);
+    }
+
+    #[test]
+    fn one_bad_message_rejects_its_frame_whole() {
+        let mut sim = Sim::booted(13, 0);
+        let good = valid_payload(&sim);
+        let delivered = |sim: &Sim| sim.counter(0, "bt_msgs_delivered_total");
+        let base = delivered(&sim);
+        // Two messages in one frame are two deliveries under one seq.
+        let two = [&good[..], &good[..]].concat();
+        assert_eq!(feed(&mut sim, msg(0, &two)), 1);
+        assert!(delivered(&sim) >= base + 2);
+        assert!(sim.disks[0].deliveries().iter().any(|d| d.payload == two));
+        // Valid messages around one that does not decode, and around one
+        // that decodes to a process outside the system: nothing of either
+        // frame is delivered or journalled, each seq is consumed, and the
+        // link stays up for the next frame.
+        let alien = MaliciousMsg::echo(ProcessId::new(N), Value::One, 0).to_bytes();
+        let settled = delivered(&sim);
+        for (seq, bad) in [(1, &[0xff; 3][..]), (2, &alien[..])] {
+            assert_eq!(
+                feed(&mut sim, msg(seq, &[&good[..], bad, &good[..]].concat())),
+                1
+            );
+            assert_eq!(sim.core(0).next_seq_mirror[1].load(Relaxed), seq + 1);
+        }
+        assert_eq!(sim.counter(0, "bt_wire_rejected_total"), 2);
+        assert_eq!(delivered(&sim), settled);
+        assert_eq!(sim.disks[0].watermark(1), 1);
+        assert_eq!(feed(&mut sim, msg(3, &good)), 4);
+        // A rejected frame's hash is kept: a different re-send is caught.
+        feed(&mut sim, msg(1, &good));
+        assert_eq!(sim.counter(0, "bt_equivocations_total"), 1);
     }
 
     #[test]
@@ -1346,6 +1785,7 @@ mod tests {
         let mut sim = Sim::booted(6, 0);
         let good = valid_payload(&sim);
         let delivered = |sim: &Sim| sim.counter(0, "bt_msgs_delivered_total");
+        sim.hand_out(0); // on_start's self-sends, out of the way
         let base = delivered(&sim);
         // Highest first: both are gaps, neither consumes a seq.
         assert_eq!(feed(&mut sim, msg(2, &good)), 0);
@@ -1367,22 +1807,45 @@ mod tests {
     }
 
     #[test]
-    fn equivocation_evidence_survives_the_receivers_restart() {
-        let mut sim = Sim::booted(8, 0);
+    fn equivocation_evidence_is_bounded_and_survives_the_receivers_restart() {
+        const EVERY: u64 = 8;
+        let mut sim = Sim::booted(8, EVERY);
         let good = valid_payload(&sim);
-        for seq in 0..3 {
-            feed(&mut sim, msg(seq, &good));
-        }
-        sim.crash(0);
-        sim.boot(0, true);
-        // The rebuilt core has only the journal to go by — and the
-        // journal holds the original payload of seq 1.
         let mut forged = good.clone();
         *forged.last_mut().unwrap() ^= 1;
-        assert_eq!(feed(&mut sim, msg(1, &forged)), 3);
-        assert_eq!(sim.counter(0, "bt_equivocations_total"), 1);
-        assert_eq!(feed(&mut sim, msg(1, &good)), 3);
-        assert_eq!(sim.counter(0, "bt_equivocations_total"), 1);
+        let bounded = |sim: &mut Sim| {
+            let held: usize = sim.core(0).hashes.iter().map(HashMap::len).sum();
+            assert!(held as u64 <= 2 * EVERY, "{held} hashes held");
+        };
+        // Three checkpoints' worth of deliveries, one frame each.
+        for seq in 0..3 * EVERY {
+            feed(&mut sim, msg(seq, &good));
+            bounded(&mut sim);
+        }
+        let floor = (sim.disks[0].open().1.replay_plan().0)
+            .expect("a checkpoint was taken")
+            .next_seq[1];
+        assert!(floor > 0 && floor < 3 * EVERY, "and frames followed it");
+        // A changed re-send of a seq the last checkpoint covers is not
+        // evidence, one after it is — in this incarnation and, rebuilt
+        // from the journal alone, in the next.
+        for incarnation in 0..2 {
+            assert_eq!(feed(&mut sim, msg(floor - 1, &forged)), 3 * EVERY);
+            assert_eq!(sim.counter(0, "bt_equivocations_total"), incarnation);
+            assert_eq!(feed(&mut sim, msg(floor, &forged)), 3 * EVERY);
+            assert_eq!(sim.counter(0, "bt_equivocations_total"), incarnation + 1);
+            assert_eq!(feed(&mut sim, msg(floor, &good)), 3 * EVERY);
+            assert_eq!(sim.counter(0, "bt_equivocations_total"), incarnation + 1);
+            sim.crash(0);
+            sim.boot(0, true);
+        }
+        // Frames rejected at the wire are hashed too, and count towards
+        // the same cadence: a flood of garbage grows nothing either.
+        for seq in 3 * EVERY..9 * EVERY {
+            assert_eq!(feed(&mut sim, msg(seq, &[0xff; 3])), 3 * EVERY);
+            bounded(&mut sim);
+        }
+        assert_eq!(sim.counter(0, "bt_wire_rejected_total"), 6 * EVERY);
     }
 
     fn chunk(from: usize, decision: Option<Value>, app_digest: u64, app: Option<&[u8]>) -> Frame {
@@ -1464,13 +1927,9 @@ mod tests {
 
     #[test]
     fn checkpoint_reoffers_exactly_the_unacked_frames() {
-        let mut sim = Sim::booted(10, 1); // checkpoint after every delivery
-        let mut steps = 0;
-        sim.run(|_| {
-            steps += 1;
-            steps > 30
-        });
-        // Peer 1 acks a prefix; then one more delivery takes a checkpoint
+        let mut sim = Sim::booted(10, 1); // checkpoint at every tick
+        sim.run_for(30);
+        // Peer 1 acks a prefix; then one more tick takes a checkpoint
         // with the rest still unacked.
         let first = sim
             .queued(0, 1)
@@ -1478,10 +1937,9 @@ mod tests {
             .expect("frames to p1 are unacked")
             .0;
         sim.core(0).on_reply(1, Frame::Ack { next: first + 1 });
-        let idx = (sim.in_flight.iter())
-            .position(|p| p.to == 0 && !p.back && matches!(p.frame, Frame::Msg { .. }))
-            .expect("a message for core 0 is on the wire");
+        let idx = sim.msg_for(0);
         sim.deliver(idx);
+        sim.hand_out(0);
         let before: Vec<_> = (1..N).map(|j| sim.queued(0, j)).collect();
         assert!(
             before[0].iter().all(|(seq, _)| *seq > first),
@@ -1497,5 +1955,95 @@ mod tests {
         );
         let after: Vec<_> = (1..N).map(|j| sim.queued(0, j)).collect();
         assert_eq!(after, before, "exactly the unacked frames, byte for byte");
+    }
+
+    /// Sends every peer a burst of large messages at start and on every
+    /// delivery: more than one frame's worth per tick.
+    #[derive(Debug)]
+    struct Blaster;
+
+    impl Process for Blaster {
+        type Msg = Vec<u8>;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Vec<u8>>) {
+            for size in [30, 30, 30, 5, 70, 1] {
+                ctx.send(ProcessId::new(1), vec![size; usize::from(size) * 1024]);
+            }
+        }
+        fn on_receive(&mut self, _: Envelope<Vec<u8>>, ctx: &mut Ctx<'_, Vec<u8>>) {
+            self.on_start(ctx);
+        }
+        fn decision(&self) -> Option<Value> {
+            None
+        }
+        fn phase(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn a_stage_over_the_byte_budget_splits_the_same_live_and_in_replay() {
+        let disk = MemDisk::default();
+        let cfg = NodeConfig::new(ProcessId::new(0), 2, 7, FaultPlan::reliable());
+        let boot = || {
+            let wal = Some(disk.open());
+            NodeCore::boot(
+                &cfg,
+                Box::new(Blaster),
+                wal,
+                &Registry::new(),
+                None,
+                Instant::now(),
+            )
+        };
+        let frames = |core: &NodeCore<Vec<u8>>| -> Vec<(u64, Vec<u8>)> {
+            let frames = core.queue(1).unwrap().frames();
+            frames.map(|f| (f.seq, f.chunk.to_vec())).collect()
+        };
+        let mut core = boot().unwrap();
+        // 30+30 fit the 64 KiB budget, the third 30 does not; 30+5 fit,
+        // 70 fits no frame but its own; 1 starts the next.
+        let sizes = |core: &NodeCore<Vec<u8>>| -> Vec<usize> {
+            let frames = core.queue(1).unwrap().frames();
+            frames.map(|f| f.payload().len() / 1024).collect()
+        };
+        assert_eq!(sizes(&core), [60, 35, 70, 1]);
+        core.on_frame(ProcessId::new(1), msg(0, &vec![9u8].to_bytes()));
+        core.tick(Instant::now());
+        assert_eq!(sizes(&core), [60, 35, 70, 1, 60, 35, 70, 1]);
+        let live = frames(&core);
+        drop(core);
+        assert_eq!(frames(&boot().unwrap()), live);
+    }
+
+    #[test]
+    fn a_log_in_the_format_before_seals_is_refused() {
+        // By hand, as the previous format wrote it: a boot header with no
+        // version, one delivery record per message, no seal.
+        let sim = Sim::booted(14, 0);
+        let mut header = vec![0u8];
+        ProcessId::new(0).encode(&mut header);
+        N.encode(&mut header);
+        7u64.encode(&mut header);
+        let delivery = WalRecord::Delivery(DeliveryRecord {
+            from: ProcessId::new(1),
+            seq: Some(0),
+            payload: valid_payload(&sim),
+        });
+        let mut log = Vec::new();
+        for body in [header, delivery.to_bytes()] {
+            log.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            log.extend_from_slice(&crate::wal::crc32(&body).to_le_bytes());
+            log.extend_from_slice(&body);
+        }
+        let disk = MemDisk::default();
+        disk.platter.lock().unwrap().log = log;
+        let (wal, recovered) = disk.open();
+        assert_eq!(recovered.records.len(), 2, "the log itself is intact");
+        let cfg = NodeConfig::new(ProcessId::new(0), N, 7, FaultPlan::reliable());
+        let config = Config::malicious(N, K).unwrap();
+        let process = Box::new(Malicious::new(config, Value::Zero));
+        let wal = Some((wal, recovered));
+        let refused = Core::boot(&cfg, process, wal, &Registry::new(), None, sim.now);
+        assert_eq!(refused.err().unwrap().kind(), io::ErrorKind::InvalidData);
     }
 }

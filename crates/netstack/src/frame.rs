@@ -10,9 +10,14 @@
 //! it with transport authentication (mTLS), which changes nothing above
 //! this module.
 //!
-//! [`Frame::Msg`] carries a per-link sequence number assigned when the
-//! sender *queues* the message; the receiver answers each one with a
-//! cumulative [`Frame::Ack`] on the same connection. A sender retires a
+//! [`Frame::Msg`] carries a per-link sequence number, assigned when the
+//! sender *seals* the frame, and a payload of one or more protocol
+//! messages back to back: everything one event-loop tick produced for
+//! that peer ([`Wire`] encodings are self-delimiting, so the receiver
+//! decodes until the payload is exhausted — and rejects the frame whole if
+//! any message in it is malformed). The receiver answers with a
+//! cumulative [`Frame::Ack`] on the same connection, one per tick in which
+//! the connection carried messages, however many. A sender retires a
 //! frame only once it is acked — a successful `write` merely parks bytes
 //! in the kernel buffer, where a dying connection can still lose them —
 //! and retransmits its whole unacked backlog, in order, after every
@@ -37,18 +42,18 @@ pub enum Frame {
         /// The sender's process id.
         from: ProcessId,
     },
-    /// One protocol message, opaque to the framing layer.
+    /// One or more protocol messages, opaque to the framing layer.
     Msg {
-        /// Per-link sequence number, assigned at queueing time; the
+        /// Per-link sequence number, assigned at sealing time; the
         /// receiver delivers each sequence number at most once.
         seq: u64,
-        /// The [`Wire`] encoding of the protocol message.
+        /// The [`Wire`] encodings of the protocol messages, back to back.
         payload: Vec<u8>,
     },
     /// Cumulative receiver acknowledgment, sent back on the same
-    /// connection the messages arrived on: every sequence number below
-    /// `next` has been delivered, so the sender may retire those frames
-    /// from its retransmission backlog.
+    /// connection the messages arrived on, once per tick: every sequence
+    /// number below `next` has been delivered, so the sender may retire
+    /// those frames from its retransmission backlog.
     Ack {
         /// The receiver's next expected sequence number.
         next: u64,

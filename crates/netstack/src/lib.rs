@@ -21,10 +21,11 @@
 //! **driver**:
 //!
 //! * `core` (private) — the sans-IO node state machine: seq-dedup,
-//!   durability-gated acks, log-before-send journaling and replay,
+//!   durability-gated acks, log-before-send journaling and replay — one
+//!   journal write per round and one sealed frame per peer per tick —
 //!   equivocation evidence, amnesia and `k + 1` adoption, the per-peer
-//!   send queues. No sockets, no clock; tested one frame at a time. A new
-//!   obligation a node must keep goes here;
+//!   send queues. No sockets, no clock; tested one frame and one tick at
+//!   a time. A new obligation a node must keep goes here;
 //! * [`conn`] (private) — the links: per-connection socket machinery
 //!   (dial/backoff, framing, coalesced vectored writes) that carries the
 //!   core's queues and replies. A new transport concern goes here;
@@ -80,4 +81,6 @@ pub use fault::{CrashRestart, FaultInjector, FaultPlan, LinkAction};
 pub use frame::{drain_frames, encode_chunk, read_frame, write_frame, Frame, MAX_FRAME_LEN};
 pub use node::{fnv1a64, spawn, NetCounters, NodeConfig, NodeHandle, NodeStatus};
 pub use storage::{DiskFault, FaultyStorage, RealStorage, Storage};
-pub use wal::{BootRecord, DeliveryRecord, Recovered, SnapshotRecord, Wal, WalDamage, WalRecord};
+pub use wal::{
+    BootRecord, DeliveryRecord, Recovered, SnapshotRecord, Wal, WalDamage, WalRecord, WAL_VERSION,
+};

@@ -19,10 +19,10 @@
 //!
 //! * The **core** (`crate::core`) is every decision: what to deliver,
 //!   journal, send, acknowledge, adopt. No sockets, no clock — it is fed
-//!   frames and `now`, and answers with reply frames and per-peer send
-//!   queues. A new *obligation* (something that must hold across a crash,
-//!   or about what a peer may be told) goes there, where a test can
-//!   check it one frame at a time.
+//!   frames and `now`, and answers with per-peer send queues and the ack
+//!   each peer is owed. A new *obligation* (something that must hold
+//!   across a crash, or about what a peer may be told) goes there, where
+//!   a test can check it one frame and one tick at a time.
 //! * The **links** (`crate::conn`) are the per-connection socket
 //!   machinery: dialing, backoff, framing, coalesced vectored writes. A
 //!   new *transport* concern (TLS, a different framing) goes there.
@@ -30,23 +30,24 @@
 //!   connection tables and nothing else. It resolves each inbound
 //!   connection's `Hello` (tearing down anything that skips it or names a
 //!   process outside the system), forwards decoded frames to the core,
-//!   queues the core's replies, and pumps the core's queues through the
-//!   links. It is also the node's only clock reader: one `Instant::now()`
-//!   per wakeup, handed to everything that tick touches.
+//!   ticks it, sends its acks and replies, and pumps the core's queues
+//!   through the links. It is also the node's only clock reader: one
+//!   `Instant::now()` per wakeup, handed to everything that tick touches.
 //!
 //! The event thread is the only thread, and the process needs no locking:
 //! it keeps the simulator's atomic-step semantics — one delivery, one
-//! computation, a finite set of sends queued before the next delivery is
+//! computation, a finite set of sends staged before the next delivery is
 //! consumed.
 //!
 //! Per tick the driver waits on the poller (capped at [`POLL`] so shutdown
 //! stays responsive, shortened to the next deadline — a redial, a
 //! fault-injected delay release, or the core's probe timer), handles each
 //! readiness event by draining the socket until `WouldBlock` (the
-//! edge-triggered contract), ticks the core, and then pumps every link
-//! once: eligible queue frames are coalesced into a single vectored
-//! write per peer. Replies to a batch of inbound frames are likewise
-//! flushed once per event, not once per frame.
+//! edge-triggered contract) and handing the frames to the core, which
+//! only admits them; then it ticks the core — one journal write per
+//! round, every step, one sealed frame per peer — queues **one ack per
+//! connection** that carried frames (the watermark after the tick's
+//! appends), and pumps every link once: a vectored write per peer.
 //!
 //! Crash recovery ([`NodeConfig::wal`]) is entirely the core's: it
 //! replays the log inside [`spawn`], before the event thread exists. See
@@ -133,9 +134,10 @@ pub struct NodeConfig {
     /// delivery under the log-before-send invariant and recovers from
     /// the log on spawn if it already has history.
     pub wal: Option<PathBuf>,
-    /// Checkpoint cadence: compact the WAL to a snapshot after this many
-    /// processed deliveries (0 = never snapshot; replay runs from
-    /// genesis). Ignored when `wal` is `None`.
+    /// Checkpoint cadence: compact the WAL to a snapshot at the first
+    /// tick boundary after this many deliveries (0 = never snapshot;
+    /// replay runs from genesis), pruning the equivocation evidence to
+    /// match. A node without a WAL only prunes, on the same cadence.
     pub snapshot_every: u64,
     /// The metrics registry this node records into. `None` gives the node
     /// a fresh enabled registry of its own. A supervisor that restarts
@@ -164,8 +166,8 @@ impl NodeConfig {
     }
 }
 
-/// A live snapshot of a node's protocol state, updated by the event loop
-/// after every atomic step.
+/// A live snapshot of a node's protocol state, published by the event
+/// loop once per tick.
 #[derive(Clone, Debug, Default)]
 pub struct NodeStatus {
     /// The decision `d_p`, once set (irrevocable).
@@ -303,13 +305,15 @@ impl NetCounters {
 /// Latency and durability telemetry for one node, labelled `{node}`.
 #[derive(Clone, Debug)]
 pub(crate) struct NodeMetrics {
-    /// Protocol-message encode time (microseconds), on the send path.
+    /// Time to seal one outgoing frame — encode its staged messages into
+    /// the wire chunk (microseconds), on the send path.
     pub msg_encode_us: Histogram,
-    /// Protocol-message decode time (microseconds), on the receive path.
+    /// Time to decode and validate one inbound frame's messages
+    /// (microseconds), on the receive path.
     pub msg_decode_us: Histogram,
     /// WAL append latency (microseconds): the log-before-send write that
-    /// makes a delivery durable. Appends are single `write(2)` calls —
-    /// the fsync cost lives in compaction, measured separately.
+    /// makes a group of deliveries durable — one `write(2)` per round of
+    /// a tick. The fsync cost lives in compaction, measured separately.
     pub wal_append_us: Histogram,
     /// WAL compactions performed (tmp + fsync + rename checkpoints).
     pub wal_compactions: Counter,
@@ -330,17 +334,17 @@ impl NodeMetrics {
         NodeMetrics {
             msg_encode_us: registry.histogram(
                 "bt_msg_encode_us",
-                "protocol message encode time on the send path (microseconds)",
+                "time to seal one outgoing frame on the send path (microseconds)",
                 labels,
             ),
             msg_decode_us: registry.histogram(
                 "bt_msg_decode_us",
-                "protocol message decode time on the receive path (microseconds)",
+                "time to decode one inbound frame's messages (microseconds)",
                 labels,
             ),
             wal_append_us: registry.histogram(
                 "bt_wal_append_us",
-                "WAL append latency for the log-before-send write (microseconds)",
+                "WAL append latency for one group's log-before-send write (microseconds)",
                 labels,
             ),
             wal_compactions: registry.counter(
@@ -615,6 +619,7 @@ where
         listener,
         inconns: HashMap::new(),
         next_in_token: 0,
+        replying: Vec::new(),
         io: io_stats,
         shutdown: Arc::clone(&shutdown),
     };
@@ -660,6 +665,9 @@ struct EventLoop<M: Wire> {
     /// Accepted connections by token.
     inconns: HashMap<u64, InConn>,
     next_in_token: u64,
+    /// Inbound connections with replies to send once the core has
+    /// ticked: the tick's ack, a probe's answer.
+    replying: Vec<u64>,
     io: LoopStats,
     shutdown: Arc<AtomicBool>,
 }
@@ -689,12 +697,15 @@ impl<M: Wire> EventLoop<M> {
             for ev in events.drain(..) {
                 self.dispatch_event(ev, now, &mut frames);
             }
-            // One pass after the batch: tick the core (an amnesiac
-            // refreshes its probes so they ride the same flush), dial
-            // due links, release delayed frames, and flush everything
-            // the deliveries above queued — the per-peer coalescing
-            // point.
+            // One pass after the batch — the coalescing point. Tick the
+            // core: everything the events above admitted is journalled,
+            // stepped and sealed into one frame per peer (an amnesiac
+            // refreshes its probes so they ride the same flush). Only
+            // then acknowledge, once per connection, what is now
+            // durable; then dial due links, release delayed frames, and
+            // write what the tick sealed.
             core_deadline = self.core.tick(now);
+            self.flush_replies();
             self.pump_links(now);
         }
     }
@@ -715,10 +726,10 @@ impl<M: Wire> EventLoop<M> {
     fn dispatch_event(&mut self, ev: PollEvent, now: Instant, frames: &mut Vec<Frame>) {
         if ev.token == TOKEN_LISTENER {
             if ev.readable {
-                self.accept_ready(now, frames);
+                self.accept_ready(frames);
             }
         } else if ev.token >= IN_BASE {
-            self.inbound_event(ev, now, frames);
+            self.inbound_event(ev, frames);
         } else {
             let peer = usize::try_from(ev.token - OUT_BASE).expect("peer token fits usize");
             self.outbound_event(peer, ev, now, frames);
@@ -729,7 +740,7 @@ impl<M: Wire> EventLoop<M> {
     /// each new connection immediately — its first bytes may have landed
     /// before it was registered, which with epoll's edge semantics would
     /// otherwise never produce an event.
-    fn accept_ready(&mut self, now: Instant, frames: &mut Vec<Frame>) {
+    fn accept_ready(&mut self, frames: &mut Vec<Frame>) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
@@ -743,16 +754,16 @@ impl<M: Wire> EventLoop<M> {
                         continue;
                     }
                     self.inconns.insert(token, InConn::new(stream));
-                    self.inbound_readable(token, now, frames);
+                    self.inbound_readable(token, frames);
                 }
                 Err(_) => return, // WouldBlock, or transient accept noise
             }
         }
     }
 
-    fn inbound_event(&mut self, ev: PollEvent, now: Instant, frames: &mut Vec<Frame>) {
+    fn inbound_event(&mut self, ev: PollEvent, frames: &mut Vec<Frame>) {
         if ev.readable {
-            self.inbound_readable(ev.token, now, frames);
+            self.inbound_readable(ev.token, frames);
         }
         if ev.writable {
             // Blocked reply writes resume here.
@@ -772,11 +783,12 @@ impl<M: Wire> EventLoop<M> {
     }
 
     /// Drains one inbound connection and hands every complete frame it
-    /// produced to the core, in order, queueing the core's replies.
+    /// produced to the core, in order; the replies — one ack for all its
+    /// protocol frames, a probe's answer — go out after the core's tick.
     /// The handshake is settled here: the first frame must be a `Hello`
     /// from a process of this system, and anything else ends the
     /// connection — the core only ever sees frames with a resolved sender.
-    fn inbound_readable(&mut self, token: u64, now: Instant, frames: &mut Vec<Frame>) {
+    fn inbound_readable(&mut self, token: u64, frames: &mut Vec<Frame>) {
         let Some(conn) = self.inconns.get_mut(&token) else {
             return;
         };
@@ -799,7 +811,10 @@ impl<M: Wire> EventLoop<M> {
                     continue; // a repeated Hello is meaningless but harmless
                 }
                 Frame::Msg { .. } => match conn.peer {
-                    Some(from) => from,
+                    Some(from) => {
+                        conn.ack_due = true;
+                        from
+                    }
                     None => {
                         hostile = true; // the first frame must be Hello
                         break;
@@ -810,23 +825,48 @@ impl<M: Wire> EventLoop<M> {
                         hostile = true; // not a peer of this system
                         break;
                     }
+                    if conn.owes_state() {
+                        continue; // still owed the last answer; it re-probes
+                    }
                     from
                 }
                 // Replies; they belong on *our* outbound connections.
                 Frame::Ack { .. } | Frame::StateChunk { .. } => continue,
             };
-            if let Some(reply) = self.core.on_frame(from, frame, now) {
-                conn.queue_frame(&reply);
+            if let Some(reply) = self.core.on_frame(from, frame) {
+                conn.queue_reply(&reply);
             }
         }
-        // One coalesced flush for the whole batch of replies.
-        let flushed = conn.flush(&self.io).is_ok();
-        let blocked = conn.write_blocked;
-        if dead || hostile || !flushed {
+        if dead || hostile {
             self.teardown_inbound(token);
         } else {
-            self.poller.set_write_interest(token, blocked);
+            self.replying.push(token);
         }
+    }
+
+    /// After the core's tick: every connection that carried protocol
+    /// frames gets its one cumulative ack — the watermark *after* the
+    /// tick's appends, so it covers them — and the replies queued on this
+    /// wakeup's connections are written, one coalesced flush each.
+    fn flush_replies(&mut self) {
+        for i in 0..self.replying.len() {
+            let token = self.replying[i];
+            let Some(conn) = self.inconns.get_mut(&token) else {
+                continue; // torn down since
+            };
+            if let (true, Some(peer)) = (std::mem::take(&mut conn.ack_due), conn.peer) {
+                let next = self.core.ack(peer.index());
+                conn.queue_reply(&Frame::Ack { next });
+            }
+            let flushed = conn.flush(&self.io).is_ok();
+            let blocked = conn.write_blocked;
+            if flushed {
+                self.poller.set_write_interest(token, blocked);
+            } else {
+                self.teardown_inbound(token);
+            }
+        }
+        self.replying.clear();
     }
 
     fn teardown_inbound(&mut self, token: u64) {

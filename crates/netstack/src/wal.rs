@@ -5,17 +5,29 @@
 //! machine (coin flips included — the RNG is seeded and its state is
 //! checkpointed). The WAL therefore records exactly that sequence: one
 //! [`WalRecord::Boot`] header, then one [`WalRecord::Delivery`] per
-//! delivered message, with an optional [`WalRecord::Snapshot`] checkpoint
-//! so replay need not start from genesis.
+//! accepted frame (its payload is the frame's: one or more messages back
+//! to back) and per round of self-sends, with an optional
+//! [`WalRecord::Snapshot`] checkpoint so replay need not start from
+//! genesis.
 //!
-//! The recovery invariant is **log-before-send**: the node core appends
-//! (and flushes) the delivery record *before* queueing any message that
-//! delivery produced. A node restarted from its log re-derives the exact
-//! state it had durably reached, and re-produces byte-identical frames
-//! under the same sequence numbers — pure retransmission, which the
-//! receiver's seq-dedup layer absorbs. A crashed-and-recovered node can
-//! therefore never equivocate: it is benign, not Byzantine, exactly the
-//! paper's fail-stop model extended with rejoin.
+//! The recovery invariant is **log-before-send**, held per *group*: the
+//! node core frames every delivery of one event-loop tick into one buffer
+//! and appends it ([`Wal::append_group`]) *before* it steps any of them,
+//! and the frames those steps cause exist only once the tick is sealed. A
+//! node restarted from its log re-derives the exact state it had durably
+//! reached, and re-produces byte-identical frames under the same sequence
+//! numbers — pure retransmission, which the receiver's seq-dedup layer
+//! absorbs. A crashed-and-recovered node can therefore never equivocate:
+//! it is benign, not Byzantine, exactly the paper's fail-stop model
+//! extended with rejoin.
+//!
+//! Which messages share an outgoing frame depends on where a tick ended,
+//! so tick boundaries are a fact of the log: a body-less
+//! [`WalRecord::Seal`] marks each one, written at the head of the *next*
+//! tick's first group (so it costs no write of its own). The end of the
+//! log seals implicitly — safe, because a tick whose seal marker is
+//! missing either never sealed (it released no frame) or sealed exactly
+//! there.
 //!
 //! # On-disk format
 //!
@@ -26,12 +38,19 @@
 //! ```
 //!
 //! where the checksum (CRC-32/ISO-HDLC, the zlib polynomial) covers the
-//! body, and the body is the [`Wire`] encoding of a [`WalRecord`]. Records
-//! are appended with a single `write(2)` each, so a SIGKILL can leave at
-//! most one torn record at the tail. Durability is against *process*
-//! death (the kernel holds the page cache once `write` returns);
-//! deployments that must survive power loss would add an `fdatasync` per
-//! append at the same call site.
+//! body, and the body is the [`Wire`] encoding of a [`WalRecord`]. A group
+//! of records is appended with a single `write(2)`, so a SIGKILL leaves a
+//! *prefix* of the group ending in at most one torn record — none of
+//! which was stepped or acknowledged, since the append had not returned.
+//! Durability is against *process* death (the kernel holds the page cache
+//! once `write` returns); deployments that must survive power loss would
+//! add an `fdatasync` per group at the same call site.
+//!
+//! The boot header carries a format version ([`WAL_VERSION`]). A log
+//! written before frames were grouped per tick has none (it reads as
+//! version 0) and no seals, while its per-message frames are already on
+//! the wire: replaying it under this grouping would renumber them, so the
+//! node core refuses it with `InvalidData`.
 //!
 //! # Damage classification
 //!
@@ -106,8 +125,13 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-/// The log header: enough to refuse replaying a log onto the wrong node
-/// or the wrong cluster configuration.
+/// The log format this build writes and replays: version 1 groups a
+/// tick's messages into one frame per peer and marks tick boundaries with
+/// [`WalRecord::Seal`]. Version 0 is the unversioned format before it.
+pub const WAL_VERSION: u64 = 1;
+
+/// The log header: enough to refuse replaying a log onto the wrong node,
+/// the wrong cluster configuration, or under the wrong frame grouping.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BootRecord {
     /// The process this log belongs to.
@@ -116,6 +140,8 @@ pub struct BootRecord {
     pub n: usize,
     /// The node's RNG seed.
     pub seed: u64,
+    /// The log's format version (see [`WAL_VERSION`]).
+    pub version: u64,
 }
 
 impl Wire for BootRecord {
@@ -123,6 +149,7 @@ impl Wire for BootRecord {
         self.node.encode(out);
         self.n.encode(out);
         self.seed.encode(out);
+        self.version.encode(out);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -130,21 +157,28 @@ impl Wire for BootRecord {
             node: Wire::decode(r)?,
             n: Wire::decode(r)?,
             seed: Wire::decode(r)?,
+            // A header ends its record; one that stops at the seed was
+            // written before the format carried a version.
+            version: match r.remaining() {
+                0 => 0,
+                _ => Wire::decode(r)?,
+            },
         })
     }
 }
 
-/// One message delivered to the state machine, in delivery order.
+/// One accepted frame's — or one self-send round's — messages, delivered
+/// to the state machine in payload order; records are in delivery order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeliveryRecord {
-    /// Who the message came from (possibly this node itself).
+    /// Who the messages came from (possibly this node itself).
     pub from: ProcessId,
     /// The wire sequence number for remote deliveries — replay restores
     /// the receiver's per-peer high-water mark from it — or `None` for
     /// self-deliveries, which never touch a socket.
     pub seq: Option<u64>,
-    /// The message payload, exactly as decoded from the wire (or as
-    /// produced locally for self-sends).
+    /// One or more encoded messages back to back: the frame's payload
+    /// exactly as it arrived (or as produced locally for self-sends).
     pub payload: Vec<u8>,
 }
 
@@ -152,7 +186,9 @@ impl Wire for DeliveryRecord {
     fn encode(&self, out: &mut Vec<u8>) {
         self.from.encode(out);
         self.seq.encode(out);
-        self.payload.encode(out);
+        // `Vec<u8>`'s own encoding, without its per-byte loop.
+        self.payload.len().encode(out);
+        out.extend_from_slice(&self.payload);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -250,6 +286,9 @@ pub enum WalRecord {
     Delivery(DeliveryRecord),
     /// A checkpoint superseding everything before it.
     Snapshot(SnapshotRecord),
+    /// A tick boundary: everything the deliveries since the previous
+    /// boundary staged was sealed into frames here (see the module docs).
+    Seal,
 }
 
 impl Wire for WalRecord {
@@ -267,6 +306,7 @@ impl Wire for WalRecord {
                 out.push(2);
                 s.encode(out);
             }
+            WalRecord::Seal => out.push(3),
         }
     }
 
@@ -276,6 +316,7 @@ impl Wire for WalRecord {
             0 => Ok(WalRecord::Boot(Wire::decode(r)?)),
             1 => Ok(WalRecord::Delivery(Wire::decode(r)?)),
             2 => Ok(WalRecord::Snapshot(Wire::decode(r)?)),
+            3 => Ok(WalRecord::Seal),
             _ => Err(WireError::Invalid {
                 what: "wal record tag",
                 offset,
@@ -339,10 +380,11 @@ impl Recovered {
         })
     }
 
-    /// The latest snapshot, if any, and the deliveries logged after it
-    /// (or after boot when no snapshot exists), in order.
+    /// The latest snapshot, if any, and the records logged after it (the
+    /// whole log when no snapshot exists), in order: the deliveries to
+    /// replay and the seals between them.
     #[must_use]
-    pub fn replay_plan(&self) -> (Option<&SnapshotRecord>, Vec<&DeliveryRecord>) {
+    pub fn replay_plan(&self) -> (Option<&SnapshotRecord>, &[WalRecord]) {
         let last_snap = self
             .records
             .iter()
@@ -351,15 +393,7 @@ impl Recovered {
             WalRecord::Snapshot(s) => s,
             _ => unreachable!(),
         });
-        let start = last_snap.map_or(0, |i| i + 1);
-        let deliveries = self.records[start..]
-            .iter()
-            .filter_map(|r| match r {
-                WalRecord::Delivery(d) => Some(d),
-                _ => None,
-            })
-            .collect();
-        (snapshot, deliveries)
+        (snapshot, &self.records[last_snap.map_or(0, |i| i + 1)..])
     }
 }
 
@@ -372,14 +406,16 @@ pub struct Wal {
     path: PathBuf,
 }
 
-/// Assembles the on-disk bytes of one record.
-fn frame_record(record: &WalRecord) -> Vec<u8> {
-    let body = record.to_bytes();
-    let mut out = Vec::with_capacity(8 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+/// Appends the on-disk bytes of one record to `out` — how a group is
+/// built up for [`Wal::append_group`].
+pub(crate) fn frame_into(out: &mut Vec<u8>, record: &WalRecord) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    record.encode(out);
+    let body = &out[start + 8..];
+    let (len, crc) = (body.len() as u32, crc32(body));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Scans `bytes`, returning the intact records and the offset of the
@@ -469,15 +505,28 @@ impl Wal {
         ))
     }
 
-    /// Appends one record. A single `write(2)` makes the append atomic
-    /// against process death; the call returns only once the kernel owns
-    /// the bytes, which is the durability point of log-before-send.
+    /// Appends one record: a group of one.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn append(&mut self, record: &WalRecord) -> io::Result<()> {
-        self.storage.append(&frame_record(record))
+        let mut framed = Vec::new();
+        frame_into(&mut framed, record);
+        self.append_group(&framed)
+    }
+
+    /// Appends a group of records framed back to back (by `frame_into`)
+    /// with a single `write(2)`: a crash leaves a prefix of the group, so
+    /// nothing in it may be acted on before this returns — which it does
+    /// only once the kernel owns the bytes, the durability point of
+    /// log-before-send.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors.
+    pub(crate) fn append_group(&mut self, framed: &[u8]) -> io::Result<()> {
+        self.storage.append(framed)
     }
 
     /// Rewrites the log as `boot` + `snapshot` atomically: stage to a
@@ -492,8 +541,8 @@ impl Wal {
     /// Propagates I/O errors.
     pub fn compact(&mut self, boot: &BootRecord, snapshot: &SnapshotRecord) -> io::Result<()> {
         let mut out = Vec::new();
-        out.extend_from_slice(&frame_record(&WalRecord::Boot(boot.clone())));
-        out.extend_from_slice(&frame_record(&WalRecord::Snapshot(snapshot.clone())));
+        frame_into(&mut out, &WalRecord::Boot(boot.clone()));
+        frame_into(&mut out, &WalRecord::Snapshot(snapshot.clone()));
         self.storage.stage_replacement(&out)?;
         self.storage.commit_replacement()?;
         self.storage.sync_dir()
@@ -515,7 +564,14 @@ mod tests {
             node: ProcessId::new(2),
             n: 5,
             seed: 77,
+            version: WAL_VERSION,
         })
+    }
+
+    fn frame_record(record: &WalRecord) -> Vec<u8> {
+        let mut out = Vec::new();
+        frame_into(&mut out, record);
+        out
     }
 
     fn delivery(from: usize, seq: Option<u64>, payload: &[u8]) -> WalRecord {
@@ -556,10 +612,63 @@ mod tests {
             delivery(1, Some(9), b"abc"),
             delivery(0, None, b""),
             snapshot(),
+            WalRecord::Seal,
         ] {
             let bytes = r.to_bytes();
             assert_eq!(WalRecord::from_bytes(&bytes), Ok(r));
         }
+        // A delivery's payload is encoded exactly as `Vec<u8>` encodes.
+        let mut generic = vec![1u8];
+        ProcessId::new(1).encode(&mut generic);
+        Some(9u64).encode(&mut generic);
+        b"abc".to_vec().encode(&mut generic);
+        assert_eq!(delivery(1, Some(9), b"abc").to_bytes(), generic);
+    }
+
+    #[test]
+    fn unversioned_boot_header_reads_as_version_zero() {
+        // The header as written before the format had a version: tag,
+        // node, n, seed — and nothing after.
+        let mut old = vec![0u8];
+        ProcessId::new(2).encode(&mut old);
+        5usize.encode(&mut old);
+        77u64.encode(&mut old);
+        let WalRecord::Boot(header) = WalRecord::from_bytes(&old).unwrap() else {
+            panic!("tag 0 is the boot header");
+        };
+        assert_eq!(header.version, 0);
+        assert_ne!(WalRecord::Boot(header), boot(), "and is not this format's");
+    }
+
+    #[test]
+    fn a_torn_group_keeps_its_intact_prefix() {
+        let dir = std::env::temp_dir().join(format!("wal-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("group.wal");
+        let _ = std::fs::remove_file(&path);
+
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        wal.append(&boot()).unwrap();
+        let group = [
+            WalRecord::Seal,
+            delivery(1, Some(0), b"first"),
+            delivery(3, Some(0), b"second"),
+        ];
+        let mut framed = Vec::new();
+        group.iter().for_each(|r| frame_into(&mut framed, r));
+        wal.append_group(&framed).unwrap();
+        drop(wal);
+        let (_, recovered) = Wal::open(&path).unwrap();
+        assert_eq!(recovered.records[1..], group);
+
+        // A kill mid-write leaves a prefix of the group: whole records,
+        // then at most one torn one — a torn tail, not mid-log damage.
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+        let (_, recovered) = Wal::open(&path).unwrap();
+        assert_eq!(recovered.records[1..], group[..2]);
+        assert!(matches!(recovered.damage, WalDamage::TornTail { .. }));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -762,18 +871,17 @@ mod tests {
             delivery(0, Some(0), b"superseded"),
             snapshot(),
             delivery(1, Some(4), b"replay me"),
+            WalRecord::Seal,
             delivery(0, None, b"self"),
         ];
         let recovered = Recovered {
-            records,
+            records: records.clone(),
             tail_lost: 0,
             damage: WalDamage::None,
         };
-        let (snap, deliveries) = recovered.replay_plan();
+        let (snap, tail) = recovered.replay_plan();
         assert_eq!(snap.unwrap().step, 42);
-        assert_eq!(deliveries.len(), 2);
-        assert_eq!(deliveries[0].payload, b"replay me");
-        assert_eq!(deliveries[1].seq, None);
+        assert_eq!(tail, &records[3..], "deliveries and the seal between them");
 
         // Without a snapshot, everything replays from genesis.
         let recovered = Recovered {
@@ -781,9 +889,9 @@ mod tests {
             tail_lost: 0,
             damage: WalDamage::None,
         };
-        let (snap, deliveries) = recovered.replay_plan();
+        let (snap, tail) = recovered.replay_plan();
         assert!(snap.is_none());
-        assert_eq!(deliveries.len(), 1);
+        assert_eq!(tail.len(), 2, "the whole log, header included");
     }
 
     #[test]
@@ -814,9 +922,9 @@ mod tests {
         drop(wal);
         let (_, recovered) = Wal::open(&path).unwrap();
         assert_eq!(recovered.records.len(), 3);
-        let (snap, deliveries) = recovered.replay_plan();
+        let (snap, tail) = recovered.replay_plan();
         assert_eq!(snap.unwrap(), &s);
-        assert_eq!(deliveries.len(), 1);
+        assert_eq!(tail.len(), 1);
         std::fs::remove_file(&path).unwrap();
     }
 

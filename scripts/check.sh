@@ -100,6 +100,17 @@ echo "==> btbench (own workspace): unit tests + --quick smoke of every workload"
 # <wal_dir>/rsm0.wal by name: an API or file-name break must show here,
 # not in the benchmark pipeline.
 cargo test --release --manifest-path btbench/Cargo.toml
-cargo run --release --quiet --manifest-path btbench/Cargo.toml -- run --quick
+cargo run --release --quiet --manifest-path btbench/Cargo.toml -- run --quick \
+    > "$FUZZTMP/btbench-quick.txt" || { cat "$FUZZTMP/btbench-quick.txt"; exit 1; }
+cat "$FUZZTMP/btbench-quick.txt"
+
+echo "==> per-tick coalescing gate: loopback-put sends <= 400 frames per op"
+# One frame per peer per tick reads ~60 here; one frame per message read
+# ~1950. A count, not a time, so it is steady: a silent return to
+# per-message frames must fail this gate, not the benchmark pipeline.
+awk '/^== /{block=$2}
+     block=="loopback-put" && $1=="netstack.frames_per_op"{seen=1; if ($2+0 > 400) over=1}
+     END{exit !(seen && !over)}' "$FUZZTMP/btbench-quick.txt" \
+    || { echo "netstack.frames_per_op on loopback-put is missing or above 400"; exit 1; }
 
 echo "==> all checks passed"
