@@ -161,7 +161,7 @@ struct Distribution {
 }
 
 impl Distribution {
-    fn collect<M: 'static>(
+    fn collect<M: Clone + PartialEq + 'static>(
         n: usize,
         k: usize,
         trials: usize,

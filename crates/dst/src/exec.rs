@@ -66,7 +66,7 @@ pub(crate) fn build_scheduler<M: 'static>(n: usize, sched: &SchedSpec) -> Box<dy
     }
 }
 
-fn run_generic<M: 'static>(
+fn run_generic<M: Clone + PartialEq + 'static>(
     scenario: &Scenario,
     processes: Vec<Box<dyn Process<Msg = M>>>,
     schedule: Option<Vec<Selection>>,

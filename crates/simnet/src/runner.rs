@@ -9,7 +9,6 @@
 //! any individual failure can be replayed from its reported seed.
 
 use core::fmt;
-use std::sync::Mutex;
 
 use crate::{RunReport, RunStatus, Sim, SimRng, Value};
 
@@ -163,7 +162,7 @@ impl fmt::Display for Summary {
 /// ```
 pub fn run_trials<M, F>(trials: usize, base_seed: u64, factory: F) -> TrialStats
 where
-    M: 'static,
+    M: Clone + PartialEq + 'static,
     F: Fn(u64) -> Sim<M> + Sync,
 {
     let mut seed_gen = SimRng::seed(base_seed);
@@ -171,31 +170,30 @@ where
         .map(|i| seed_gen.fork(i as u64).initial_seed())
         .collect();
 
-    let reports: Mutex<Vec<(u64, RunReport)>> = Mutex::new(Vec::with_capacity(trials));
     let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
     let chunk = trials.div_ceil(workers).max(1);
 
-    std::thread::scope(|scope| {
-        for ids in seeds.chunks(chunk) {
-            let reports = &reports;
-            let factory = &factory;
-            scope.spawn(move || {
-                let mut local = Vec::with_capacity(ids.len());
-                for &seed in ids {
-                    let report = factory(seed).run();
-                    local.push((seed, report));
-                }
-                reports
-                    .lock()
-                    .expect("a trial worker panicked while reporting")
-                    .extend(local);
-            });
-        }
+    // Each worker runs a contiguous slice of the trials; joining the
+    // workers in spawn order puts the reports back in trial order, so the
+    // aggregate (`violation_seeds` included) does not depend on which
+    // worker finished first.
+    let reports: Vec<(u64, RunReport)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = seeds
+            .chunks(chunk)
+            .map(|ids| {
+                let factory = &factory;
+                scope.spawn(move || {
+                    ids.iter()
+                        .map(|&seed| (seed, factory(seed).run()))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("a trial worker panicked"))
+            .collect()
     });
-
-    let reports = reports
-        .into_inner()
-        .expect("a trial worker panicked while reporting");
     aggregate(&reports)
 }
 
@@ -204,7 +202,7 @@ where
 /// aggregation order.
 pub fn run_trials_seq<M, F>(trials: usize, base_seed: u64, factory: F) -> TrialStats
 where
-    M: 'static,
+    M: Clone + PartialEq + 'static,
     F: FnMut(u64) -> Sim<M>,
 {
     run_trials_observed(trials, base_seed, factory, |_, _| {})
@@ -223,7 +221,7 @@ pub fn run_trials_observed<M, F, O>(
     mut observe: O,
 ) -> TrialStats
 where
-    M: 'static,
+    M: Clone + PartialEq + 'static,
     F: FnMut(u64) -> Sim<M>,
     O: FnMut(u64, &RunReport),
 {
@@ -354,6 +352,69 @@ mod tests {
         assert_eq!(a.messages.mean, b.messages.mean);
         // The step total is a plain sum, so worker scheduling cannot move it.
         assert_eq!(a.total_steps, b.total_steps);
+    }
+
+    /// Talks to itself for `rounds` deliveries, then decides 1 — or, with
+    /// `decide` unset, falls silent undecided (a deadlock to the runner).
+    #[derive(Debug)]
+    struct Toy {
+        rounds: u64,
+        decide: bool,
+        decided: Option<Value>,
+    }
+
+    impl Process for Toy {
+        type Msg = ();
+        fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+            ctx.send(ctx.me(), ());
+        }
+        fn on_receive(&mut self, _e: Envelope<()>, ctx: &mut Ctx<'_, ()>) {
+            if self.rounds > 0 {
+                self.rounds -= 1;
+                ctx.send(ctx.me(), ());
+            } else if self.decide {
+                self.decided = Some(Value::One);
+            }
+        }
+        fn decision(&self) -> Option<Value> {
+            self.decided
+        }
+        fn phase(&self) -> u64 {
+            1
+        }
+    }
+
+    /// The parallel runner must aggregate in trial order: `violation_seeds`
+    /// is what a user replays, and it used to come out in the order the
+    /// workers happened to finish. The first half of the trials is slow so
+    /// that a later worker finishes first.
+    #[test]
+    fn parallel_runner_reports_violations_in_trial_order() {
+        const TRIALS: usize = 16;
+        let mut seed_gen = SimRng::seed(11);
+        let seeds: Vec<u64> = (0..TRIALS)
+            .map(|i| seed_gen.fork(i as u64).initial_seed())
+            .collect();
+        let factory = |seed: u64| {
+            let index = seeds.iter().position(|&s| s == seed).expect("a trial seed");
+            let toy = Toy {
+                rounds: if index < TRIALS / 2 { 50_000 } else { 0 },
+                decide: index % 2 == 0,
+                decided: None,
+            };
+            let mut b = Sim::builder();
+            b.process(Box::new(toy), Role::Correct).seed(seed);
+            b.build()
+        };
+        let seq = run_trials_seq(TRIALS, 11, factory);
+        let odd: Vec<u64> = seeds.iter().copied().skip(1).step_by(2).collect();
+        assert_eq!(seq.violation_seeds, odd);
+        assert_eq!(seq.deadlocks, TRIALS / 2);
+        for _ in 0..5 {
+            let par = run_trials(TRIALS, 11, factory);
+            // Every field, floats included, through the derived `Debug`.
+            assert_eq!(format!("{par:?}"), format!("{seq:?}"));
+        }
     }
 
     #[test]

@@ -32,7 +32,15 @@ pub use scripted::ScriptedScheduler;
 use core::fmt;
 use std::borrow::Cow;
 
+use crate::buffer::{ones, Store};
 use crate::{Buffer, ProcessId, SimRng};
+
+/// Where a view reads pending messages from: standalone buffers, one per
+/// process, or the engine's shared store.
+enum Pending<'a, M> {
+    Buffers(&'a [Buffer<M>]),
+    Store(&'a Store<M>),
+}
 
 /// A read-only view of the system the scheduler may base its choice on:
 /// which processes can still take steps, and what is pending in each buffer.
@@ -44,7 +52,7 @@ use crate::{Buffer, ProcessId, SimRng};
 /// via [`SystemView::with_ready`]; the public [`SystemView::new`] builds it
 /// by scanning, which is fine for tests and one-shot callers.
 pub struct SystemView<'a, M> {
-    buffers: &'a [Buffer<M>],
+    pending: Pending<'a, M>,
     runnable: &'a [bool],
     ready: Cow<'a, [u64]>,
     step: u64,
@@ -66,34 +74,43 @@ impl<'a, M> SystemView<'a, M> {
             }
         }
         SystemView {
-            buffers,
+            pending: Pending::Buffers(buffers),
             runnable,
             ready: Cow::Owned(ready),
             step,
         }
     }
 
-    /// Creates a view around an engine-maintained deliverable mask (bit `i`
-    /// set iff process `i` is runnable with a non-empty buffer). The caller
-    /// guarantees the mask is consistent with `buffers`/`runnable`.
+    /// Creates a view of the engine's store around its incrementally
+    /// maintained deliverable mask (bit `i` set iff process `i` is runnable
+    /// with a non-empty buffer). The caller guarantees the mask is
+    /// consistent with `store`/`runnable`.
     pub(crate) fn with_ready(
-        buffers: &'a [Buffer<M>],
+        store: &'a Store<M>,
         runnable: &'a [bool],
         ready: &'a [u64],
         step: u64,
     ) -> Self {
         SystemView {
-            buffers,
+            pending: Pending::Store(store),
             runnable,
             ready: Cow::Borrowed(ready),
             step,
         }
     }
 
+    /// The store holding `pid`'s pending messages, and `pid`'s mailbox in it.
+    fn mailbox(&self, pid: ProcessId) -> (&'a Store<M>, usize) {
+        match self.pending {
+            Pending::Buffers(buffers) => (&buffers[pid.index()].store, 0),
+            Pending::Store(store) => (store, pid.index()),
+        }
+    }
+
     /// Number of processes in the system.
     #[must_use]
     pub fn n(&self) -> usize {
-        self.buffers.len()
+        self.runnable.len()
     }
 
     /// The global atomic-step counter.
@@ -112,7 +129,8 @@ impl<'a, M> SystemView<'a, M> {
     /// delivery indices for `pid` are `0..pending_len(pid)`.
     #[must_use]
     pub fn pending_len(&self, pid: ProcessId) -> usize {
-        self.buffers[pid.index()].len()
+        let (store, mailbox) = self.mailbox(pid);
+        store.len(mailbox)
     }
 
     /// The senders of `pid`'s pending messages, as `(index, from)` pairs in
@@ -120,8 +138,9 @@ impl<'a, M> SystemView<'a, M> {
     /// on provenance through this; payload contents stay invisible so no
     /// scheduler can depend on what a Byzantine sender wrote.
     pub fn pending_senders(&self, pid: ProcessId) -> impl Iterator<Item = (usize, ProcessId)> + '_ {
-        self.buffers[pid.index()]
-            .iter()
+        let (store, mailbox) = self.mailbox(pid);
+        store
+            .pending(mailbox)
             .enumerate()
             .map(|(i, env)| (i, env.from))
     }
@@ -129,17 +148,10 @@ impl<'a, M> SystemView<'a, M> {
     /// Processes that are runnable and have at least one pending message —
     /// the candidates for the next delivery, in ascending id order.
     pub fn deliverable(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.ready.iter().enumerate().flat_map(|(w, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    return None;
-                }
-                let tz = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(ProcessId::new((w << 6) | tz))
-            })
-        })
+        self.ready
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| ones(word).map(move |bit| ProcessId::new((w << 6) | bit)))
     }
 
     /// Number of deliverable processes (the length of
@@ -174,9 +186,7 @@ impl<'a, M> SystemView<'a, M> {
     /// Total number of pending messages across runnable processes.
     #[must_use]
     pub fn total_deliverable(&self) -> usize {
-        self.deliverable()
-            .map(|p| self.buffers[p.index()].len())
-            .sum()
+        self.deliverable().map(|p| self.pending_len(p)).sum()
     }
 }
 

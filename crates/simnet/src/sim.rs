@@ -2,10 +2,10 @@
 
 use core::fmt;
 
+use crate::buffer::Store;
 use crate::scheduler::{FairScheduler, Scheduler, SystemView};
 use crate::{
-    Buffer, Ctx, Envelope, Event, Metrics, Process, ProcessId, SharedSubscriber, SimRng, Trace,
-    Value,
+    Ctx, Envelope, Event, Metrics, Process, ProcessId, SharedSubscriber, SimRng, Trace, Value,
 };
 
 /// Whether a process is counted as correct when checking consensus
@@ -195,7 +195,7 @@ impl<M: 'static> SimBuilder<M> {
         Sim {
             procs,
             roles,
-            buffers: (0..n).map(|_| Buffer::new()).collect(),
+            store: Store::new(n),
             scheduler: self
                 .scheduler
                 .take()
@@ -230,7 +230,8 @@ impl<M: 'static> SimBuilder<M> {
 pub struct Sim<M> {
     procs: Vec<Box<dyn Process<Msg = M>>>,
     roles: Vec<Role>,
-    buffers: Vec<Buffer<M>>,
+    /// Every message in flight: one shared send log, one mailbox per process.
+    store: Store<M>,
     scheduler: Box<dyn Scheduler<M>>,
     rng: SimRng,
     step_limit: u64,
@@ -259,7 +260,7 @@ pub struct Sim<M> {
     step: u64,
 }
 
-impl<M: 'static> Sim<M> {
+impl<M: Clone + PartialEq + 'static> Sim<M> {
     /// Starts building a simulation.
     #[must_use]
     pub fn builder() -> SimBuilder<M> {
@@ -308,8 +309,7 @@ impl<M: 'static> Sim<M> {
             if !self.runnable[ti] {
                 self.metrics.messages_dropped += 1;
             } else {
-                self.buffers[ti].push(Envelope::new(from, msg));
-                let occupancy = self.buffers[ti].len();
+                let occupancy = self.store.send(ti, Envelope::new(from, msg));
                 self.metrics.observe_occupancy(occupancy);
                 self.ready[ti >> 6] |= 1u64 << (ti & 63);
             }
@@ -343,9 +343,7 @@ impl<M: 'static> Sim<M> {
             if self.roles[i] == Role::Correct {
                 self.unhalted_correct -= 1;
             }
-            let dropped = self.buffers[i].len() as u64;
-            self.metrics.messages_dropped += dropped;
-            self.buffers[i].clear();
+            self.metrics.messages_dropped += self.store.clear(i) as u64;
             self.publish(Event::Halt {
                 step: self.step,
                 pid,
@@ -363,6 +361,29 @@ impl<M: 'static> Sim<M> {
 
     /// Runs the simulation to completion and reports what happened.
     pub fn run(mut self) -> RunReport {
+        let status = self.drive();
+        let subscriber = self.subscriber.take();
+        let report = RunReport {
+            status,
+            decisions: self.procs.iter().map(|p| p.decision()).collect(),
+            roles: self.roles,
+            steps: self.step,
+            decision_steps: self.decision_steps,
+            decision_phases: self.decision_phases,
+            max_phase: self.procs.iter().map(|p| p.phase()).max().unwrap_or(0),
+            metrics: self.metrics,
+            trace: self.trace,
+        };
+        if let Some(s) = &subscriber {
+            s.lock()
+                .expect("subscriber lock poisoned")
+                .on_run_end(&report);
+        }
+        report
+    }
+
+    /// Takes atomic steps until the run ends; [`Sim::run`] minus the report.
+    fn drive(&mut self) -> RunStatus {
         let n = self.n();
         let observed = self.observed();
         // One outbox reused for every step of the run: `deliver_outbox`
@@ -410,7 +431,7 @@ impl<M: 'static> Sim<M> {
             self.observe(pid);
         }
 
-        let status = loop {
+        loop {
             if self.stop_condition_met() {
                 break RunStatus::Stopped;
             }
@@ -420,7 +441,7 @@ impl<M: 'static> Sim<M> {
 
             let selection = {
                 let view =
-                    SystemView::with_ready(&self.buffers, &self.runnable, &self.ready, self.step);
+                    SystemView::with_ready(&self.store, &self.runnable, &self.ready, self.step);
                 self.scheduler.select(&view, &mut self.rng)
             };
             let Some(sel) = selection else {
@@ -428,8 +449,8 @@ impl<M: 'static> Sim<M> {
             };
 
             let ti = sel.to.index();
-            let env = self.buffers[ti].take(sel.index);
-            if self.buffers[ti].is_empty() {
+            let env = self.store.take(ti, sel.index);
+            if self.store.len(ti) == 0 {
                 self.ready[ti >> 6] &= !(1u64 << (ti & 63));
             }
             self.step += 1;
@@ -454,26 +475,7 @@ impl<M: 'static> Sim<M> {
             }
             self.deliver_outbox(sel.to, &mut outbox);
             self.observe(sel.to);
-        };
-
-        let subscriber = self.subscriber.take();
-        let report = RunReport {
-            status,
-            decisions: self.procs.iter().map(|p| p.decision()).collect(),
-            roles: self.roles,
-            steps: self.step,
-            decision_steps: self.decision_steps,
-            decision_phases: self.decision_phases,
-            max_phase: self.procs.iter().map(|p| p.phase()).max().unwrap_or(0),
-            metrics: self.metrics,
-            trace: self.trace,
-        };
-        if let Some(s) = &subscriber {
-            s.lock()
-                .expect("subscriber lock poisoned")
-                .on_run_end(&report);
         }
-        report
     }
 }
 
@@ -630,6 +632,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::LogStats;
 
     /// Decides its input as soon as it hears from anyone (including itself).
     #[derive(Debug)]
@@ -736,24 +739,6 @@ mod tests {
 
     #[test]
     fn step_limit_enforced() {
-        /// Ping-pongs forever.
-        #[derive(Debug)]
-        struct Chatter;
-        impl Process for Chatter {
-            type Msg = Value;
-            fn on_start(&mut self, ctx: &mut Ctx<'_, Value>) {
-                ctx.broadcast(Value::Zero);
-            }
-            fn on_receive(&mut self, env: Envelope<Value>, ctx: &mut Ctx<'_, Value>) {
-                ctx.send(env.from, env.msg);
-            }
-            fn decision(&self) -> Option<Value> {
-                None
-            }
-            fn phase(&self) -> u64 {
-                0
-            }
-        }
         let report = Sim::builder()
             .process(Box::new(Chatter), Role::Correct)
             .process(Box::new(Chatter), Role::Correct)
@@ -780,6 +765,99 @@ mod tests {
         assert_eq!(report.metrics.messages_sent, 4);
         assert_eq!(report.metrics.in_flight(), 0);
         assert!(report.metrics.messages_dropped > 0);
+    }
+
+    /// Replies to whoever it hears from, forever.
+    #[derive(Debug)]
+    struct Chatter;
+
+    impl Process for Chatter {
+        type Msg = Value;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Value>) {
+            ctx.broadcast(Value::Zero);
+        }
+        fn on_receive(&mut self, env: Envelope<Value>, ctx: &mut Ctx<'_, Value>) {
+            ctx.send(env.from, env.msg);
+        }
+        fn decision(&self) -> Option<Value> {
+            None
+        }
+        fn phase(&self) -> u64 {
+            0
+        }
+    }
+
+    /// Sum of buffer lengths, and what the send log holds.
+    fn store_state(sim: &Sim<Value>) -> (u64, LogStats) {
+        let pending: usize = (0..sim.n()).map(|i| sim.store.len(i)).sum();
+        (pending as u64, sim.store.log_stats())
+    }
+
+    #[test]
+    fn halting_with_shared_entries_pending_releases_the_share() {
+        // Every broadcast is one log entry shared by the three buffers;
+        // each process halts on its first delivery with two more pending.
+        let mut sim = {
+            let mut b = Sim::builder();
+            for _ in 0..3 {
+                b.process(echo(Value::One), Role::Correct);
+            }
+            b.seed(5).stop_when(StopWhen::Never).build()
+        };
+        assert_eq!(sim.drive(), RunStatus::Quiescent);
+        let (pending, log) = store_state(&sim);
+        assert_eq!(sim.metrics.messages_dropped, 6);
+        assert_eq!((pending, log.live), (0, 0), "nothing pending, log empty");
+        assert_eq!(sim.metrics.in_flight(), 0);
+
+        // Cut short instead: what the metrics call in flight is exactly what
+        // the buffers hold, and the log holds no entry nobody waits for.
+        let mut sim = {
+            let mut b = Sim::builder();
+            b.process(echo(Value::One), Role::Correct);
+            for _ in 0..4 {
+                b.process(Box::new(Chatter), Role::Correct);
+            }
+            b.seed(5).stop_when(StopWhen::Never).step_limit(777).build()
+        };
+        assert_eq!(sim.drive(), RunStatus::StepLimitReached);
+        let (pending, log) = store_state(&sim);
+        assert!(pending > 0);
+        assert_eq!(sim.metrics.in_flight(), pending);
+        assert!(log.live as u64 <= pending);
+    }
+
+    /// The retention bound of `buffer.rs` under starvation: one process is
+    /// partitioned away for the whole run, with every other process's
+    /// opening broadcast pending in its buffer, while the rest exchange
+    /// more than 10^5 messages. The log keeps the chunks that pending
+    /// entries sit in — not the traffic in between.
+    #[test]
+    fn starved_destination_pins_only_its_own_chunks() {
+        use crate::scheduler::PartitionScheduler;
+        const N: usize = 8;
+        let mut sim = {
+            let mut b = Sim::builder();
+            b.processes(N, Role::Correct, |_| Box::new(Chatter));
+            // One epoch longer than the run: the partition never heals.
+            let cut = PartitionScheduler::new(N, &[ProcessId::new(0)], u64::MAX, 2);
+            b.scheduler(Box::new(cut))
+                .seed(3)
+                .stop_when(StopWhen::Never)
+                .step_limit(120_000)
+                .build()
+        };
+        assert_eq!(sim.drive(), RunStatus::StepLimitReached);
+        assert!(sim.metrics.messages_delivered >= 100_000);
+        let unheard = sim.store.pending(0).filter(|e| e.from.index() != 0);
+        assert_eq!(unheard.count(), N - 1, "p0 never heard from the others");
+        let (pending, log) = store_state(&sim);
+        assert!(log.live as u64 <= pending);
+        assert!(log.in_use <= 64 * (log.live + 1), "{log:?}");
+        // The opening broadcasts' chunk and the chunks the ~N*N replies in
+        // flight are scattered over — hundreds of slots allocated (spares
+        // included: the peak of what was in use), not 10^5.
+        assert!(log.in_use + log.spare < 1_000, "{log:?}");
     }
 
     #[test]

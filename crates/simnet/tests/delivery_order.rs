@@ -1,5 +1,5 @@
-//! Scheduler-visible ordering: the slab-with-tombstones [`Buffer`] must
-//! present *exactly* the logical view the old `Vec::remove` buffer did —
+//! Scheduler-visible ordering: [`Buffer`] (a mailbox of live bits over a
+//! send log) must present *exactly* the logical view the old `Vec::remove` buffer did —
 //! same deliverable set, same index semantics, same envelope at every
 //! index — so a seeded run makes the same delivery sequence it always
 //! made. The reference model here *is* the old representation: plain

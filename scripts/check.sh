@@ -35,7 +35,9 @@ target/release/metrics_overhead "$FUZZTMP/BENCH_metrics.json" \
 echo "==> large-n smoke (n=1024 malicious slice, budgeted)"
 # One seeded Figure 2 trial at n=1024 with a 1M-delivery cap: must stay
 # safe and finish inside the wall budget — the delivery-engine perf gate.
-target/release/large_n_smoke 1000000 60
+# ~2 s with each send stored once in the shared send log; 10-17 s when
+# every destination held its own copy, which must fail here.
+target/release/large_n_smoke 1000000 8
 
 echo "==> phases sweep smoke (--quick) + BENCH_phases.json schema check"
 # A shrunken sweep exercises the full harness path; the schema check then
@@ -112,5 +114,20 @@ awk '/^== /{block=$2}
      block=="loopback-put" && $1=="netstack.frames_per_op"{seen=1; if ($2+0 > 400) over=1}
      END{exit !(seen && !over)}' "$FUZZTMP/btbench-quick.txt" \
     || { echo "netstack.frames_per_op on loopback-put is missing or above 400"; exit 1; }
+
+echo "==> schedule identity gate: sim-byz-n32 runs the schedule it always ran"
+# Exact counts of the first counted trial at the default seed (1983), the
+# same on any machine; read at the commit before the shared send log and
+# unchanged by it. A change to how simnet stores, orders or indexes
+# pending messages moves them: it must fail this gate, not the benchmark
+# pipeline.
+cargo run --release --quiet --manifest-path btbench/Cargo.toml -- run --quick \
+    --trace 1 --workload sim-byz-n32 --seconds 2 \
+    > "$FUZZTMP/btbench-n32.txt" || { cat "$FUZZTMP/btbench-n32.txt"; exit 1; }
+awk '$1=="simnet.steps_total"{steps=($2+0 == 58351)}
+     $1=="simnet.msgs_sent_total"{msgs=($2+0 == 73760)}
+     END{exit !(steps && msgs)}' "$FUZZTMP/btbench-n32.txt" \
+    || { grep -E '^  simnet\.(steps|msgs_sent)_total' "$FUZZTMP/btbench-n32.txt";
+         echo "sim-byz-n32 no longer takes 58351 steps / sends 73760 messages at seed 1983"; exit 1; }
 
 echo "==> all checks passed"
