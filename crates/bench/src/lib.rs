@@ -1,9 +1,10 @@
 //! # bench — shared helpers for the experiment harness
 //!
-//! The `benches/` directory of this crate holds one Criterion bench per
-//! experiment (E1–E10 in `DESIGN.md`/`EXPERIMENTS.md`). This library holds
-//! the system-assembly helpers they share, so each bench file reads like
-//! the experiment it implements.
+//! The `experiments` binary of this crate computes every table of
+//! `EXPERIMENTS.md` (E1–E12); `phases` and `large_n_smoke` run the
+//! large-n sweep and its perf gate. This library holds the
+//! system-assembly helpers they share, so each experiment reads like the
+//! claim it checks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,7 +71,7 @@ pub fn sweep_k(n: usize) -> usize {
 
 /// A step cap for one malicious-protocol run at size `n`: Figure 2 costs
 /// `O(n³)` deliveries per phase-bounded run, so the fixed caps the small-n
-/// benches use starve large configurations. Sized with several-fold
+/// experiments use starve large configurations. Sized with several-fold
 /// headroom over measured full-run step counts (≈ 2.6·n³ at n = 128).
 #[must_use]
 pub fn malicious_sweep_limit(n: usize) -> u64 {

@@ -1,7 +1,8 @@
 //! A loopback rsm cluster: a [`netstack::Cluster`] hosting `n`
 //! [`Replica`]s, plus what makes each node a *service* — its client
 //! listener, its [`RsmService`], and the [`LogView`] the two share. The
-//! harness behind the integration tests, the example, and `btload`.
+//! harness behind the integration tests, the example, and `btbench`'s
+//! loopback workloads.
 //!
 //! The node side — bound-first retained listeners, WAL recovery before
 //! the first frame, `expect_history` from the second incarnation on, one

@@ -24,7 +24,7 @@
 //!   into the replica as journaled self-deliveries;
 //! * [`cluster`] — a loopback harness ([`RsmCluster`]) that boots an
 //!   n-node service with WALs and supervised restarts, for integration
-//!   tests, the example, and `btload`.
+//!   tests, the example, and `btbench`'s loopback workloads.
 //!
 //! See `docs/RSM.md` for the architecture narrative, the client protocol
 //! grammar, and the tuning knobs.

@@ -9,7 +9,7 @@
 //!    machine (exactly-once via `(client, request)` ids);
 //! 2. several concurrent clients share the pipeline, many slots in
 //!    flight at once (batching kicks in when demand outruns slot
-//!    supply — `btload` drives and measures that regime);
+//!    supply — `btbench`'s `loopback-put` workload measures that regime);
 //! 3. a node is killed and restarted, recovers its log from the WAL, and
 //!    the cluster converges back to byte-identical logs.
 //!

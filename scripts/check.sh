@@ -61,6 +61,12 @@ for f in "$FUZZTMP/BENCH_phases_quick.json" BENCH_phases.json; do
     ' "$f" > /dev/null || { echo "schema check failed: $f"; exit 1; }
 done
 
+echo "==> experiments E1-E12 (every EXPERIMENTS.md table; the paper's claims are asserts)"
+# Thm 2/4 agreement at max k, the 3-/2-phase fast paths, E8's lag <= 1 for
+# k < n/5, the E5 lower-bound demonstrations, E11's safe rule and E12's
+# scheduler-independent safety abort the run if they fail. ~1m45s on 2 vCPUs.
+target/release/experiments "$FUZZTMP/experiments"
+
 echo "==> btfuzz self-test (injected defect: find, shrink, replay)"
 target/release/btfuzz --inject --out "$FUZZTMP/inject-repro.jsonl"
 

@@ -66,19 +66,15 @@ fi
 TARGETS="127.0.0.1:$((BASE + 4)),127.0.0.1:$((BASE + 5)),\
 127.0.0.1:$((BASE + 6)),127.0.0.1:$((BASE + 7))"
 echo "==> driving 120 committed ops through the client API with btload"
+# btload exits non-zero if an op does not commit within its deadline or
+# the replicas' applied logs do not converge to one digest.
 if ! "$BTLOAD" --targets "$TARGETS" --clients 8 --ops 120 \
-    --out "$TMP/bench.json" >"$TMP/btload.log" 2>&1; then
+    >"$TMP/btload.log" 2>&1; then
     echo "==> FAIL: btload run failed; logs follow" >&2
     cat "$TMP/btload.log" "$TMP"/node*.log >&2
     exit 1
 fi
 cat "$TMP/btload.log"
-
-if ! grep -q '"bench":"rsm_targets"' "$TMP/bench.json"; then
-    echo "==> FAIL: bench report missing or malformed" >&2
-    cat "$TMP/bench.json" >&2 || true
-    exit 1
-fi
 
 echo "==> scraping the live rsm metric families with btstat --once"
 if ! "$BTSTAT" --once --node "127.0.0.1:$ADMIN" \

@@ -1,113 +1,61 @@
-//! `btload` — drive client load into a replicated-log cluster and report
-//! throughput and latency percentiles.
+//! `btload` — drive committed puts into a running replicated-log cluster
+//! and check that every replica applied the same log.
 //!
 //! Usage:
 //!
 //! ```text
-//! btload [--n N] [--clients C] [--ops OPS] [--value-bytes B] \
-//!        [--window W] [--max-batch MB] [--queue-depth Q] \
-//!        [--kill I] [--kill-at FRAC] [--restart-after MS] \
-//!        [--wal-dir DIR] [--out PATH] [--seed S]
-//! btload --targets HOST:PORT,HOST:PORT,... [--clients C] [--ops OPS] ...
+//! btload --targets HOST:PORT,HOST:PORT,... [--clients C] [--ops OPS]
 //! ```
 //!
-//! Without `--targets`, btload self-hosts an `N`-node loopback cluster
-//! (WALs under `--wal-dir`, one client service per node) and drives `C`
-//! client threads round-robin across the nodes until `OPS` commands have
-//! committed. With `--kill I` it SIGKILL-equivalently tears node `I` down
-//! once `--kill-at` of the load has committed and restarts it from its
-//! WAL `--restart-after` milliseconds later — commits pause at the dead
-//! replica's first unfilled slot and resume after recovery, all of which
-//! lands in the tail percentiles, which is the point.
+//! `C` client threads, spread round-robin over the targets' client ports
+//! (e.g. `btnode --proto rsm --client PORT`), each put `OPS / C` unique
+//! keys (rounded up). An op is retried idempotently, by request id,
+//! through `Busy` shedding, service timeouts and reconnects, until it
+//! commits or [`OP_DEADLINE`] runs out. btload then polls every target's
+//! `Info` until all report the same applied length and digest, prints
+//! one summary line and exits 0. A target that is down or wedged, an op
+//! that does not commit in time, or logs that do not converge end the run
+//! with a message naming the target and exit status 1.
 //!
-//! Every client op is retried (idempotently, by request id) through
-//! `Busy` shedding, service timeouts, and connection loss; a command is
-//! counted once its `Committed` lands. The run ends by waiting until all
-//! live replicas report the same applied length and digest, and writes a
-//! JSON report (throughput, p50/p90/p99/p999 latency, mean batch size,
-//! peak pipeline depth, per-node log identity) to `--out` (default
-//! `BENCH_rsm.json`).
-//!
-//! With `--targets`, btload instead drives an already-running cluster
-//! (e.g. `btnode --proto rsm` processes) through their client ports; the
-//! self-hosting-only sections of the report (pipeline gauge, kill
-//! schedule) are omitted.
+//! Throughput and latency are measured by `btbench` (`loopback-put`,
+//! `loopback-kill`), not here.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use obs::json::Json;
-use rsm::{ClientResp, Op, RsmClient, RsmCluster, RsmClusterOptions};
+use rsm::{ClientResp, Op, RsmClient};
 
-const USAGE: &str = "usage: btload [--n N] [--clients C] [--ops OPS] \
-[--value-bytes B] [--window W] [--max-batch MB] [--queue-depth Q] \
-[--kill I] [--kill-at FRAC] [--restart-after MS] \
-[--wal-dir DIR] [--out PATH] [--seed S] \
-| btload --targets HOST:PORT,... [--clients C] [--ops OPS] ...";
+const USAGE: &str = "usage: btload --targets HOST:PORT,... [--clients C] [--ops OPS]";
+
+/// How long one op may take, reconnects included; also the read timeout
+/// of every connection, so a wedged target cannot hold a client forever.
+const OP_DEADLINE: Duration = Duration::from_secs(10);
+
+/// How long the targets may take to apply the same log once every op has
+/// committed (laggards may still be catching up).
+const CONVERGE_DEADLINE: Duration = Duration::from_secs(60);
 
 struct Args {
-    n: usize,
+    targets: Vec<SocketAddr>,
     clients: usize,
     ops: u64,
-    value_bytes: usize,
-    window: u64,
-    max_batch: usize,
-    queue_depth: usize,
-    kill: Option<usize>,
-    kill_at: f64,
-    restart_after: Duration,
-    wal_dir: Option<std::path::PathBuf>,
-    out: String,
-    seed: u64,
-    targets: Vec<SocketAddr>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut a = Args {
-        n: 5,
+        targets: Vec::new(),
         clients: 32,
         ops: 2000,
-        value_bytes: 64,
-        window: 8,
-        max_batch: 64,
-        queue_depth: 1024,
-        kill: None,
-        kill_at: 0.4,
-        restart_after: Duration::from_millis(500),
-        wal_dir: None,
-        out: "BENCH_rsm.json".to_string(),
-        seed: 1,
-        targets: Vec::new(),
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
+        let mut value = || args.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--n" => a.n = parse(&value("--n")?, "--n")?,
-            "--clients" => a.clients = parse(&value("--clients")?, "--clients")?,
-            "--ops" => a.ops = parse(&value("--ops")?, "--ops")?,
-            "--value-bytes" => a.value_bytes = parse(&value("--value-bytes")?, "--value-bytes")?,
-            "--window" => a.window = parse(&value("--window")?, "--window")?,
-            "--max-batch" => a.max_batch = parse(&value("--max-batch")?, "--max-batch")?,
-            "--queue-depth" => a.queue_depth = parse(&value("--queue-depth")?, "--queue-depth")?,
-            "--kill" => a.kill = Some(parse(&value("--kill")?, "--kill")?),
-            "--kill-at" => {
-                a.kill_at = value("--kill-at")?
-                    .parse()
-                    .map_err(|_| "--kill-at: not a number".to_string())?;
-            }
-            "--restart-after" => {
-                a.restart_after =
-                    Duration::from_millis(parse(&value("--restart-after")?, "--restart-after")?);
-            }
-            "--wal-dir" => a.wal_dir = Some(value("--wal-dir")?.into()),
-            "--out" => a.out = value("--out")?,
-            "--seed" => a.seed = parse(&value("--seed")?, "--seed")?,
+            "--clients" => a.clients = parse(&value()?, &flag)?,
+            "--ops" => a.ops = parse(&value()?, &flag)?,
             "--targets" => {
-                for part in value("--targets")?.split(',').filter(|s| !s.is_empty()) {
+                for part in value()?.split(',').filter(|s| !s.is_empty()) {
                     a.targets.push(
                         part.parse()
                             .map_err(|_| format!("cannot parse {part:?} as HOST:PORT"))?,
@@ -117,19 +65,11 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    if a.targets.is_empty() {
+        return Err("--targets is required".to_string());
+    }
     if a.clients == 0 || a.ops == 0 {
         return Err("--clients and --ops must be positive".to_string());
-    }
-    if let Some(victim) = a.kill {
-        if !a.targets.is_empty() {
-            return Err("--kill only works in self-hosted mode".to_string());
-        }
-        if victim >= a.n {
-            return Err(format!("--kill {victim} is outside 0..{}", a.n));
-        }
-        if !(0.0..1.0).contains(&a.kill_at) {
-            return Err("--kill-at must be in [0, 1)".to_string());
-        }
     }
     Ok(a)
 }
@@ -139,101 +79,112 @@ fn parse<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
         .map_err(|_| format!("{flag}: cannot parse {s:?} as a number"))
 }
 
-/// Shared load-run state: committed-op count and the latency samples.
-struct LoadStats {
-    committed: AtomicU64,
-    latencies_us: Mutex<Vec<u64>>,
+/// Connects to `addr` as `client`, with [`OP_DEADLINE`] as read timeout.
+fn connect(addr: SocketAddr, client: u64) -> std::io::Result<RsmClient> {
+    let mut c = RsmClient::connect(addr, client)?;
+    c.set_timeout(Some(OP_DEADLINE))?;
+    Ok(c)
 }
 
 /// One client thread: `ops` puts through `addr`, each retried by request
-/// id until its `Committed` arrives, whatever Busy shedding, service
-/// timeouts, or connection loss happen on the way. Busy/Timeout verdicts
-/// are consumed inside [`RsmClient::propose_with_retry`] (jittered
-/// exponential backoff); this loop only handles reconnects, reseating the
-/// id stream on each fresh connection so retries stay idempotent.
-#[allow(clippy::needless_pass_by_value)]
-fn run_client(
-    addr: SocketAddr,
-    client_id: u64,
-    ops: u64,
-    value_bytes: usize,
-    stats: Arc<LoadStats>,
-) {
+/// id until its `Committed` arrives or [`OP_DEADLINE`] runs out.
+/// Busy/Timeout verdicts are consumed inside
+/// [`RsmClient::propose_with_retry`] (jittered exponential backoff); this
+/// loop only handles reconnects, reseating the id stream on each fresh
+/// connection so retries stay idempotent.
+fn run_client(addr: SocketAddr, client_id: u64, ops: u64) -> Result<(), String> {
     let mut conn: Option<RsmClient> = None;
-    let value = vec![0x62u8; value_bytes];
     for request in 1..=ops {
         let op = Op::Put {
             key: format!("c{client_id}-{request}").into_bytes(),
-            value: value.clone(),
+            value: vec![0x62u8; 64],
         };
-        let started = Instant::now();
+        let give_up = Instant::now() + OP_DEADLINE;
         loop {
+            let left = give_up.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(format!(
+                    "{addr}: put {client_id}/{request} did not commit within {}s",
+                    OP_DEADLINE.as_secs()
+                ));
+            }
             let c = match conn.as_mut() {
                 Some(c) => c,
-                None => match RsmClient::connect(addr, client_id) {
+                None => match connect(addr, client_id) {
                     Ok(c) => conn.insert(c),
                     Err(_) => {
-                        std::thread::sleep(Duration::from_millis(50));
+                        std::thread::sleep(left.min(Duration::from_millis(50)));
                         continue;
                     }
                 },
             };
             c.seek_request(request);
-            match c.propose_with_retry(op.clone(), Duration::from_secs(5)) {
-                Ok(ClientResp::Committed { .. }) => {
-                    let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-                    stats.latencies_us.lock().expect("latency lock").push(us);
-                    stats.committed.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
+            match c.propose_with_retry(op.clone(), left) {
+                Ok(ClientResp::Committed { .. }) => break,
                 Ok(_) => {}            // deadline ran out Busy/Timeout: go again
                 Err(_) => conn = None, // reconnect and retry the same id
             }
         }
     }
+    Ok(())
 }
 
-/// Sorted-sample quantile (nearest-rank).
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
+/// Every target's `(applied, digest)`, polled until they all agree.
+fn await_identical(targets: &[SocketAddr]) -> Result<(u64, u64), String> {
+    let give_up = Instant::now() + CONVERGE_DEADLINE;
+    loop {
+        let mut infos = Vec::new();
+        for (i, &addr) in targets.iter().enumerate() {
+            let resp = connect(addr, 1_000_000 + i as u64)
+                .and_then(|mut c| c.info())
+                .map_err(|e| format!("{addr}: info failed: {e}"))?;
+            match resp {
+                ClientResp::Info {
+                    applied, digest, ..
+                } => infos.push((applied, digest)),
+                other => return Err(format!("{addr}: unexpected info response {other:?}")),
+            }
+        }
+        if infos.windows(2).all(|w| w[0] == w[1]) {
+            return Ok(infos[0]);
+        }
+        if Instant::now() >= give_up {
+            return Err(format!("target logs did not converge: {infos:?}"));
+        }
+        std::thread::sleep(Duration::from_millis(100));
     }
-    let rank = ((sorted.len() as f64) * q).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-fn latency_json(sorted: &[u64]) -> Json {
-    let mean = if sorted.is_empty() {
-        0
-    } else {
-        sorted.iter().sum::<u64>() / sorted.len() as u64
-    };
-    Json::Obj(vec![
-        ("p50_us".into(), Json::num(quantile(sorted, 0.50))),
-        ("p90_us".into(), Json::num(quantile(sorted, 0.90))),
-        ("p99_us".into(), Json::num(quantile(sorted, 0.99))),
-        ("p999_us".into(), Json::num(quantile(sorted, 0.999))),
-        ("mean_us".into(), Json::num(mean)),
-        (
-            "max_us".into(),
-            Json::num(sorted.last().copied().unwrap_or(0)),
-        ),
-    ])
+fn run(args: &Args) -> Result<(), String> {
+    let ops_per_client = args.ops.div_ceil(args.clients as u64);
+    let started = Instant::now();
+    let workers: Vec<_> = (0..args.clients)
+        .map(|c| {
+            let addr = args.targets[c % args.targets.len()];
+            std::thread::spawn(move || run_client(addr, 1 + c as u64, ops_per_client))
+        })
+        .collect();
+    // The first failed client ends the run; the rest die with the process.
+    for w in workers {
+        w.join()
+            .map_err(|_| "client thread panicked".to_string())??;
+    }
+    let elapsed = started.elapsed();
+    let (applied, digest) = await_identical(&args.targets)?;
+    println!(
+        "btload: {} ops committed by {} clients in {:.2}s; all {} targets applied {applied} slots, digest {digest:016x}",
+        ops_per_client * args.clients as u64,
+        args.clients,
+        elapsed.as_secs_f64(),
+        args.targets.len(),
+    );
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(err) => {
-            eprintln!("btload: {err}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = if args.targets.is_empty() {
-        run_self_hosted(&args)
-    } else {
-        run_targets(&args)
-    };
+    let result = parse_args()
+        .map_err(|err| format!("{err}\n{USAGE}"))
+        .and_then(|args| run(&args));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(err) => {
@@ -241,303 +192,4 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-fn run_self_hosted(args: &Args) -> Result<(), String> {
-    let wal_dir = args
-        .wal_dir
-        .clone()
-        .unwrap_or_else(|| std::env::temp_dir().join(format!("btload-{}", std::process::id())));
-    let mut opts = RsmClusterOptions::new(args.n, wal_dir.clone());
-    opts.seed = args.seed;
-    opts.replica.window = args.window;
-    opts.replica.max_batch = args.max_batch;
-    opts.service.queue_depth = args.queue_depth;
-    opts.service.propose_timeout = Duration::from_secs(30);
-    let mut cluster = RsmCluster::start(opts).map_err(|e| format!("cannot start cluster: {e}"))?;
-    eprintln!(
-        "btload: {}-node loopback cluster up (WALs in {}), driving {} clients × {} ops",
-        args.n,
-        wal_dir.display(),
-        args.clients,
-        args.ops.div_ceil(args.clients as u64),
-    );
-
-    let stats = Arc::new(LoadStats {
-        committed: AtomicU64::new(0),
-        latencies_us: Mutex::new(Vec::new()),
-    });
-    let ops_per_client = args.ops.div_ceil(args.clients as u64);
-    let total_ops = ops_per_client * args.clients as u64;
-    let started = Instant::now();
-    let workers: Vec<_> = (0..args.clients)
-        .map(|c| {
-            let addr = cluster.client_addr(c % args.n);
-            let stats = Arc::clone(&stats);
-            let value_bytes = args.value_bytes;
-            std::thread::spawn(move || {
-                run_client(addr, 1 + c as u64, ops_per_client, value_bytes, stats);
-            })
-        })
-        .collect();
-
-    // Watch the pipeline gauge while the load runs, and execute the kill
-    // schedule from here (the cluster handle lives on this thread).
-    let mut peak_pipeline = 0u64;
-    let mut kill_pending = args.kill;
-    let mut restart_at: Option<(usize, Instant)> = None;
-    let mut killed_restarted = false;
-    let kill_threshold = (args.kill_at * total_ops as f64) as u64;
-    while workers.iter().any(|w| !w.is_finished()) {
-        for i in 0..cluster.n() {
-            if !cluster.is_up(i) {
-                continue;
-            }
-            let snap = cluster.registry(i).snapshot();
-            let node = i.to_string();
-            let labels: &[(&str, &str)] = &[("node", &node)];
-            if let Some(depth) = snap.scalar("rsm_pipeline_open", labels) {
-                peak_pipeline = peak_pipeline.max(depth);
-            }
-        }
-        if let Some(victim) = kill_pending {
-            if stats.committed.load(Ordering::Relaxed) >= kill_threshold {
-                eprintln!(
-                    "btload: killing node {victim} at {} committed ops",
-                    stats.committed.load(Ordering::Relaxed)
-                );
-                cluster.kill(victim);
-                kill_pending = None;
-                restart_at = Some((victim, Instant::now() + args.restart_after));
-            }
-        }
-        if let Some((victim, when)) = restart_at {
-            if Instant::now() >= when {
-                eprintln!("btload: restarting node {victim} from its WAL");
-                cluster
-                    .restart(victim)
-                    .map_err(|e| format!("restart failed: {e}"))?;
-                restart_at = None;
-                killed_restarted = true;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    for w in workers {
-        w.join().map_err(|_| "client thread panicked".to_string())?;
-    }
-    let elapsed = started.elapsed();
-    if let Some((victim, _)) = restart_at {
-        // Load finished inside the downtime window; still bring it back
-        // so the identity check covers the recovered replica.
-        cluster
-            .restart(victim)
-            .map_err(|e| format!("restart failed: {e}"))?;
-        killed_restarted = true;
-    }
-
-    let (applied, digest) = cluster
-        .await_identical(Duration::from_secs(60))
-        .ok_or("replica logs did not converge to identical digests")?;
-
-    let committed = stats.committed.load(Ordering::Relaxed);
-    let mut sorted = stats.latencies_us.lock().expect("latency lock").clone();
-    sorted.sort_unstable();
-    let throughput = committed as f64 / elapsed.as_secs_f64();
-    // Mean batch size over slots that carried commands (gap-fill and
-    // no-op slots excluded — they are scheduling artifacts, not batches).
-    let (loaded_slots, batched_cmds) = cluster.view(0).with(|a| {
-        let loaded = a.log.iter().filter(|e| !e.commands.is_empty());
-        (
-            loaded.clone().count() as u64,
-            loaded.map(|e| e.commands.len() as u64).sum::<u64>(),
-        )
-    });
-    let mean_batch = if loaded_slots == 0 {
-        0.0
-    } else {
-        batched_cmds as f64 / loaded_slots as f64
-    };
-
-    // Server-side commit latency (slot open-to-decide), merged across the
-    // nodes' registries — the consensus cost under the client numbers.
-    let mut merged = obs::metrics::Snapshot::default();
-    for i in 0..cluster.n() {
-        merged.merge(&cluster.registry(i).snapshot());
-    }
-    let commit_latency = merged
-        .histogram_total("rsm_commit_latency_us")
-        .map_or(Json::Null, |h| {
-            Json::Obj(vec![
-                (
-                    "p50_us".into(),
-                    h.quantile(0.50).map_or(Json::Null, Json::num),
-                ),
-                (
-                    "p95_us".into(),
-                    h.quantile(0.95).map_or(Json::Null, Json::num),
-                ),
-                (
-                    "p99_us".into(),
-                    h.quantile(0.99).map_or(Json::Null, Json::num),
-                ),
-            ])
-        });
-
-    let nodes: Vec<Json> = (0..cluster.n())
-        .map(|i| {
-            cluster.view(i).with(|a| {
-                Json::Obj(vec![
-                    ("node".into(), Json::num(i as u64)),
-                    ("applied".into(), Json::num(a.next_slot())),
-                    ("digest".into(), Json::str(format!("{:016x}", a.digest()))),
-                    ("applied_commands".into(), Json::num(a.applied_commands)),
-                ])
-            })
-        })
-        .collect();
-
-    let report = Json::Obj(vec![
-        ("bench".into(), Json::str("rsm_loopback")),
-        (
-            "config".into(),
-            Json::Obj(vec![
-                ("n".into(), Json::num(args.n as u64)),
-                ("clients".into(), Json::num(args.clients as u64)),
-                ("ops".into(), Json::num(total_ops)),
-                ("value_bytes".into(), Json::num(args.value_bytes as u64)),
-                ("window".into(), Json::num(args.window)),
-                ("max_batch".into(), Json::num(args.max_batch as u64)),
-                ("seed".into(), Json::num(args.seed)),
-                (
-                    "kill".into(),
-                    args.kill.map_or(Json::Null, |v| Json::num(v as u64)),
-                ),
-            ]),
-        ),
-        ("committed_ops".into(), Json::num(committed)),
-        ("duration_s".into(), Json::Num(elapsed.as_secs_f64())),
-        ("throughput_ops_s".into(), Json::Num(throughput)),
-        ("latency".into(), latency_json(&sorted)),
-        ("commit_latency".into(), commit_latency),
-        ("applied_slots".into(), Json::num(applied)),
-        ("log_digest".into(), Json::str(format!("{digest:016x}"))),
-        ("mean_batch_commands".into(), Json::Num(mean_batch)),
-        ("peak_pipeline_open".into(), Json::num(peak_pipeline)),
-        ("killed_and_recovered".into(), Json::Bool(killed_restarted)),
-        ("nodes".into(), Json::Arr(nodes)),
-    ]);
-    std::fs::write(&args.out, report.render() + "\n")
-        .map_err(|e| format!("cannot write {}: {e}", args.out))?;
-    println!(
-        "btload: {committed} ops in {:.2}s — {throughput:.0} ops/s, \
-         p50 {}µs p99 {}µs p999 {}µs, {applied} slots (mean batch {mean_batch:.2}, \
-         peak pipeline {peak_pipeline}), digest {digest:016x}{} → {}",
-        elapsed.as_secs_f64(),
-        quantile(&sorted, 0.50),
-        quantile(&sorted, 0.99),
-        quantile(&sorted, 0.999),
-        if killed_restarted {
-            ", survived kill+recovery"
-        } else {
-            ""
-        },
-        args.out,
-    );
-
-    cluster.shutdown();
-    if args.wal_dir.is_none() {
-        let _ = std::fs::remove_dir_all(wal_dir);
-    }
-    Ok(())
-}
-
-fn run_targets(args: &Args) -> Result<(), String> {
-    let stats = Arc::new(LoadStats {
-        committed: AtomicU64::new(0),
-        latencies_us: Mutex::new(Vec::new()),
-    });
-    let ops_per_client = args.ops.div_ceil(args.clients as u64);
-    let started = Instant::now();
-    let workers: Vec<_> = (0..args.clients)
-        .map(|c| {
-            let addr = args.targets[c % args.targets.len()];
-            let stats = Arc::clone(&stats);
-            let value_bytes = args.value_bytes;
-            std::thread::spawn(move || {
-                run_client(addr, 1 + c as u64, ops_per_client, value_bytes, stats);
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join().map_err(|_| "client thread panicked".to_string())?;
-    }
-    let elapsed = started.elapsed();
-
-    // Log identity across the targets, from their Info responses (poll:
-    // laggards may still be applying when the last commit lands).
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let infos = loop {
-        let mut infos = Vec::new();
-        for (i, &addr) in args.targets.iter().enumerate() {
-            let mut c = RsmClient::connect(addr, 1_000_000 + i as u64)
-                .map_err(|e| format!("cannot reach {addr}: {e}"))?;
-            match c.info().map_err(|e| format!("info from {addr}: {e}"))? {
-                ClientResp::Info {
-                    applied, digest, ..
-                } => infos.push((applied, digest)),
-                other => return Err(format!("unexpected info response: {other:?}")),
-            }
-        }
-        if infos.windows(2).all(|w| w[0] == w[1]) {
-            break infos;
-        }
-        if Instant::now() >= deadline {
-            return Err(format!("target logs did not converge: {infos:?}"));
-        }
-        std::thread::sleep(Duration::from_millis(100));
-    };
-
-    let committed = stats.committed.load(Ordering::Relaxed);
-    let mut sorted = stats.latencies_us.lock().expect("latency lock").clone();
-    sorted.sort_unstable();
-    let throughput = committed as f64 / elapsed.as_secs_f64();
-    let (applied, digest) = infos[0];
-    let report = Json::Obj(vec![
-        ("bench".into(), Json::str("rsm_targets")),
-        (
-            "config".into(),
-            Json::Obj(vec![
-                (
-                    "targets".into(),
-                    Json::Arr(
-                        args.targets
-                            .iter()
-                            .map(|a| Json::str(a.to_string()))
-                            .collect(),
-                    ),
-                ),
-                ("clients".into(), Json::num(args.clients as u64)),
-                ("ops".into(), Json::num(committed)),
-                ("value_bytes".into(), Json::num(args.value_bytes as u64)),
-            ]),
-        ),
-        ("committed_ops".into(), Json::num(committed)),
-        ("duration_s".into(), Json::Num(elapsed.as_secs_f64())),
-        ("throughput_ops_s".into(), Json::Num(throughput)),
-        ("latency".into(), latency_json(&sorted)),
-        ("applied_slots".into(), Json::num(applied)),
-        ("log_digest".into(), Json::str(format!("{digest:016x}"))),
-    ]);
-    std::fs::write(&args.out, report.render() + "\n")
-        .map_err(|e| format!("cannot write {}: {e}", args.out))?;
-    println!(
-        "btload: {committed} ops in {:.2}s — {throughput:.0} ops/s, \
-         p50 {}µs p99 {}µs, {applied} slots, digest {digest:016x} → {}",
-        elapsed.as_secs_f64(),
-        quantile(&sorted, 0.50),
-        quantile(&sorted, 0.99),
-        args.out,
-    );
-    Ok(())
 }
