@@ -14,6 +14,7 @@
 //! inputs                                   outputs
 //!   boot(config, process, wal, now)          the frames on_start causes, sealed on the SendQueues
 //!   on_frame(peer, Msg)                      (admitted: seq-checked, decoded, validated — not yet stepped)
+//!   submit(payload)                          (admitted the same way, as this node's own next frame)
 //!   on_frame(peer, StateRequest)          ─▶ the StateChunk to answer with
 //!   on_reply(peer, Ack | StateChunk)         (retires queue frames / collects transfer offers)
 //!   tick(now)                             ─▶ the next timer deadline; everything admitted is now
@@ -63,7 +64,6 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -90,11 +90,6 @@ const PROBE_EVERY: Duration = Duration::from_millis(25);
 /// message larger than the budget makes a larger frame. Far under
 /// [`crate::frame::MAX_FRAME_LEN`].
 const FRAME_BUDGET: usize = 64 * 1024;
-
-/// The published copy of the receiver's next-expected table, read by
-/// `NodeHandle::next_expected_from`. Each cell publishes only itself, so
-/// `Relaxed` suffices on both sides.
-pub(crate) type SeqMirror = Arc<Vec<AtomicU64>>;
 
 fn bad(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what.to_string())
@@ -316,8 +311,6 @@ pub(crate) struct NodeCore<M: Wire> {
     /// `next_seq` across frames rejected at the wire, and across frames
     /// admitted since the last tick.
     durable_next: Vec<u64>,
-    /// The published copy of `next_seq`, for the node's handle.
-    pub next_seq_mirror: SeqMirror,
     /// Payload hashes of the frames accepted since the last checkpoint,
     /// per peer, for the no-equivocation check on duplicates: what a
     /// restart from that checkpoint would rebuild, and no more.
@@ -406,7 +399,6 @@ impl<M: Wire> NodeCore<M> {
             since_snapshot: 0,
             next_seq: vec![0; cfg.n],
             durable_next: vec![0; cfg.n],
-            next_seq_mirror: Arc::new((0..cfg.n).map(|_| AtomicU64::new(0)).collect()),
             hashes: vec![HashMap::new(); cfg.n],
             st: NodeStatus::default(),
             status: Arc::new(Mutex::new(NodeStatus::default())),
@@ -494,11 +486,6 @@ impl<M: Wire> NodeCore<M> {
         lock_status(&self.status).clone_from(&self.st);
     }
 
-    fn set_next_seq(&mut self, peer: usize, next: u64) {
-        self.next_seq[peer] = next;
-        self.next_seq_mirror[peer].store(next, Relaxed);
-    }
-
     /// Whether deliveries are journalled: there is a log, and it can be
     /// trusted. An amnesiac's damaged file is evidence, not a journal; its
     /// deliveries feed the process as a passive learner only — `dispatch`
@@ -538,6 +525,17 @@ impl<M: Wire> NodeCore<M> {
             // node's own outbound connections. Harmless noise here.
             _ => None,
         }
+    }
+
+    /// One payload of this node's own input — its clients' commands, say:
+    /// local state in the paper's model, not channel traffic. It is
+    /// admitted as the next frame under this node's own sender slot, so
+    /// it is journalled as a `(me, Some(seq))` delivery in the next
+    /// tick's group, replayed after a crash, and rejected whole if it
+    /// does not decode, exactly like a peer's frame.
+    pub fn submit(&mut self, payload: Vec<u8>) {
+        let seq = self.next_seq[self.me.index()];
+        self.admit(self.me, seq, payload);
     }
 
     /// The cumulative ack `peer` is owed, sent once per tick on every
@@ -650,7 +648,7 @@ impl<M: Wire> NodeCore<M> {
             // The next expected frame: consume the seq and keep its hash,
             // whatever the payload turns out to hold.
             Ordering::Equal => {
-                self.set_next_seq(peer, next + 1);
+                self.next_seq[peer] = next + 1;
                 self.hashes[peer].insert(seq, fnv1a64(&payload));
                 let decode_us = &self.metrics.msg_decode_us;
                 match decode_us.time_us(|| decode_all::<M>(&payload, self.n)) {
@@ -794,9 +792,7 @@ impl<M: Wire> NodeCore<M> {
                 }
                 self.out_seq = s.out_seq;
                 self.self_stage = s.self_queue.concat();
-                for (peer, &next) in s.next_seq.iter().enumerate() {
-                    self.set_next_seq(peer, next);
-                }
+                self.next_seq.clone_from(&s.next_seq);
                 self.durable_next = s.next_seq;
                 // Re-offer the unacked backlog: frames a peer may never
                 // have received, byte-identical under their original
@@ -846,7 +842,7 @@ impl<M: Wire> NodeCore<M> {
                 Some(seq) => {
                     self.hashes[peer].insert(seq, fnv1a64(&d.payload));
                     if seq >= self.next_seq[peer] {
-                        self.set_next_seq(peer, seq + 1);
+                        self.next_seq[peer] = seq + 1;
                         self.durable_next[peer] = seq + 1;
                     }
                 }
@@ -1769,7 +1765,7 @@ mod tests {
                 feed(&mut sim, msg(seq, &[&good[..], bad, &good[..]].concat())),
                 1
             );
-            assert_eq!(sim.core(0).next_seq_mirror[1].load(Relaxed), seq + 1);
+            assert_eq!(sim.core(0).next_seq[1], seq + 1);
         }
         assert_eq!(sim.counter(0, "bt_wire_rejected_total"), 2);
         assert_eq!(delivered(&sim), settled);
@@ -1803,7 +1799,7 @@ mod tests {
         assert_eq!(delivered(&sim), after_two);
         assert_eq!(sim.counter(0, "bt_equivocations_total"), 0);
         assert_eq!(feed(&mut sim, msg(2, &good)), 3);
-        assert_eq!(sim.core(0).next_seq_mirror[1].load(Relaxed), 3);
+        assert_eq!(sim.core(0).next_seq[1], 3);
     }
 
     #[test]
@@ -2045,5 +2041,81 @@ mod tests {
         let wal = Some((wal, recovered));
         let refused = Core::boot(&cfg, process, wal, &Registry::new(), None, sim.now);
         assert_eq!(refused.err().unwrap().kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// Core 0's own INITIAL for `phase`: valid local input that makes it
+    /// echo, so its submission causes frames a replay must re-derive.
+    fn local(phase: u64) -> Vec<u8> {
+        MaliciousMsg::initial(ProcessId::new(0), Value::One, phase).to_bytes()
+    }
+
+    /// Core 0's log entries under its own sender slot, as `(seq, payload)`.
+    fn submitted(sim: &Sim) -> Vec<(Option<u64>, Vec<u8>)> {
+        let logged = sim.disks[0].deliveries().into_iter();
+        (logged.filter(|d| d.from.index() == 0 && d.seq.is_some()))
+            .map(|d| (d.seq, d.payload))
+            .collect()
+    }
+
+    #[test]
+    fn local_submissions_journal_as_own_frames_and_resume_after_a_crash() {
+        let me = ProcessId::new(0);
+        let mut sim = Sim::booted(15, 0);
+        // The same input as frames on the node's own sender slot — what a
+        // connection to itself used to carry.
+        let mut framed = Sim::booted(15, 0);
+        for (seq, phase) in [(0, 1), (1, 2)] {
+            sim.core(0).submit(local(phase));
+            framed.core(0).on_frame(me, msg(seq, &local(phase)));
+        }
+        let before = sim.disks[0].appends();
+        sim.hand_out(0);
+        framed.hand_out(0);
+        let after = sim.disks[0].appends();
+        // Both in the tick's one group; every other append is a round of
+        // self-sends.
+        assert_eq!(after.0 - before.0, 1 + after.1 - before.1);
+        assert_eq!(submitted(&sim), [(Some(0), local(1)), (Some(1), local(2))]);
+        let log = |sim: &Sim| sim.disks[0].platter.lock().unwrap().log.clone();
+        assert_eq!(log(&sim), log(&framed), "the same log, byte for byte");
+
+        let queued: Vec<_> = (1..N).map(|j| sim.queued(0, j)).collect();
+        sim.crash(0);
+        sim.boot(0, true); // `record_sealed`: every frame re-sealed identically
+        assert!(sim.status(0).recovered > 0);
+        assert_eq!((1..N).map(|j| sim.queued(0, j)).collect::<Vec<_>>(), queued);
+        assert_eq!(sim.core(0).ack(0), 2);
+        sim.core(0).submit(local(3));
+        sim.hand_out(0);
+        assert_eq!(submitted(&sim).last(), Some(&(Some(2), local(3))));
+    }
+
+    #[test]
+    fn a_log_holding_self_frames_replays_and_local_input_continues_after_it() {
+        let me = ProcessId::new(0);
+        let mut sim = Sim::booted(16, 0);
+        // By hand, as a connection to the node itself had it journalled:
+        // `(me, Some(seq))` deliveries, then the tick's seal.
+        {
+            let mut platter = sim.disks[0].platter.lock().unwrap();
+            for seq in 0..2 {
+                let record = WalRecord::Delivery(DeliveryRecord {
+                    from: me,
+                    seq: Some(seq),
+                    payload: local(seq + 1),
+                });
+                frame_into(&mut platter.log, &record);
+            }
+            frame_into(&mut platter.log, &WalRecord::Seal);
+        }
+        sim.crash(0);
+        sim.boot(0, true);
+        assert_eq!(sim.status(0).recovered, 2);
+        assert_eq!(sim.core(0).ack(0), 2);
+        assert_eq!(sim.core(0).hashes[0].len(), 2, "evidence rebuilt");
+        sim.core(0).submit(local(3));
+        sim.hand_out(0);
+        assert_eq!(submitted(&sim).last(), Some(&(Some(2), local(3))));
+        assert_eq!(sim.counter(0, "bt_equivocations_total"), 0);
     }
 }

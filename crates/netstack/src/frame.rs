@@ -5,10 +5,11 @@
 //! The first frame on any connection must be [`Frame::Hello`], announcing
 //! the dialing node's identity — the runtime's implementation of the
 //! paper's §3.1 requirement that "the message system must provide a way
-//! for correct processes to verify the identity of the sender". On
-//! loopback clusters the announcement is trusted; a deployment would pin
-//! it with transport authentication (mTLS), which changes nothing above
-//! this module.
+//! for correct processes to verify the identity of the sender". A `Hello`
+//! naming the receiving node itself is refused: a node's own input never
+//! crosses a socket. On loopback clusters the announcement is trusted; a
+//! deployment would pin it with transport authentication (mTLS), which
+//! changes nothing above this module.
 //!
 //! [`Frame::Msg`] carries a per-link sequence number, assigned when the
 //! sender *seals* the frame, and a payload of one or more protocol

@@ -13,7 +13,7 @@
 //! |-----------------------------|---------------------------|----------|
 //! | reliable channel            | buffer, never loses       | ack-gated send queues + seq-dedup (`core`, [`frame`]) |
 //! | arbitrary finite delay      | scheduler's choice        | OS scheduling + injected delay ([`fault`]) |
-//! | authenticated sender (§3.1) | envelope `from` field     | per-connection `Hello` handshake ([`frame`]) |
+//! | authenticated sender (§3.1) | envelope `from` field     | per-connection `Hello` handshake naming another process ([`frame`]) |
 //! | atomic step                 | engine calls `on_receive` | one core, one event-loop thread per node ([`node`]) |
 //! | adversarial scheduler       | `DelayingScheduler` etc.  | [`FaultPlan`] delay/partition/drop knobs |
 //!
@@ -29,8 +29,9 @@
 //! * [`conn`] (private) — the links: per-connection socket machinery
 //!   (dial/backoff, framing, coalesced vectored writes) that carries the
 //!   core's queues and replies. A new transport concern goes here;
-//! * [`node`] — the driver: `spawn`, `NodeHandle`, config/telemetry
-//!   types, and the poll loop that moves frames between links and core;
+//! * [`node`] — the driver: `spawn`, `NodeHandle`, the `Submitter` that
+//!   feeds a node its own input, config/telemetry types, and the poll
+//!   loop that moves frames between links and core;
 //! * `poll` (private) — epoll/`poll(2)` readiness over raw syscalls;
 //! * [`frame`] — length-prefixed framing and the connection protocol;
 //! * [`wal`] / [`storage`] — the write-ahead log and the file-I/O trait
@@ -79,7 +80,7 @@ pub use cluster::{
 pub use conn::jittered;
 pub use fault::{CrashRestart, FaultInjector, FaultPlan, LinkAction};
 pub use frame::{drain_frames, encode_chunk, read_frame, write_frame, Frame, MAX_FRAME_LEN};
-pub use node::{fnv1a64, spawn, NetCounters, NodeConfig, NodeHandle, NodeStatus};
+pub use node::{fnv1a64, spawn, NetCounters, NodeConfig, NodeHandle, NodeStatus, Submitter};
 pub use storage::{DiskFault, FaultyStorage, RealStorage, Storage};
 pub use wal::{
     BootRecord, DeliveryRecord, Recovered, SnapshotRecord, Wal, WalDamage, WalRecord, WAL_VERSION,

@@ -9,8 +9,8 @@
 //!           ┌──────────────────────── node (ONE thread) ───────────────────────┐
 //! peers ──▶ │ listener ─▶ InConns ──frames──▶ ┌─────────── core ────────────┐  │
 //!           │      ▲         ◀──replies────── │ seq dedup · durable acks    │  │
-//!           │   poller ── readiness           │ WAL (log-before-send)       │  │
-//!           │      ▼                          │ Process ◀── rng (seeded)    │  │
+//! local ──▶ │   inbox ──────── payloads ────▶ │ WAL (log-before-send)       │  │
+//!           │   poller ── readiness           │ Process ◀── rng (seeded)    │  │
 //!           │   Links ◀───── SendQueues ───── │ amnesia · k+1 adoption      │  │
 //!           │     │ (dial, backoff, writev)   └─────────────────────────────┘  │
 //!           └─────┼────────────────────────────────────────────────────────────┘
@@ -26,13 +26,16 @@
 //! * The **links** (`crate::conn`) are the per-connection socket
 //!   machinery: dialing, backoff, framing, coalesced vectored writes. A
 //!   new *transport* concern (TLS, a different framing) goes there.
-//! * The **driver**, in this file, owns the poller, the listener and the
-//!   connection tables and nothing else. It resolves each inbound
-//!   connection's `Hello` (tearing down anything that skips it or names a
-//!   process outside the system), forwards decoded frames to the core,
-//!   ticks it, sends its acks and replies, and pumps the core's queues
-//!   through the links. It is also the node's only clock reader: one
-//!   `Instant::now()` per wakeup, handed to everything that tick touches.
+//! * The **driver**, in this file, owns the poller, the listener, the
+//!   connection tables and the local inbox, and nothing else. It resolves
+//!   each inbound connection's `Hello` (tearing down anything that skips
+//!   it, names a process outside the system, or names this node itself),
+//!   forwards decoded frames and the [`Submitter`]s' payloads to the
+//!   core, ticks it, sends its acks and replies, and pumps the core's
+//!   queues through the links. It is also the node's only clock reader:
+//!   one `Instant::now()` per wakeup, handed to everything that tick
+//!   touches. A node's own input is local state (§2.1), not channel
+//!   traffic: it never crosses a socket.
 //!
 //! The event thread is the only thread, and the process needs no locking:
 //! it keeps the simulator's atomic-step semantics — one delivery, one
@@ -54,13 +57,14 @@
 //! the core's module docs and `docs/RECOVERY.md`.
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -68,7 +72,7 @@ use obs::metrics::{Counter, Histogram, Registry, Snapshot};
 use simnet::{Process, ProcessId, SharedSubscriber, Wire};
 
 use crate::conn::{InConn, Link, LoopStats};
-use crate::core::{NodeCore, SeqMirror};
+use crate::core::NodeCore;
 use crate::fault::FaultPlan;
 use crate::frame::Frame;
 use crate::poll::{connect_nonblocking, Dial, PollEvent, Poller};
@@ -88,9 +92,11 @@ const POLL: Duration = Duration::from_millis(20);
 
 /// Token of the listening socket in the poller.
 const TOKEN_LISTENER: u64 = 0;
+/// Token of the wake-up socket [`Submitter`]s write to.
+const TOKEN_WAKE: u64 = 1;
 /// Outbound link tokens: `OUT_BASE + peer_index`, stable for the life of
 /// the node (each peer has at most one outbound connection at a time).
-const OUT_BASE: u64 = 1;
+const OUT_BASE: u64 = 2;
 /// Inbound connection tokens count up from here, never reused.
 const IN_BASE: u64 = 1 << 32;
 
@@ -376,7 +382,47 @@ impl NodeMetrics {
     }
 }
 
-/// A handle to a spawned node: status snapshots plus shutdown.
+/// Feeds a running node its own input: each payload becomes a delivery
+/// from the node to itself, journalled under its own sender slot — the
+/// way an rsm replica's client commands enter it. Cheap to clone and
+/// `Send`; every clone feeds the same event loop.
+#[derive(Clone, Debug)]
+pub struct Submitter {
+    id: ProcessId,
+    queue: mpsc::Sender<Vec<u8>>,
+    /// The writing end of the loop's wake-up pair (nonblocking).
+    wake: Arc<UnixStream>,
+}
+
+impl Submitter {
+    /// The node this handle feeds.
+    #[must_use]
+    pub fn id(&self) -> ProcessId {
+        self.id
+    }
+
+    /// Queues `payload` — one or more encoded protocol messages, like a
+    /// frame's — for the node's next tick, and wakes its loop. Never
+    /// blocks on the node.
+    ///
+    /// # Errors
+    ///
+    /// `BrokenPipe` once the event loop has stopped (shut down or died).
+    pub fn submit(&self, payload: Vec<u8>) -> io::Result<()> {
+        self.queue.send(payload).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                "the node's event loop has stopped",
+            )
+        })?;
+        // A full socket buffer already holds a wake-up: nothing is lost.
+        let _ = (&*self.wake).write(&[1]);
+        Ok(())
+    }
+}
+
+/// A handle to a spawned node: status snapshots, its [`Submitter`], and
+/// shutdown.
 #[derive(Debug)]
 pub struct NodeHandle {
     id: ProcessId,
@@ -385,7 +431,7 @@ pub struct NodeHandle {
     /// `(reconnects, retransmits)` of each outbound link.
     links: Vec<(Counter, Counter)>,
     registry: Arc<Registry>,
-    next_seq: SeqMirror,
+    submitter: Submitter,
     shutdown: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
 }
@@ -507,15 +553,10 @@ impl NodeHandle {
         self.counters.state_transfers.get()
     }
 
-    /// The next sequence number this node expects from `peer` — i.e. one
-    /// past the highest frame it has accepted under that peer slot,
-    /// including frames recovered from the WAL. A client gateway that
-    /// injects frames under its own node's peer slot resumes numbering
-    /// from here after a restart, so its frames land as fresh deliveries
-    /// rather than duplicates.
+    /// A handle that feeds this node its own input (see [`Submitter`]).
     #[must_use]
-    pub fn next_expected_from(&self, peer: ProcessId) -> u64 {
-        self.next_seq[peer.index()].load(Ordering::Relaxed)
+    pub fn submitter(&self) -> Submitter {
+        self.submitter.clone()
     }
 
     /// Asks the event thread to stop and joins it. The loop re-checks the
@@ -607,12 +648,23 @@ where
     listener.set_nonblocking(true)?;
     let mut poller = Poller::new()?;
     poller.register(listener.as_raw_fd(), TOKEN_LISTENER)?;
+    let (wake, wake_tx) = UnixStream::pair()?;
+    wake.set_nonblocking(true)?;
+    wake_tx.set_nonblocking(true)?;
+    poller.register(wake.as_raw_fd(), TOKEN_WAKE)?;
+    // The loop owns the receiver: once it is gone, every submit fails.
+    let (queue, inbox) = mpsc::channel();
+    let submitter = Submitter {
+        id: cfg.id,
+        queue,
+        wake: Arc::new(wake_tx),
+    };
 
     let shutdown = Arc::new(AtomicBool::new(false));
     let status = Arc::clone(&core.status);
     let counters = core.counters.clone();
-    let next_seq = Arc::clone(&core.next_seq_mirror);
     let mut ev = EventLoop {
+        me: cfg.id,
         core,
         links,
         poller,
@@ -620,6 +672,8 @@ where
         inconns: HashMap::new(),
         next_in_token: 0,
         replying: Vec::new(),
+        wake,
+        inbox,
         io: io_stats,
         shutdown: Arc::clone(&shutdown),
     };
@@ -647,7 +701,7 @@ where
         counters,
         links: link_counters,
         registry,
-        next_seq,
+        submitter,
         shutdown,
         thread: Some(thread),
     })
@@ -656,6 +710,7 @@ where
 /// The driver — the node's one thread: the poller, every socket, and the
 /// [`NodeCore`] it feeds.
 struct EventLoop<M: Wire> {
+    me: ProcessId,
     core: NodeCore<M>,
     /// Outbound links by peer index (`None` at this node's own slot),
     /// each paired with the core's send queue of the same index.
@@ -668,6 +723,9 @@ struct EventLoop<M: Wire> {
     /// Inbound connections with replies to send once the core has
     /// ticked: the tick's ack, a probe's answer.
     replying: Vec<u64>,
+    /// The reading end of the [`Submitter`]s' wake-up pair.
+    wake: UnixStream,
+    inbox: mpsc::Receiver<Vec<u8>>,
     io: LoopStats,
     shutdown: Arc<AtomicBool>,
 }
@@ -728,11 +786,25 @@ impl<M: Wire> EventLoop<M> {
             if ev.readable {
                 self.accept_ready(frames);
             }
+        } else if ev.token == TOKEN_WAKE {
+            self.drain_inbox();
         } else if ev.token >= IN_BASE {
             self.inbound_event(ev, frames);
         } else {
             let peer = usize::try_from(ev.token - OUT_BASE).expect("peer token fits usize");
             self.outbound_event(peer, ev, now, frames);
+        }
+    }
+
+    /// Empties the wake-up socket (the edge-triggered contract), *then*
+    /// the queue — a payload queued after that writes a fresh wake-up, so
+    /// none is stranded — admitting each payload as this node's own next
+    /// frame.
+    fn drain_inbox(&mut self) {
+        let mut buf = [0u8; 256];
+        while matches!(self.wake.read(&mut buf), Ok(n) if n > 0) {}
+        while let Ok(payload) = self.inbox.try_recv() {
+            self.core.submit(payload);
         }
     }
 
@@ -786,8 +858,10 @@ impl<M: Wire> EventLoop<M> {
     /// produced to the core, in order; the replies — one ack for all its
     /// protocol frames, a probe's answer — go out after the core's tick.
     /// The handshake is settled here: the first frame must be a `Hello`
-    /// from a process of this system, and anything else ends the
+    /// from another process of this system, and anything else ends the
     /// connection — the core only ever sees frames with a resolved sender.
+    /// A `Hello` naming this node is an impersonation: its own input
+    /// arrives through a [`Submitter`], never over a socket.
     fn inbound_readable(&mut self, token: u64, frames: &mut Vec<Frame>) {
         let Some(conn) = self.inconns.get_mut(&token) else {
             return;
@@ -802,8 +876,8 @@ impl<M: Wire> EventLoop<M> {
             let from = match frame {
                 Frame::Hello { from } => {
                     if conn.peer.is_none() {
-                        if from.index() >= n {
-                            hostile = true; // not a peer of this system
+                        if from.index() >= n || from == self.me {
+                            hostile = true; // not a peer of this node
                             break;
                         }
                         conn.peer = Some(from);

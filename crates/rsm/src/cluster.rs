@@ -10,10 +10,9 @@
 //! module adds the client side with the same discipline. Every client
 //! listener is bound before any node boots and kept by the harness, so a
 //! killed node's client port survives it and [`RsmCluster::restart`]
-//! serves the replacement on the same socket, re-attaches the service to
-//! the recovered [`LogView`], and resumes the gateway's frame numbering
-//! from the WAL's sequence table — so re-injected client commands arrive
-//! as fresh journaled deliveries, never as equivocations.
+//! serves the replacement on the same socket, re-attached to the
+//! recovered [`LogView`] and to the new node's submit handle — whose
+//! core numbers the next client commands after those the WAL holds.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -28,7 +27,7 @@ use simnet::{Process, ProcessId, Role};
 
 use crate::msg::RsmMsg;
 use crate::replica::{Replica, RsmOptions};
-use crate::service::{GatewayConfig, RsmService, ServiceOptions};
+use crate::service::{RsmService, ServiceOptions};
 use crate::state::{AppliedState, LogView};
 
 /// Cluster shape and tuning.
@@ -151,20 +150,13 @@ impl RsmCluster {
         Ok(cluster)
     }
 
-    /// Starts node `i`'s client service on its retained listener, with
-    /// the gateway resuming from the (possibly recovered) node's sequence
-    /// table.
+    /// Starts node `i`'s client service on its retained listener, feeding
+    /// the (possibly recovered) node.
     fn serve(&mut self, i: usize) -> io::Result<()> {
-        let me = ProcessId::new(i);
         let front = &mut self.fronts[i];
-        let gateway = GatewayConfig {
-            me,
-            node_addr: self.nodes.peers()[i],
-            initial_seq: self.nodes.nodes()[i].next_expected_from(me),
-        };
         front.service = Some(RsmService::spawn(
             front.client_listener.try_clone()?,
-            gateway,
+            self.nodes.nodes()[i].submitter(),
             front.view.clone(),
             self.service,
             &self.nodes.node_registry(i),
@@ -219,8 +211,8 @@ impl RsmCluster {
     /// after a crash). The WAL keeps everything the node journaled; the
     /// listeners stay bound for the replacement.
     pub fn kill(&mut self, i: usize) {
-        // Service first: its gateway would otherwise spin redialling the
-        // dead node for the whole teardown.
+        // Service first: it hangs up on its clients before the node they
+        // wait on goes.
         if let Some(mut s) = self.fronts[i].service.take() {
             s.shutdown();
         }

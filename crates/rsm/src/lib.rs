@@ -20,8 +20,8 @@
 //!   fuzzer, and the `netstack` TCP runtime;
 //! * [`service`] — the client-facing TCP API (length-prefixed
 //!   [`ClientReq`]/[`ClientResp`] frames, bounded admission queue,
-//!   shed-with-`Busy`) and the gateway that injects accepted commands
-//!   into the replica as journaled self-deliveries;
+//!   shed-with-`Busy`) and the batcher that hands accepted commands to
+//!   the replica's node as its own journaled input;
 //! * [`cluster`] — a loopback harness ([`RsmCluster`]) that boots an
 //!   n-node service with WALs and supervised restarts, for integration
 //!   tests, the example, and `btbench`'s loopback workloads.
@@ -46,5 +46,5 @@ pub use cluster::{RsmCluster, RsmClusterOptions};
 pub use command::{Command, Op, MAX_BATCH_WIRE, MAX_KEY, MAX_VALUE};
 pub use msg::RsmMsg;
 pub use replica::{leader, word_width, Replica, RsmOptions};
-pub use service::{ClientReq, ClientResp, GatewayConfig, RsmService, ServiceOptions};
+pub use service::{ClientReq, ClientResp, RsmService, ServiceOptions};
 pub use state::{AppliedState, LogEntry, LogView};

@@ -9,11 +9,11 @@ use crate::command::{Command, MAX_BATCH_WIRE};
 /// One message of the multi-decree protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RsmMsg {
-    /// Client gateway → its own replica: enqueue `commands` for
+    /// Client service → its own replica: enqueue `commands` for
     /// announcement. Only ever accepted from the replica itself (the
-    /// gateway injects it through the node's own listener so it is
-    /// journaled, deduplicated, and replayed like any other delivery);
-    /// a copy arriving from a remote peer is dropped.
+    /// service hands it to the node's event loop as local input, which is
+    /// journaled and replayed like any other delivery); a copy from any
+    /// other process is dropped.
     Submit {
         /// The commands to enqueue, in submission order.
         commands: Vec<Command>,

@@ -108,8 +108,8 @@ struct RsmMetrics {
     pending_queue: Gauge,
     /// Messages parked for slots beyond the pipeline window.
     deferred_msgs: Gauge,
-    /// Submit messages refused because they did not come from this
-    /// replica's own gateway.
+    /// Submit messages refused because they came from another process,
+    /// not from this replica's own service.
     foreign_submits: Counter,
     /// Messages for already-applied slots (stragglers), dropped.
     late_messages: Counter,
@@ -167,7 +167,7 @@ impl RsmMetrics {
             ),
             foreign_submits: registry.counter(
                 "rsm_foreign_submits_total",
-                "Submit messages dropped for arriving from a remote peer",
+                "Submit messages dropped for coming from another process, not this replica's own service",
                 labels,
             ),
             late_messages: registry.counter(
@@ -259,7 +259,7 @@ impl Replica {
 
     /// Seeds `commands` into the pending queue at `on_start` — the
     /// deterministic workload hook for simulator runs and fuzzing, where
-    /// no gateway exists to inject [`RsmMsg::Submit`] deliveries.
+    /// no client service submits [`RsmMsg::Submit`] deliveries.
     #[must_use]
     pub fn with_preload(mut self, commands: Vec<Command>) -> Self {
         self.preload = commands;
@@ -516,9 +516,11 @@ impl Replica {
     ) {
         match msg {
             RsmMsg::Submit { commands } => {
-                // Only this replica's own gateway may feed it commands
-                // (they arrive as journaled self-frames); a Submit from a
-                // remote peer is a protocol violation.
+                // Only this replica's own service may feed it commands:
+                // they arrive as its node's journaled local input, the
+                // one way to be delivered from `me` (the node refuses a
+                // connection claiming its id). A Submit from any other
+                // process is a protocol violation.
                 if from != self.me {
                     if let Some(m) = &self.metrics {
                         m.foreign_submits.inc();
@@ -594,7 +596,7 @@ impl Process for Replica {
     fn on_start(&mut self, ctx: &mut Ctx<'_, RsmMsg>) {
         let preload = std::mem::take(&mut self.preload);
         if preload.is_empty() {
-            return; // quiescent until a gateway or peer speaks
+            return; // quiescent until the service or a peer speaks
         }
         self.pending.extend(preload);
         let mut work = VecDeque::new();

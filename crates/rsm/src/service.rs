@@ -27,11 +27,10 @@
 //! `Propose` first passes a bounded admission queue
 //! ([`ServiceOptions::queue_depth`]); when full the service sheds with
 //! [`ClientResp::Busy`] immediately instead of buffering without bound. A
-//! batcher thread drains the queue and hands batches to the **gateway**,
-//! which injects them into the replica as [`RsmMsg::Submit`] frames
-//! through the node's *own* TCP listener — so client commands are
-//! journaled, deduplicated, acked, and crash-replayed by exactly the
-//! machinery every peer message already uses. The service answers
+//! batcher thread drains the queue and packs each batch into one
+//! [`RsmMsg::Submit`] for the node's event loop (its [`Submitter`]): the
+//! replica's own input, journaled and crash-replayed by the machinery
+//! every peer message uses, without crossing a socket. The service answers
 //! [`ClientResp::Committed`] only once the command's effect is visible in
 //! the replica's applied state (via [`LogView::wait_complete`]), i.e.
 //! after the slot carrying it committed.
@@ -42,12 +41,12 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use netstack::{read_frame, write_frame, Frame, MAX_FRAME_LEN};
+use netstack::{Submitter, MAX_FRAME_LEN};
 use obs::metrics::{Counter, Gauge, Histogram, Registry};
 use simnet::{ProcessId, Wire, WireError, WireReader};
 
@@ -297,22 +296,6 @@ impl Default for ServiceOptions {
     }
 }
 
-/// How the gateway reaches its replica: the node's own listener address,
-/// this node's id (for the `Hello`), and the sequence number to resume
-/// frame numbering from ([`netstack::NodeHandle::next_expected_from`]
-/// with the node's own id — after a crash this skips everything the WAL
-/// already holds, so re-injections land as fresh deliveries, never as
-/// equivocations).
-#[derive(Clone, Copy, Debug)]
-pub struct GatewayConfig {
-    /// This node's process id.
-    pub me: ProcessId,
-    /// The node's peer-facing listener address.
-    pub node_addr: SocketAddr,
-    /// First frame sequence number to use.
-    pub initial_seq: u64,
-}
-
 /// Service-side telemetry, labelled `{node}`.
 #[derive(Clone, Debug)]
 struct ServiceMetrics {
@@ -368,141 +351,8 @@ impl ServiceMetrics {
     }
 }
 
-/// The gateway: one reliable, resumable frame stream into the replica's
-/// own listener. Tracks its unacked backlog exactly like a peer link (an
-/// ack-drain thread retires frames; a reconnect replays the backlog in
-/// order, which the node's seq-dedup makes idempotent).
-#[derive(Debug)]
-struct Gateway {
-    cfg: GatewayConfig,
-    stream: Option<TcpStream>,
-    next_seq: u64,
-    /// Unacked frames `(seq, payload)`, oldest first.
-    backlog: Mutex<std::collections::VecDeque<(u64, Vec<u8>)>>,
-    /// Highest cumulative ack seen by the drain thread.
-    acked: Arc<AtomicU64>,
-    shutdown: Arc<AtomicBool>,
-    drainers: Vec<JoinHandle<()>>,
-}
-
-impl Gateway {
-    fn new(cfg: GatewayConfig, shutdown: Arc<AtomicBool>) -> Self {
-        Gateway {
-            cfg,
-            stream: None,
-            next_seq: cfg.initial_seq,
-            backlog: Mutex::new(std::collections::VecDeque::new()),
-            acked: Arc::new(AtomicU64::new(cfg.initial_seq)),
-            shutdown,
-            drainers: Vec::new(),
-        }
-    }
-
-    /// Dials the node, says `Hello`, replays the unacked backlog, and
-    /// starts an ack-drain thread for the new connection.
-    fn connect(&mut self) -> io::Result<()> {
-        let mut stream = TcpStream::connect(self.cfg.node_addr)?;
-        stream.set_nodelay(true).ok();
-        write_frame(&mut stream, &Frame::Hello { from: self.cfg.me })?;
-        {
-            let backlog = self.backlog.lock().unwrap_or_else(PoisonError::into_inner);
-            for (seq, payload) in backlog.iter() {
-                write_frame(
-                    &mut stream,
-                    &Frame::Msg {
-                        seq: *seq,
-                        payload: payload.clone(),
-                    },
-                )?;
-            }
-        }
-        // Acks must be drained or the node's reader eventually blocks
-        // writing them; the drainer also retires backlog entries.
-        let mut ack_stream = stream.try_clone()?;
-        let acked = Arc::clone(&self.acked);
-        let shutdown = Arc::clone(&self.shutdown);
-        let drainer = thread::Builder::new()
-            .name(format!("rsm-gateway-ack-p{}", self.cfg.me.index()))
-            .spawn(move || {
-                while !shutdown.load(Ordering::Relaxed) {
-                    match read_frame(&mut ack_stream) {
-                        Ok(Frame::Ack { next }) => {
-                            acked.fetch_max(next, Ordering::Release);
-                        }
-                        Ok(_) => {}
-                        Err(_) => return,
-                    }
-                }
-            })
-            .expect("spawning the gateway ack drainer");
-        self.drainers.push(drainer);
-        self.stream = Some(stream);
-        Ok(())
-    }
-
-    /// Queues `commands` as one durable Submit frame, reconnecting and
-    /// replaying as needed. Returns once the frame is written (commitment
-    /// is observed via the log view, not here).
-    fn submit(&mut self, commands: Vec<Command>) -> io::Result<()> {
-        let payload = RsmMsg::Submit { commands }.to_bytes();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        {
-            let acked = self.acked.load(Ordering::Acquire);
-            let mut backlog = self.backlog.lock().unwrap_or_else(PoisonError::into_inner);
-            while let Some((s, _)) = backlog.front() {
-                if *s < acked {
-                    backlog.pop_front();
-                } else {
-                    break;
-                }
-            }
-            backlog.push_back((seq, payload.clone()));
-        }
-        let frame = Frame::Msg { seq, payload };
-        for attempt in 0..40u32 {
-            if self.stream.is_none() {
-                if let Err(e) = self.connect() {
-                    if attempt == 39 {
-                        return Err(e);
-                    }
-                    thread::sleep(Duration::from_millis(50));
-                    continue;
-                }
-            }
-            let stream = self.stream.as_mut().expect("connected above");
-            match write_frame(stream, &frame) {
-                Ok(()) => return Ok(()),
-                Err(_) => {
-                    // Connection died (most likely the node restarting):
-                    // drop it and redial; the backlog replay on reconnect
-                    // re-offers this frame too.
-                    self.stream = None;
-                }
-            }
-            if self.shutdown.load(Ordering::Relaxed) {
-                return Err(io::Error::new(io::ErrorKind::Interrupted, "shutting down"));
-            }
-            thread::sleep(Duration::from_millis(50));
-        }
-        Err(io::Error::new(
-            io::ErrorKind::TimedOut,
-            "gateway could not reach its replica",
-        ))
-    }
-
-    fn shutdown(&mut self) {
-        if let Some(s) = &self.stream {
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
-        for t in self.drainers.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
 /// A running client service: acceptor + per-connection handlers + the
-/// batcher/gateway pipeline. Shuts down (and joins its threads) on drop.
+/// batcher. Shuts down (and joins its threads) on drop.
 #[derive(Debug)]
 pub struct RsmService {
     local_addr: SocketAddr,
@@ -512,15 +362,17 @@ pub struct RsmService {
 }
 
 impl RsmService {
-    /// Boots the service on `listener`: client frames in, [`RsmMsg::Submit`]
-    /// injections out through `gateway`, completions observed via `view`.
+    /// Boots the service on `listener`: client frames in, one
+    /// [`RsmMsg::Submit`] per batch out through `node` (the replica's
+    /// [`netstack::NodeHandle::submitter`]), completions observed via
+    /// `view`.
     ///
     /// # Errors
     ///
     /// Propagates listener configuration failures.
     pub fn spawn(
         listener: TcpListener,
-        gateway: GatewayConfig,
+        node: Submitter,
         view: LogView,
         opts: ServiceOptions,
         registry: &Registry,
@@ -528,7 +380,8 @@ impl RsmService {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let metrics = ServiceMetrics::new(registry, gateway.me);
+        let me = node.id();
+        let metrics = ServiceMetrics::new(registry, me);
         let conn_streams: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
         let mut threads = Vec::new();
 
@@ -536,19 +389,18 @@ impl RsmService {
         // the batcher. `try_send` failure is the shed signal.
         let (admit_tx, admit_rx) = mpsc::sync_channel::<Command>(opts.queue_depth);
 
-        // Batcher: drains the queue, packs Submit frames, drives the
-        // gateway.
+        // Batcher: drains the queue, packs each batch into one Submit and
+        // hands it to the node's event loop.
         {
             let shutdown_flag = Arc::clone(&shutdown);
             let queue_gauge = metrics.queue.clone();
-            let mut gw = Gateway::new(gateway, Arc::clone(&shutdown));
             let max = opts.submit_batch.max(1);
             let handle = thread::Builder::new()
-                .name(format!("rsm-batcher-p{}", gateway.me.index()))
+                .name(format!("rsm-batcher-p{}", me.index()))
                 .spawn(move || {
                     loop {
                         // Block for the first command, then sweep
-                        // whatever else queued behind it into one frame.
+                        // whatever else queued behind it into one Submit.
                         let first = match admit_rx.recv_timeout(Duration::from_millis(100)) {
                             Ok(c) => c,
                             Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -567,11 +419,14 @@ impl RsmService {
                             }
                         }
                         queue_gauge.sub(batch.len() as u64);
-                        if gw.submit(batch).is_err() && shutdown_flag.load(Ordering::Relaxed) {
+                        let submit = RsmMsg::Submit { commands: batch };
+                        if node.submit(submit.to_bytes()).is_err() {
+                            // The node stopped and never comes back under
+                            // this handle: its proposals time out, and
+                            // later ones are shed as `Busy`.
                             break;
                         }
                     }
-                    gw.shutdown();
                 })
                 .expect("spawning the rsm batcher thread");
             threads.push(handle);
@@ -581,7 +436,6 @@ impl RsmService {
         {
             let shutdown_flag = Arc::clone(&shutdown);
             let streams = Arc::clone(&conn_streams);
-            let me = gateway.me;
             let handle = thread::Builder::new()
                 .name(format!("rsm-accept-p{}", me.index()))
                 .spawn(move || {

@@ -2,8 +2,9 @@
 //! ordering, batch atomicity, exactly-once application, and cross-replica
 //! log identity, with no real network or clock anywhere.
 
-use rsm::{AppliedState, Command, LogView, Op, Replica, RsmOptions};
-use simnet::{ProcessId, Role, Sim, StopWhen};
+use obs::metrics::Registry;
+use rsm::{AppliedState, Command, LogView, Op, Replica, RsmMsg, RsmOptions};
+use simnet::{Ctx, Envelope, ProcessId, Role, Sim, StopWhen, Value};
 
 fn put(client: u64, request: u64, key: &[u8], value: &[u8]) -> Command {
     Command {
@@ -232,6 +233,67 @@ fn pipelining_keeps_multiple_slots_in_flight() {
     assert_eq!(wide[0].applied_commands, 48);
     // Same commands, same KV — regardless of window-induced slot layout.
     assert_eq!(narrow[0].kv, wide[0].kv);
+}
+
+/// A process that, at start, sends replica 0 a `Submit` of its own — a
+/// peer posing as replica 0's client service.
+#[derive(Debug)]
+struct ForeignSubmitter(Vec<Command>);
+
+impl simnet::Process for ForeignSubmitter {
+    type Msg = RsmMsg;
+    fn on_start(&mut self, ctx: &mut Ctx<'_, RsmMsg>) {
+        let commands = self.0.clone();
+        ctx.send(ProcessId::new(0), RsmMsg::Submit { commands });
+    }
+    fn on_receive(&mut self, _: Envelope<RsmMsg>, _: &mut Ctx<'_, RsmMsg>) {}
+    fn decision(&self) -> Option<Value> {
+        None
+    }
+    fn phase(&self) -> u64 {
+        0
+    }
+}
+
+#[test]
+fn a_submit_from_another_process_is_counted_and_dropped() {
+    let n = 4;
+    let config = bt_core::Config::malicious(n, 1).expect("valid config");
+    let registry = Registry::new();
+    let views: Vec<LogView> = (0..n - 1).map(|_| LogView::new()).collect();
+    let mut builder = Sim::builder();
+    for (i, view) in views.iter().enumerate() {
+        // Replica 1's own clients keep the log moving past the Submit.
+        let preload = if i == 1 {
+            (1..=3).map(|r| put(1, r, b"own", b"v")).collect()
+        } else {
+            Vec::new()
+        };
+        let replica = Replica::new(config, ProcessId::new(i), RsmOptions::default())
+            .with_view(view.clone())
+            .with_preload(preload)
+            .with_metrics(&registry);
+        builder.process(Box::new(replica), Role::Correct);
+    }
+    let forged = (1..=3).map(|r| put(99, r, b"forged", b"x")).collect();
+    builder.process(Box::new(ForeignSubmitter(forged)), Role::Faulty);
+    let report = builder
+        .seed(5)
+        .stop_when(StopWhen::Never)
+        .step_limit(2_000_000)
+        .build()
+        .run();
+    assert!(report.steps < 2_000_000, "the run did not go quiescent");
+
+    let states: Vec<AppliedState> = views.iter().map(LogView::snapshot).collect();
+    assert_identical(&states);
+    let clients: Vec<u64> = (states[0].log.iter())
+        .flat_map(|e| e.commands.iter().map(|c| c.client))
+        .collect();
+    assert_eq!(clients, [1, 1, 1], "only replica 1's own commands applied");
+    let reading = |name: &str| registry.snapshot().scalar(name, &[("node", "0")]);
+    assert_eq!(reading("rsm_foreign_submits_total"), Some(1));
+    assert_eq!(reading("rsm_pending_queue"), Some(0), "nothing queued");
 }
 
 #[test]

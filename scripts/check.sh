@@ -15,6 +15,13 @@ echo "==> sans-IO gate: netstack core.rs names no socket, poller, thread or cloc
 # Comments and the test module excluded: the seam must not silently close.
 if sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' crates/netstack/src/core.rs | grep -nE 'std::net|std::os|crate::poll|TcpStream|Instant::now|thread::'; then echo "core.rs must stay sans-IO"; exit 1; fi
 
+echo "==> one way into the replica: rsm names none of netstack's peer framing"
+# Client commands reach the node through its Submitter. A socket into the
+# node's own peer port (a Hello, a Msg, a read of its acks) must fail here.
+if for f in crates/rsm/src/*.rs; do
+    sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' "$f" | grep -nE 'Frame::|write_frame|read_frame' | sed "s|^|$f:|"
+done | grep .; then echo "rsm must reach its node only through its Submitter"; exit 1; fi
+
 echo "==> cargo test"
 cargo test --workspace -q
 

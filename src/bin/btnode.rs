@@ -11,11 +11,11 @@
 //! ```
 //!
 //! `--peer` must appear exactly `N` times, in process-id order; entry `I`
-//! is this node's own address (nodes never dial themselves, so it is only
-//! positional). Start all `N` nodes in any order — dials retry with
-//! backoff until the whole cluster is up, so there is no required boot
-//! sequence. The process exits 0 once this node decides, printing the
-//! decision, or 1 on timeout.
+//! is this node's own address (nothing dials a node as itself — the node
+//! refuses such a connection — so it is only positional). Start all `N`
+//! nodes in any order — dials retry with backoff until the whole cluster
+//! is up, so there is no required boot sequence. The process exits 0 once
+//! this node decides, printing the decision, or 1 on timeout.
 //!
 //! With `--jsonl` the node writes its own perspective of the run (its
 //! events only — each node sees its own trace) as `obs`-format JSONL
@@ -53,11 +53,13 @@
 //! `--client PORT` (required) serves the length-prefixed client API on
 //! the listen host, `--window`/`--max-batch` tune the replica's
 //! pipelining and batching, and `--queue-depth`/`--submit-batch` tune
-//! the service's admission queue. `--input` does not apply; `--timeout`
-//! becomes the serving duration (0 = serve until killed). The `/status`
-//! admin endpoint gains an `rsm` section (applied slots, log digest,
-//! command counters), and `--supervise`/`--wal` work unchanged — a
-//! SIGKILLed replica restarts from its journal and rejoins without
+//! the service's admission queue, whose batches enter the replica through
+//! the node's event loop as its own journaled input (the node's submit
+//! handle — no connection to its own port). `--input` does not apply;
+//! `--timeout` becomes the serving duration (0 = serve until killed). The
+//! `/status` admin endpoint gains an `rsm` section (applied slots, log
+//! digest, command counters), and `--supervise`/`--wal` work unchanged —
+//! a SIGKILLed replica restarts from its journal and rejoins without
 //! equivocation, resuming its client service on the same port.
 
 use std::net::{SocketAddr, TcpListener};
@@ -489,7 +491,7 @@ fn node_config(args: &Args, metrics: Option<Arc<Registry>>) -> NodeConfig {
 /// until killed) or the event loop dies.
 fn run_rsm(args: &Args, listener: TcpListener) -> Result<bool, String> {
     use obs::json::Json;
-    use rsm::{GatewayConfig, LogView, Replica, RsmService};
+    use rsm::{LogView, Replica, RsmService};
 
     let config = Config::malicious(args.n, args.k).map_err(|e| e.to_string())?;
     let me = ProcessId::new(args.id);
@@ -509,11 +511,7 @@ fn run_rsm(args: &Args, listener: TcpListener) -> Result<bool, String> {
         .map_err(|e| format!("cannot bind client port {client_bind}: {e}"))?;
     let service = RsmService::spawn(
         client_listener,
-        GatewayConfig {
-            me,
-            node_addr: args.peers[args.id],
-            initial_seq: node.next_expected_from(me),
-        },
+        node.submitter(),
         view.clone(),
         args.service,
         &registry,
