@@ -814,7 +814,7 @@ pub fn synthesize_report<'a>(
     let mut decisions = vec![None; n];
     let mut decision_steps = vec![None; n];
     let mut decision_phases = vec![None; n];
-    let mut metrics = Metrics::new(n);
+    let mut metrics = Metrics::default();
     let mut steps = 0u64;
     let mut max_phase = 0u64;
     for node in nodes {
@@ -825,8 +825,6 @@ pub fn synthesize_report<'a>(
         decision_phases[i] = st.decision_phase;
         steps += st.steps;
         max_phase = max_phase.max(st.phase);
-        metrics.steps_by[i] = st.steps;
-        metrics.sent_by[i] = node.messages_sent();
         metrics.messages_sent += node.messages_sent();
         metrics.messages_delivered += node.messages_delivered();
         metrics.messages_dropped += node.messages_dropped();

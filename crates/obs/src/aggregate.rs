@@ -8,7 +8,9 @@
 //! pure folding over the deterministic event order, so identical seeds
 //! produce identical aggregator state.
 
-use simnet::{Event, ProtocolEvent, RunReport, Subscriber, Summary};
+use std::collections::{BTreeMap, HashMap};
+
+use simnet::{Event, ProcessId, ProtocolEvent, RunReport, Subscriber, Summary};
 
 /// Counters for a single protocol phase, accumulated across runs.
 ///
@@ -36,6 +38,82 @@ pub struct PhaseStat {
     pub decisions: u64,
 }
 
+/// One phase's row in a [`PhaseFold`]: its counters, plus the first
+/// `(step, pid)` at which any process entered it.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct PhaseRow {
+    pub(crate) first_entry: Option<(u64, ProcessId)>,
+    pub(crate) stat: PhaseStat,
+}
+
+/// The per-phase fold over an event stream: the one place an [`Event`] is
+/// attributed to a phase. [`PhaseAggregator`] folds live runs through it;
+/// `btreport` folds parsed JSONL traces through it.
+///
+/// Both maps are sparse — a row exists only for a phase some event named,
+/// and a process's phase is stored only once it enters one — so memory
+/// grows with the number of events folded, not with the phase or process
+/// numbers they carry.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PhaseFold {
+    /// Rows by phase number.
+    pub(crate) rows: BTreeMap<u64, PhaseRow>,
+    /// Each process's current phase; absent means phase 0, where every
+    /// process starts.
+    current: HashMap<ProcessId, u64>,
+    /// `recover` events folded.
+    pub(crate) recoveries: u64,
+    /// Deliveries those recoveries replayed.
+    pub(crate) replayed_deliveries: u64,
+}
+
+impl PhaseFold {
+    /// A new run begins: every process is back in phase 0. The rows and
+    /// recovery counts keep accumulating.
+    pub(crate) fn start_run(&mut self) {
+        self.current.clear();
+    }
+
+    fn row(&mut self, phase: u64) -> &mut PhaseRow {
+        self.rows.entry(phase).or_default()
+    }
+
+    fn stat(&mut self, phase: u64) -> &mut PhaseStat {
+        &mut self.row(phase).stat
+    }
+
+    fn phase_of(&self, pid: ProcessId) -> u64 {
+        self.current.get(&pid).copied().unwrap_or(0)
+    }
+
+    /// Folds one event into the rows of the phase it belongs to.
+    pub(crate) fn fold(&mut self, event: &Event) {
+        match *event {
+            Event::Send { from, .. } => self.stat(self.phase_of(from)).messages_sent += 1,
+            Event::Deliver { to, .. } => self.stat(self.phase_of(to)).deliveries += 1,
+            Event::Protocol { step, pid, event } => match event {
+                ProtocolEvent::PhaseEntered { phase } => {
+                    self.current.insert(pid, phase);
+                    let row = self.row(phase);
+                    row.stat.entries += 1;
+                    row.first_entry.get_or_insert((step, pid));
+                }
+                ProtocolEvent::WitnessReached { phase, .. } => self.stat(phase).witnesses += 1,
+                ProtocolEvent::EchoAccepted { phase, .. } => self.stat(phase).echo_accepts += 1,
+                ProtocolEvent::ValueFlipped { phase, .. } => self.stat(phase).value_flips += 1,
+                ProtocolEvent::CoinFlipped { phase, .. } => self.stat(phase).coin_flips += 1,
+                ProtocolEvent::Decided { phase, .. } => self.stat(phase).decisions += 1,
+                ProtocolEvent::Halted { .. } => {}
+            },
+            Event::Recover { replayed, .. } => {
+                self.recoveries += 1;
+                self.replayed_deliveries += replayed;
+            }
+            Event::Start { .. } | Event::Decide { .. } | Event::Halt { .. } => {}
+        }
+    }
+}
+
 /// A [`Subscriber`] that folds run events into per-phase telemetry.
 ///
 /// One aggregator may observe many runs back to back (e.g. through
@@ -56,14 +134,11 @@ pub struct PhaseStat {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PhaseAggregator {
-    phases: Vec<PhaseStat>,
-    current_phase: Vec<u64>,
+    fold: PhaseFold,
     runs: u64,
     decided_runs: u64,
     phases_to_decision: Vec<f64>,
     decision_lags: Vec<f64>,
-    recoveries: u64,
-    replayed_deliveries: u64,
 }
 
 impl PhaseAggregator {
@@ -73,10 +148,16 @@ impl PhaseAggregator {
         PhaseAggregator::default()
     }
 
-    /// Per-phase counters, indexed by phase number.
+    /// Per-phase counters, indexed by phase number; a phase no event named
+    /// reads as zeros.
     #[must_use]
-    pub fn phases(&self) -> &[PhaseStat] {
-        &self.phases
+    pub fn phases(&self) -> Vec<PhaseStat> {
+        let mut dense = Vec::new();
+        for (&phase, row) in &self.fold.rows {
+            dense.resize(phase as usize, PhaseStat::default());
+            dense.push(row.stat);
+        }
+        dense
     }
 
     /// Runs observed so far.
@@ -95,14 +176,14 @@ impl PhaseAggregator {
     /// never emits them).
     #[must_use]
     pub fn recoveries(&self) -> u64 {
-        self.recoveries
+        self.fold.recoveries
     }
 
     /// Total deliveries replayed from write-ahead logs across all
     /// observed recoveries.
     #[must_use]
     pub fn replayed_deliveries(&self) -> u64 {
-        self.replayed_deliveries
+        self.fold.replayed_deliveries
     }
 
     /// Raw per-run phases-to-decision samples (decided runs only).
@@ -127,18 +208,6 @@ impl PhaseAggregator {
         Summary::of(self.decision_lags.clone())
     }
 
-    fn stat_mut(&mut self, phase: u64) -> &mut PhaseStat {
-        let idx = phase as usize;
-        if idx >= self.phases.len() {
-            self.phases.resize(idx + 1, PhaseStat::default());
-        }
-        &mut self.phases[idx]
-    }
-
-    fn current(&mut self, pid: simnet::ProcessId) -> u64 {
-        self.current_phase.get(pid.index()).copied().unwrap_or(0)
-    }
-
     /// Renders the per-phase table plus the run-level distributions.
     #[must_use]
     pub fn render(&self) -> String {
@@ -157,7 +226,8 @@ impl PhaseAggregator {
             "coins",
             "decisions"
         );
-        for (phase, s) in self.phases.iter().enumerate() {
+        for (phase, row) in &self.fold.rows {
+            let s = row.stat;
             let _ = writeln!(
                 out,
                 "{:>5} {:>8} {:>9} {:>9} {:>9} {:>7} {:>6} {:>6} {:>9}",
@@ -173,11 +243,11 @@ impl PhaseAggregator {
             );
         }
         let _ = writeln!(out, "runs: {} ({} decided)", self.runs, self.decided_runs);
-        if self.recoveries > 0 {
+        if self.fold.recoveries > 0 {
             let _ = writeln!(
                 out,
                 "recoveries: {} ({} deliveries replayed)",
-                self.recoveries, self.replayed_deliveries
+                self.fold.recoveries, self.fold.replayed_deliveries
             );
         }
         let _ = writeln!(out, "phases to decision: {}", self.phases_histogram());
@@ -187,52 +257,12 @@ impl PhaseAggregator {
 }
 
 impl Subscriber for PhaseAggregator {
-    fn on_run_start(&mut self, n: usize, _seed: u64) {
-        self.current_phase.clear();
-        self.current_phase.resize(n, 0);
+    fn on_run_start(&mut self, _n: usize, _seed: u64) {
+        self.fold.start_run();
     }
 
     fn on_event(&mut self, event: &Event) {
-        match *event {
-            Event::Send { from, .. } => {
-                let phase = self.current(from);
-                self.stat_mut(phase).messages_sent += 1;
-            }
-            Event::Deliver { to, .. } => {
-                let phase = self.current(to);
-                self.stat_mut(phase).deliveries += 1;
-            }
-            Event::Protocol { pid, event, .. } => match event {
-                ProtocolEvent::PhaseEntered { phase } => {
-                    if pid.index() >= self.current_phase.len() {
-                        self.current_phase.resize(pid.index() + 1, 0);
-                    }
-                    self.current_phase[pid.index()] = phase;
-                    self.stat_mut(phase).entries += 1;
-                }
-                ProtocolEvent::WitnessReached { phase, .. } => {
-                    self.stat_mut(phase).witnesses += 1;
-                }
-                ProtocolEvent::EchoAccepted { phase, .. } => {
-                    self.stat_mut(phase).echo_accepts += 1;
-                }
-                ProtocolEvent::ValueFlipped { phase, .. } => {
-                    self.stat_mut(phase).value_flips += 1;
-                }
-                ProtocolEvent::CoinFlipped { phase, .. } => {
-                    self.stat_mut(phase).coin_flips += 1;
-                }
-                ProtocolEvent::Decided { phase, .. } => {
-                    self.stat_mut(phase).decisions += 1;
-                }
-                ProtocolEvent::Halted { .. } => {}
-            },
-            Event::Recover { replayed, .. } => {
-                self.recoveries += 1;
-                self.replayed_deliveries += replayed;
-            }
-            Event::Start { .. } | Event::Decide { .. } | Event::Halt { .. } => {}
-        }
+        self.fold.fold(event);
     }
 
     fn on_run_end(&mut self, report: &RunReport) {
@@ -255,8 +285,6 @@ impl Subscriber for PhaseAggregator {
 
 #[cfg(test)]
 mod tests {
-    use simnet::ProcessId;
-
     use super::*;
 
     fn p(i: usize) -> ProcessId {

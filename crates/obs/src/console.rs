@@ -1,9 +1,10 @@
 //! Human-readable run narration.
 //!
-//! [`ConsoleReporter`] turns the event stream into the same one-line-per-
-//! event narration as `Trace::render`, but streamed through the subscriber
-//! hook — unbounded by a trace capacity, optionally echoed to stdout as the
-//! run executes. Tests use the buffered form and assert on its text.
+//! [`ConsoleReporter`] turns the event stream into one line per event —
+//! the format you paste into a bug report next to the seed that produced
+//! it. This is the workspace's one narration of an [`Event`]: attach the
+//! reporter as a subscriber, or feed it the events of a parsed JSONL trace
+//! (`consensus-explorer --trace` does the latter).
 
 use simnet::{Event, ProtocolEvent, RunReport, RunStatus, Subscriber};
 
@@ -11,24 +12,14 @@ use simnet::{Event, ProtocolEvent, RunReport, RunStatus, Subscriber};
 #[derive(Debug, Default)]
 pub struct ConsoleReporter {
     lines: Vec<String>,
-    echo: bool,
 }
 
 impl ConsoleReporter {
-    /// A reporter that only buffers (read it back with
-    /// [`ConsoleReporter::text`]).
+    /// An empty reporter; read the narration back with
+    /// [`ConsoleReporter::text`].
     #[must_use]
     pub fn new() -> Self {
         ConsoleReporter::default()
-    }
-
-    /// A reporter that also prints each line to stdout as it happens.
-    #[must_use]
-    pub fn echoing() -> Self {
-        ConsoleReporter {
-            lines: Vec::new(),
-            echo: true,
-        }
     }
 
     /// The narration so far, newline-terminated.
@@ -40,13 +31,6 @@ impl ConsoleReporter {
             out.push('\n');
         }
         out
-    }
-
-    fn emit(&mut self, line: String) {
-        if self.echo {
-            println!("{line}");
-        }
-        self.lines.push(line);
     }
 }
 
@@ -77,7 +61,7 @@ fn narrate_protocol(e: &ProtocolEvent) -> String {
 
 impl Subscriber for ConsoleReporter {
     fn on_run_start(&mut self, n: usize, seed: u64) {
-        self.emit(format!("=== run: n={n} seed={seed} ==="));
+        self.lines.push(format!("=== run: n={n} seed={seed} ==="));
     }
 
     fn on_event(&mut self, event: &Event) {
@@ -98,7 +82,7 @@ impl Subscriber for ConsoleReporter {
                 format!("[{step:>5}] {pid} {}", narrate_protocol(&event))
             }
         };
-        self.emit(line);
+        self.lines.push(line);
     }
 
     fn on_run_end(&mut self, report: &RunReport) {
@@ -110,7 +94,7 @@ impl Subscriber for ConsoleReporter {
         let decision = report
             .decided_value()
             .map_or_else(|| "none".to_string(), |v| v.to_string());
-        self.emit(format!(
+        self.lines.push(format!(
             "=== {status} after {} steps; decision: {decision}; phases to decision: {} ===",
             report.steps,
             report
@@ -126,25 +110,107 @@ mod tests {
 
     use super::*;
 
-    #[test]
-    fn narration_covers_engine_and_protocol_events() {
+    fn narrate(events: &[Event]) -> String {
         let mut c = ConsoleReporter::new();
-        c.on_run_start(3, 42);
-        c.on_event(&Event::Start {
-            pid: ProcessId::new(0),
-        });
-        c.on_event(&Event::Protocol {
-            step: 2,
-            pid: ProcessId::new(0),
-            event: ProtocolEvent::WitnessReached {
-                phase: 1,
-                value: Value::One,
-                cardinality: 2,
+        for e in events {
+            c.on_event(e);
+        }
+        c.text()
+    }
+
+    #[test]
+    fn narration_covers_every_event_kind() {
+        let p = ProcessId::new;
+        let text = narrate(&[
+            Event::Start { pid: p(0) },
+            Event::Send {
+                step: 1,
+                from: p(0),
+                to: p(1),
             },
-        });
-        let text = c.text();
-        for needle in ["n=3 seed=42", "p0 starts", "witness for 1"] {
+            Event::Deliver {
+                step: 2,
+                to: p(1),
+                from: p(0),
+                index: 0,
+            },
+            Event::Decide {
+                step: 3,
+                pid: p(1),
+                value: Value::Zero,
+            },
+            Event::Halt { step: 4, pid: p(1) },
+            Event::Recover {
+                step: 9,
+                pid: p(1),
+                replayed: 4,
+            },
+        ]);
+        assert_eq!(
+            text,
+            "[    0] p0 starts\n\
+             [    1] p0 sends to p1\n\
+             [    2] p1 receives from p0\n\
+             [    3] p1 decides 0\n\
+             [    4] p1 halts\n\
+             [    9] p1 recovers (4 deliveries replayed)\n"
+        );
+    }
+
+    #[test]
+    fn narration_covers_every_protocol_event_kind() {
+        let text = narrate(
+            &[
+                ProtocolEvent::PhaseEntered { phase: 3 },
+                ProtocolEvent::WitnessReached {
+                    phase: 3,
+                    value: Value::One,
+                    cardinality: 4,
+                },
+                ProtocolEvent::EchoAccepted {
+                    phase: 3,
+                    subject: ProcessId::new(2),
+                    value: Value::One,
+                    echoes: 5,
+                },
+                ProtocolEvent::ValueFlipped {
+                    phase: 3,
+                    from: Value::Zero,
+                    to: Value::One,
+                },
+                ProtocolEvent::CoinFlipped {
+                    phase: 3,
+                    value: Value::Zero,
+                },
+                ProtocolEvent::Decided {
+                    phase: 3,
+                    value: Value::One,
+                },
+                ProtocolEvent::Halted { phase: 3 },
+            ]
+            .map(|event| Event::Protocol {
+                step: 5,
+                pid: ProcessId::new(0),
+                event,
+            }),
+        );
+        for needle in [
+            "[    5] p0 enters phase 3",
+            "sees witness for 1 (cardinality 4) in phase 3",
+            "accepts p2's 1 (5 echoes) in phase 3",
+            "flips 0 → 1 in phase 3",
+            "flips coin → 0 in phase 3",
+            "decides 1 in phase 3",
+            "leaves the protocol in phase 3",
+        ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+    }
+
+    #[test]
+    fn run_boundaries_frame_the_narration() {
+        let mut c = ConsoleReporter::new();
+        c.on_run_start(3, 42);
+        assert!(c.text().contains("n=3 seed=42"), "{}", c.text());
     }
 }

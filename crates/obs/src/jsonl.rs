@@ -324,23 +324,73 @@ pub fn schedule_of(lines: &[TraceLine]) -> Vec<Selection> {
 
 /// Parses a full JSONL trace (empty lines ignored).
 ///
+/// Each event is checked against its run as it is read. Every process id it
+/// names must be below the `run_start` header's `n`. Until the run has a
+/// `recover` event, no phase may exceed the line number: a process reaches
+/// phase p only after p `phase_entered` lines of its own, and only a
+/// recovery (a silent WAL replay or state adoption) skips them.
+///
 /// # Errors
 ///
 /// Returns the first [`JsonError`] hit, with the offending line number in
 /// the message.
 pub fn parse_trace(text: &str) -> Result<Vec<TraceLine>, JsonError> {
     let mut lines = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
+    // The open run's size (unbounded outside a run), and whether it recovered.
+    let mut n = usize::MAX;
+    let mut recovered = false;
+    for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let parsed = parse_line(line).map_err(|e| JsonError {
-            message: format!("line {}: {}", lineno + 1, e.message),
-            offset: e.offset,
-        })?;
+        let lineno = i + 1;
+        let at_line = |message: String, offset| JsonError {
+            message: format!("line {lineno}: {message}"),
+            offset,
+        };
+        let parsed = parse_line(line).map_err(|e| at_line(e.message, e.offset))?;
+        match &parsed {
+            TraceLine::RunStart { n: size, .. } => (n, recovered) = (*size, false),
+            TraceLine::RunEnd { .. } => (n, recovered) = (usize::MAX, false),
+            TraceLine::Event(event) => {
+                recovered |= matches!(event, Event::Recover { .. });
+                let max_phase = if recovered { u64::MAX } else { lineno as u64 };
+                check_event(event, n, max_phase).map_err(|m| at_line(m, 0))?;
+            }
+        }
         lines.push(parsed);
     }
     Ok(lines)
+}
+
+/// Rejects an event naming a process id `>= n` or a phase above
+/// `max_phase` (engine events name no phase).
+fn check_event(event: &Event, n: usize, max_phase: u64) -> Result<(), String> {
+    let (ids, phase) = match *event {
+        Event::Start { pid }
+        | Event::Decide { pid, .. }
+        | Event::Halt { pid, .. }
+        | Event::Recover { pid, .. } => ([pid, pid], 0),
+        Event::Send { from, to, .. } | Event::Deliver { from, to, .. } => ([from, to], 0),
+        Event::Protocol { pid, event, .. } => match event {
+            ProtocolEvent::EchoAccepted { phase, subject, .. } => ([pid, subject], phase),
+            ProtocolEvent::PhaseEntered { phase }
+            | ProtocolEvent::WitnessReached { phase, .. }
+            | ProtocolEvent::ValueFlipped { phase, .. }
+            | ProtocolEvent::CoinFlipped { phase, .. }
+            | ProtocolEvent::Decided { phase, .. }
+            | ProtocolEvent::Halted { phase } => ([pid, pid], phase),
+        },
+    };
+    if let Some(id) = ids.iter().find(|id| id.index() >= n) {
+        return Err(format!("{id} is outside the run's n={n}"));
+    }
+    if phase > max_phase {
+        return Err(format!(
+            "phase {phase} is unreachable this early in the trace"
+        ));
+    }
+    Ok(())
 }
 
 /// Parses one line of a JSONL trace.
@@ -615,6 +665,36 @@ mod tests {
     fn parse_errors_carry_line_numbers() {
         let err = parse_trace("{\"kind\":\"start\",\"pid\":0}\nnot json\n").unwrap_err();
         assert!(err.message.contains("line 2"), "{err}");
+    }
+
+    #[test]
+    fn ids_outside_the_run_are_rejected_with_their_line() {
+        let header = "{\"kind\":\"run_start\",\"n\":2,\"seed\":1}\n";
+        for event in [
+            "{\"kind\":\"start\",\"pid\":2}",
+            "{\"kind\":\"send\",\"step\":0,\"from\":0,\"to\":7}",
+            "{\"kind\":\"echo_accepted\",\"step\":1,\"pid\":1,\"phase\":0,\"subject\":2,\"value\":1,\"echoes\":2}",
+        ] {
+            let err = parse_trace(&format!("{header}{event}\n")).unwrap_err();
+            assert!(err.message.starts_with("line 2: "), "{err}");
+            assert!(err.message.contains("outside the run's n=2"), "{err}");
+        }
+        // Outside a run there is no `n` to check against.
+        assert!(parse_trace("{\"kind\":\"start\",\"pid\":9}\n").is_ok());
+    }
+
+    #[test]
+    fn phases_beyond_the_lines_read_are_rejected_until_a_recovery() {
+        let text = "{\"kind\":\"run_start\",\"n\":2,\"seed\":1}\n\
+                    {\"kind\":\"phase_entered\",\"step\":1,\"pid\":0,\"phase\":2}\n\
+                    {\"kind\":\"phase_entered\",\"step\":1,\"pid\":0,\"phase\":4}\n";
+        let err = parse_trace(text).unwrap_err();
+        assert!(err.message.starts_with("line 3: phase 4"), "{err}");
+        // A recovered node resumes at whatever phase its WAL held.
+        let text = "{\"kind\":\"run_start\",\"n\":2,\"seed\":1}\n\
+                    {\"kind\":\"recover\",\"step\":9,\"pid\":0,\"replayed\":4}\n\
+                    {\"kind\":\"phase_entered\",\"step\":10,\"pid\":0,\"phase\":40}\n";
+        assert_eq!(parse_trace(text).unwrap().len(), 3);
     }
 
     #[test]

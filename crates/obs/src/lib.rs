@@ -3,17 +3,19 @@
 //! `simnet` exposes a [`Subscriber`](simnet::Subscriber) slot that streams
 //! every engine event (send, deliver, decide, halt) and every protocol-level
 //! event (phase entered, witness reached, echo accepted, value flipped, coin
-//! flipped, decided, halted) out of a run. This crate provides the sinks
-//! that make the stream useful:
+//! flipped, decided, halted) out of a run. That stream is the simulator's
+//! only observer; this crate provides the sinks that make it useful:
 //!
 //! * [`PhaseAggregator`] — in-memory per-phase telemetry: message/step
 //!   counts attributed to the actor's phase, a phases-to-decision histogram
 //!   (p50/p95/max/mean) and decision-lag tracking across runs;
 //! * [`JsonlSink`] — a deterministic JSONL trace writer whose output
 //!   round-trips through [`parse_trace`] for offline replay;
-//! * [`ConsoleReporter`] — a human-readable narration of the run;
+//! * [`ConsoleReporter`] — a human-readable narration of the run, one line
+//!   per event;
 //! * [`render_report`] — the per-phase timeline + summary renderer behind
-//!   the `btreport` binary.
+//!   the `btreport` binary. It folds a parsed trace per phase through the
+//!   same code as [`PhaseAggregator`].
 //!
 //! All sinks share one convention: attach them as
 //! `Arc<Mutex<Sink>>` through `SimBuilder::subscriber` (the

@@ -2,91 +2,19 @@
 //! timeline and a cross-run summary table. This is the engine behind the
 //! `btreport` binary.
 
-use simnet::{Event, ProcessId, ProtocolEvent, Summary};
+use simnet::Summary;
 
-use crate::aggregate::PhaseStat;
+use crate::aggregate::PhaseFold;
 use crate::jsonl::TraceLine;
 
-/// Per-phase row of one run's timeline.
-#[derive(Clone, Copy, Debug, Default)]
-struct PhaseRow {
-    /// First (step, pid) at which any process entered the phase.
-    first_entry: Option<(u64, ProcessId)>,
-    stat: PhaseStat,
-}
-
-/// State folded over one run's events.
+/// One run of a trace: its header and its events folded per phase.
 #[derive(Debug, Default)]
 struct RunState {
     header: Option<(usize, u64)>,
-    current_phase: Vec<u64>,
-    rows: Vec<PhaseRow>,
-    decide_phases: Vec<u64>,
-    recoveries: u64,
-    replayed_deliveries: u64,
+    fold: PhaseFold,
 }
 
 impl RunState {
-    fn row(&mut self, phase: u64) -> &mut PhaseRow {
-        let idx = phase as usize;
-        if idx >= self.rows.len() {
-            self.rows.resize_with(idx + 1, PhaseRow::default);
-        }
-        &mut self.rows[idx]
-    }
-
-    fn phase_of(&mut self, pid: ProcessId) -> u64 {
-        self.current_phase.get(pid.index()).copied().unwrap_or(0)
-    }
-
-    fn fold(&mut self, event: &Event) {
-        match *event {
-            Event::Send { from, .. } => {
-                let phase = self.phase_of(from);
-                self.row(phase).stat.messages_sent += 1;
-            }
-            Event::Deliver { to, .. } => {
-                let phase = self.phase_of(to);
-                self.row(phase).stat.deliveries += 1;
-            }
-            Event::Protocol { step, pid, event } => match event {
-                ProtocolEvent::PhaseEntered { phase } => {
-                    if pid.index() >= self.current_phase.len() {
-                        self.current_phase.resize(pid.index() + 1, 0);
-                    }
-                    self.current_phase[pid.index()] = phase;
-                    let row = self.row(phase);
-                    row.stat.entries += 1;
-                    if row.first_entry.is_none() {
-                        row.first_entry = Some((step, pid));
-                    }
-                }
-                ProtocolEvent::WitnessReached { phase, .. } => {
-                    self.row(phase).stat.witnesses += 1;
-                }
-                ProtocolEvent::EchoAccepted { phase, .. } => {
-                    self.row(phase).stat.echo_accepts += 1;
-                }
-                ProtocolEvent::ValueFlipped { phase, .. } => {
-                    self.row(phase).stat.value_flips += 1;
-                }
-                ProtocolEvent::CoinFlipped { phase, .. } => {
-                    self.row(phase).stat.coin_flips += 1;
-                }
-                ProtocolEvent::Decided { phase, .. } => {
-                    self.row(phase).stat.decisions += 1;
-                    self.decide_phases.push(phase);
-                }
-                ProtocolEvent::Halted { .. } => {}
-            },
-            Event::Recover { replayed, .. } => {
-                self.recoveries += 1;
-                self.replayed_deliveries += replayed;
-            }
-            Event::Start { .. } | Event::Decide { .. } | Event::Halt { .. } => {}
-        }
-    }
-
     fn render(&self, out: &mut String, index: usize, footer: Option<&TraceLine>) {
         use std::fmt::Write as _;
         match self.header {
@@ -111,7 +39,7 @@ impl RunState {
             "coins",
             "decisions"
         );
-        for (phase, row) in self.rows.iter().enumerate() {
+        for (phase, row) in &self.fold.rows {
             let first = row
                 .first_entry
                 .map_or_else(|| "-".to_string(), |(step, pid)| format!("{pid}@{step}"));
@@ -131,11 +59,11 @@ impl RunState {
                 s.decisions
             );
         }
-        if self.recoveries > 0 {
+        if self.fold.recoveries > 0 {
             let _ = writeln!(
                 out,
                 "  recoveries: {} ({} deliveries replayed from WAL)",
-                self.recoveries, self.replayed_deliveries
+                self.fold.recoveries, self.fold.replayed_deliveries
             );
         }
         if let Some(TraceLine::RunEnd {
@@ -164,7 +92,9 @@ impl RunState {
     /// Phases-to-decision for this run: the largest phase in which any
     /// `decided` protocol event fired (`None` if nothing decided).
     fn phases_to_decision(&self) -> Option<u64> {
-        self.decide_phases.iter().copied().max()
+        let mut rows = self.fold.rows.iter().rev();
+        rows.find(|(_, row)| row.stat.decisions > 0)
+            .map(|(&phase, _)| phase)
     }
 }
 
@@ -183,15 +113,16 @@ pub fn render_report(lines: &[TraceLine]) -> String {
                 if let Some(open) = current.take() {
                     runs.push((open, None));
                 }
-                let mut state = RunState {
+                current = Some(RunState {
                     header: Some((*n, *seed)),
                     ..RunState::default()
-                };
-                state.current_phase.resize(*n, 0);
-                current = Some(state);
+                });
             }
             TraceLine::Event(event) => {
-                current.get_or_insert_with(RunState::default).fold(event);
+                current
+                    .get_or_insert_with(RunState::default)
+                    .fold
+                    .fold(event);
             }
             TraceLine::RunEnd { .. } => {
                 let open = current.take().unwrap_or_default();
@@ -219,7 +150,7 @@ pub fn render_report(lines: &[TraceLine]) -> String {
 
 #[cfg(test)]
 mod tests {
-    use simnet::Value;
+    use simnet::{Event, ProcessId, ProtocolEvent, Value};
 
     use super::*;
 
@@ -274,6 +205,27 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+    }
+
+    /// A two-line trace naming phase 2^40 once asked the fold for a row per
+    /// phase up to it (~96 TB) and aborted `btreport`.
+    #[test]
+    fn a_huge_phase_number_costs_one_row() {
+        let text = "{\"kind\":\"run_start\",\"n\":2,\"seed\":1}\n\
+                    {\"kind\":\"phase_entered\",\"step\":1,\"pid\":0,\"phase\":1099511627776}\n";
+        let err = crate::parse_trace(text).unwrap_err();
+        assert!(err.message.starts_with("line 2: "), "{err}");
+        // Past the parser's checks, the fold still holds one row.
+        let lines: Vec<TraceLine> = text
+            .lines()
+            .map(|l| crate::parse_line(l).unwrap())
+            .collect();
+        let report = render_report(&lines);
+        assert!(
+            report.contains("1099511627776         p0@1        1"),
+            "{report}"
+        );
+        assert_eq!(report.lines().count(), 4, "{report}");
     }
 
     #[test]

@@ -42,7 +42,7 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -358,7 +358,6 @@ pub struct RsmService {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
-    conn_streams: Arc<Mutex<Vec<TcpStream>>>,
 }
 
 impl RsmService {
@@ -382,7 +381,6 @@ impl RsmService {
         let shutdown = Arc::new(AtomicBool::new(false));
         let me = node.id();
         let metrics = ServiceMetrics::new(registry, me);
-        let conn_streams: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
         let mut threads = Vec::new();
 
         // Admission queue: bounded handoff from connection handlers to
@@ -432,16 +430,18 @@ impl RsmService {
             threads.push(handle);
         }
 
-        // Acceptor: one handler thread per client connection.
+        // Acceptor: one handler thread per client connection. It keeps a
+        // clone of each live connection's stream beside its handler, to
+        // unblock the handler's read at shutdown, and drops both once the
+        // handler has ended.
         {
             let shutdown_flag = Arc::clone(&shutdown);
-            let streams = Arc::clone(&conn_streams);
             let handle = thread::Builder::new()
                 .name(format!("rsm-accept-p{}", me.index()))
                 .spawn(move || {
-                    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+                    let mut handlers: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
                     while !shutdown_flag.load(Ordering::Relaxed) {
-                        handlers.retain(|h| !h.is_finished());
+                        handlers.retain(|(h, _)| !h.is_finished());
                         match listener.accept() {
                             Ok((stream, _)) => {
                                 metrics.connections.inc();
@@ -449,12 +449,9 @@ impl RsmService {
                                 if stream.set_nonblocking(false).is_err() {
                                     continue;
                                 }
-                                if let Ok(clone) = stream.try_clone() {
-                                    streams
-                                        .lock()
-                                        .unwrap_or_else(PoisonError::into_inner)
-                                        .push(clone);
-                                }
+                                let Ok(clone) = stream.try_clone() else {
+                                    continue;
+                                };
                                 let conn = ClientConn {
                                     stream,
                                     view: view.clone(),
@@ -467,7 +464,7 @@ impl RsmService {
                                     .name(format!("rsm-client-p{}", me.index()))
                                     .spawn(move || conn.run())
                                 {
-                                    handlers.push(h);
+                                    handlers.push((h, clone));
                                 }
                             }
                             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -477,7 +474,10 @@ impl RsmService {
                         }
                     }
                     drop(admit_tx);
-                    for h in handlers {
+                    for (_, stream) in &handlers {
+                        let _ = stream.shutdown(std::net::Shutdown::Both);
+                    }
+                    for (h, _) in handlers {
                         let _ = h.join();
                     }
                 })
@@ -489,7 +489,6 @@ impl RsmService {
             local_addr,
             shutdown,
             threads,
-            conn_streams,
         })
     }
 
@@ -503,14 +502,6 @@ impl RsmService {
     /// Safe to call more than once.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        for s in self
-            .conn_streams
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-        {
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }

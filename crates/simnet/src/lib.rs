@@ -17,6 +17,10 @@
 //!   [`scheduler::FairScheduler`] realises the paper's §2.3 probabilistic
 //!   assumption under which the protocols terminate with probability 1,
 //!   while adversarial schedulers (delaying, partitioning) stress safety;
+//! * one way to watch a run: a [`Subscriber`] attached through
+//!   [`SimBuilder::subscriber`] receives every engine and protocol
+//!   [`Event`] in an order fixed by the seed (the `obs` crate's sinks
+//!   record, aggregate and narrate that stream);
 //! * a parallel Monte-Carlo [`runner`] for estimating expected
 //!   phases-to-decision and violation rates across thousands of seeded runs,
 //!   each replayable from its seed.
@@ -70,6 +74,7 @@
 
 mod buffer;
 mod envelope;
+mod event;
 mod id;
 mod metrics;
 mod process;
@@ -78,12 +83,12 @@ pub mod runner;
 pub mod scheduler;
 mod sim;
 mod subscriber;
-mod trace;
 mod value;
 pub mod wire;
 
 pub use buffer::Buffer;
 pub use envelope::Envelope;
+pub use event::{Event, ProtocolEvent};
 pub use id::ProcessId;
 pub use metrics::Metrics;
 pub use process::{Ctx, Process};
@@ -92,6 +97,5 @@ pub use runner::{run_trials, run_trials_observed, run_trials_seq, Summary, Trial
 pub use scheduler::{Scheduler, Selection, SystemView};
 pub use sim::{Role, RunReport, RunStatus, Sim, SimBuilder, StopWhen};
 pub use subscriber::{SharedSubscriber, Subscriber};
-pub use trace::{Event, ProtocolEvent, Trace};
 pub use value::Value;
 pub use wire::{Wire, WireError, WireReader};

@@ -1,12 +1,13 @@
-//! Run metrics: message and step accounting.
+//! Run metrics: run-level message accounting.
 
 /// Counters accumulated by the engine over one run.
 ///
-/// Experiment E9 (message complexity) reads these: the Figure 1 fail-stop
-/// protocol sends Θ(n²) messages per phase while the Figure 2 malicious
-/// protocol's echo stage amplifies that to Θ(n³) per phase. The per-phase
-/// breakdown attributes each send to the sender's `phaseno` at send time,
-/// giving the phase-resolved message complexity §4 reasons about.
+/// Experiment E9 (message complexity) reads `messages_sent`: the Figure 1
+/// fail-stop protocol sends Θ(n²) messages per phase while the Figure 2
+/// malicious protocol's echo stage amplifies that to Θ(n³) per phase.
+/// Anything finer — per process, per phase — is a fold over the run's
+/// [`Event`](crate::Event) stream (`obs::PhaseAggregator` gives per-phase
+/// sends), not an engine counter.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Messages placed into buffers (including those later dropped).
@@ -19,13 +20,6 @@ pub struct Metrics {
     /// The largest number of undelivered messages any single buffer held at
     /// once — how far delivery lagged behind sending in the worst case.
     pub max_buffer_occupancy: u64,
-    /// Per-process count of messages sent.
-    pub sent_by: Vec<u64>,
-    /// Per-process count of atomic steps taken.
-    pub steps_by: Vec<u64>,
-    /// Messages sent while the sender was in each phase, indexed by phase
-    /// number. Grows on demand; empty for runs that never send.
-    pub sent_by_phase: Vec<u64>,
     /// Deliveries replayed from a write-ahead log during crash recovery.
     /// Always 0 for simulated runs; networked runs (`netstack`) fill it in
     /// so reports surface that a run survived a restart.
@@ -37,38 +31,10 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Creates zeroed metrics for an `n`-process system.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        Metrics {
-            sent_by: vec![0; n],
-            steps_by: vec![0; n],
-            ..Metrics::default()
-        }
-    }
-
-    /// The system size these metrics were collected over, derived from the
-    /// per-process table rather than stored separately.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.sent_by.len()
-    }
-
     /// Messages still undelivered at the end of the run.
     #[must_use]
     pub fn in_flight(&self) -> u64 {
         self.messages_sent - self.messages_delivered - self.messages_dropped
-    }
-
-    /// Records one send by `from` while it was in `phase`.
-    pub(crate) fn record_send(&mut self, from: usize, phase: u64) {
-        self.messages_sent += 1;
-        self.sent_by[from] += 1;
-        let phase = usize::try_from(phase).expect("phase fits in usize");
-        if phase >= self.sent_by_phase.len() {
-            self.sent_by_phase.resize(phase + 1, 0);
-        }
-        self.sent_by_phase[phase] += 1;
     }
 
     /// Folds a buffer-occupancy observation into the high-water mark.
@@ -82,39 +48,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn new_is_zeroed_and_sized_from_n() {
-        let m = Metrics::new(3);
-        assert_eq!(m.messages_sent, 0);
-        assert_eq!(m.sent_by, vec![0, 0, 0]);
-        assert_eq!(m.n(), 3);
-        assert_eq!(m.max_buffer_occupancy, 0);
-        assert!(m.sent_by_phase.is_empty());
-        assert_eq!(m.in_flight(), 0);
-    }
-
-    #[test]
     fn in_flight_balances() {
-        let mut m = Metrics::new(1);
-        m.messages_sent = 10;
-        m.messages_delivered = 6;
-        m.messages_dropped = 1;
+        let m = Metrics {
+            messages_sent: 10,
+            messages_delivered: 6,
+            messages_dropped: 1,
+            ..Metrics::default()
+        };
         assert_eq!(m.in_flight(), 3);
     }
 
     #[test]
-    fn sends_are_attributed_to_phases() {
-        let mut m = Metrics::new(2);
-        m.record_send(0, 0);
-        m.record_send(1, 2);
-        m.record_send(1, 2);
-        assert_eq!(m.messages_sent, 3);
-        assert_eq!(m.sent_by, vec![1, 2]);
-        assert_eq!(m.sent_by_phase, vec![1, 0, 2]);
-    }
-
-    #[test]
     fn occupancy_tracks_high_water_mark() {
-        let mut m = Metrics::new(1);
+        let mut m = Metrics::default();
         m.observe_occupancy(3);
         m.observe_occupancy(1);
         m.observe_occupancy(7);

@@ -18,14 +18,12 @@
 mod delaying;
 mod fair;
 mod partition;
-mod recording;
 mod round_robin;
 mod scripted;
 
 pub use delaying::DelayingScheduler;
 pub use fair::{DeliveryOrder, FairScheduler};
 pub use partition::PartitionScheduler;
-pub use recording::{RecordedSchedule, RecordingScheduler};
 pub use round_robin::RoundRobinScheduler;
 pub use scripted::ScriptedScheduler;
 

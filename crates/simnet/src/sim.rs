@@ -4,9 +4,7 @@ use core::fmt;
 
 use crate::buffer::Store;
 use crate::scheduler::{FairScheduler, Scheduler, SystemView};
-use crate::{
-    Ctx, Envelope, Event, Metrics, Process, ProcessId, SharedSubscriber, SimRng, Trace, Value,
-};
+use crate::{Ctx, Envelope, Event, Metrics, Process, ProcessId, SharedSubscriber, SimRng, Value};
 
 /// Whether a process is counted as correct when checking consensus
 /// properties.
@@ -97,7 +95,6 @@ pub struct SimBuilder<M> {
     seed: u64,
     step_limit: u64,
     stop_when: StopWhen,
-    trace_capacity: usize,
     subscriber: Option<SharedSubscriber>,
 }
 
@@ -109,7 +106,6 @@ impl<M: 'static> SimBuilder<M> {
             seed: 0,
             step_limit: 1_000_000,
             stop_when: StopWhen::default(),
-            trace_capacity: 0,
             subscriber: None,
         }
     }
@@ -166,18 +162,11 @@ impl<M: 'static> SimBuilder<M> {
         self
     }
 
-    /// Enables event tracing with the given capacity (0 disables, the
-    /// default).
-    pub fn trace_capacity(&mut self, capacity: usize) -> &mut Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
     /// Attaches a [`Subscriber`](crate::Subscriber) that will receive every
-    /// run event (engine and protocol level), unbounded by the trace
-    /// capacity. `None` by default; an unobserved run pays only an
-    /// `Option` check per event site. Callers keep their own clone of the
-    /// `Arc` to read the sink back after [`Sim::run`] consumes the `Sim`.
+    /// run event (engine and protocol level) — the run's only observer.
+    /// `None` by default; an unobserved run pays only an `Option` check per
+    /// event site. Callers keep their own clone of the `Arc` to read the
+    /// sink back after [`Sim::run`] consumes the `Sim`.
     pub fn subscriber(&mut self, subscriber: SharedSubscriber) -> &mut Self {
         self.subscriber = Some(subscriber);
         self
@@ -203,13 +192,8 @@ impl<M: 'static> SimBuilder<M> {
             rng: SimRng::seed(self.seed),
             step_limit: self.step_limit,
             stop_when: self.stop_when,
-            trace: if self.trace_capacity > 0 {
-                Some(Trace::with_capacity(self.trace_capacity))
-            } else {
-                None
-            },
             subscriber: self.subscriber.take(),
-            metrics: Metrics::new(n),
+            metrics: Metrics::default(),
             decision_steps: vec![None; n],
             decision_phases: vec![None; n],
             halt_recorded: vec![false; n],
@@ -228,7 +212,6 @@ impl<M: 'static> SimBuilder<M> {
 /// The run is a pure function of the added processes, the scheduler and the
 /// seed: re-building with the same inputs replays the identical execution.
 pub struct Sim<M> {
-    procs: Vec<Box<dyn Process<Msg = M>>>,
     roles: Vec<Role>,
     /// Every message in flight: one shared send log, one mailbox per process.
     store: Store<M>,
@@ -236,7 +219,6 @@ pub struct Sim<M> {
     rng: SimRng,
     step_limit: u64,
     stop_when: StopWhen,
-    trace: Option<Trace>,
     subscriber: Option<SharedSubscriber>,
     metrics: Metrics,
     decision_steps: Vec<Option<u64>>,
@@ -258,6 +240,12 @@ pub struct Sim<M> {
     /// Correct processes that have not yet halted (stop condition).
     unhalted_correct: usize,
     step: u64,
+    /// Declared last, so dropped last: the engine's small per-process
+    /// vectors, allocated after the processes, are freed first and stay in
+    /// the allocator's thread cache above them. The processes' memory then
+    /// returns to the free lists for the next construction instead of being
+    /// trimmed back to the OS and faulted in again.
+    procs: Vec<Box<dyn Process<Msg = M>>>,
 }
 
 impl<M: Clone + PartialEq + 'static> Sim<M> {
@@ -273,25 +261,14 @@ impl<M: Clone + PartialEq + 'static> Sim<M> {
         self.procs.len()
     }
 
-    /// Records an event in the bounded trace and forwards it to the
-    /// subscriber, when either is attached.
-    fn publish(&mut self, event: Event) {
-        if let Some(t) = &mut self.trace {
-            t.record(event);
-        }
+    /// Forwards an event to the subscriber, when one is attached.
+    fn publish(&self, event: Event) {
         if let Some(s) = &self.subscriber {
             s.lock().expect("subscriber lock poisoned").on_event(&event);
         }
     }
 
-    /// Whether protocol-level emission should be collected at all.
-    fn observed(&self) -> bool {
-        self.trace.is_some() || self.subscriber.is_some()
-    }
-
     fn deliver_outbox(&mut self, from: ProcessId, outbox: &mut Vec<(ProcessId, M)>) {
-        // Sends are attributed to the sender's phase when the step commits.
-        let phase = self.procs[from.index()].phase();
         // The sender may have halted during the very step being committed
         // (a crash wrapper truncating mid-broadcast); refresh its flag so
         // self-addressed sends are dropped exactly as a fresh `halted()`
@@ -299,7 +276,7 @@ impl<M: Clone + PartialEq + 'static> Sim<M> {
         // its own last observed step.
         self.runnable[from.index()] = !self.procs[from.index()].halted();
         for (to, msg) in outbox.drain(..) {
-            self.metrics.record_send(from.index(), phase);
+            self.metrics.messages_sent += 1;
             self.publish(Event::Send {
                 step: self.step,
                 from,
@@ -372,7 +349,6 @@ impl<M: Clone + PartialEq + 'static> Sim<M> {
             decision_phases: self.decision_phases,
             max_phase: self.procs.iter().map(|p| p.phase()).max().unwrap_or(0),
             metrics: self.metrics,
-            trace: self.trace,
         };
         if let Some(s) = &subscriber {
             s.lock()
@@ -385,7 +361,7 @@ impl<M: Clone + PartialEq + 'static> Sim<M> {
     /// Takes atomic steps until the run ends; [`Sim::run`] minus the report.
     fn drive(&mut self) -> RunStatus {
         let n = self.n();
-        let observed = self.observed();
+        let observed = self.subscriber.is_some();
         // One outbox reused for every step of the run: `deliver_outbox`
         // drains it in place, so after warm-up no step allocates.
         let mut outbox: Vec<(ProcessId, M)> = Vec::new();
@@ -419,7 +395,6 @@ impl<M: Clone + PartialEq + 'static> Sim<M> {
                 Ctx::new(pid, n, self.step, &mut outbox, &mut self.rng).with_obs(observed);
             self.procs[pid.index()].on_start(&mut ctx);
             let emitted = ctx.take_events();
-            self.metrics.steps_by[pid.index()] += 1;
             for event in emitted {
                 self.publish(Event::Protocol {
                     step: self.step,
@@ -455,7 +430,6 @@ impl<M: Clone + PartialEq + 'static> Sim<M> {
             }
             self.step += 1;
             self.metrics.messages_delivered += 1;
-            self.metrics.steps_by[sel.to.index()] += 1;
             self.publish(Event::Deliver {
                 step: self.step,
                 to: sel.to,
@@ -507,10 +481,8 @@ pub struct RunReport {
     pub decision_phases: Vec<Option<u64>>,
     /// Highest phase any process reached.
     pub max_phase: u64,
-    /// Message/step counters.
+    /// Run-level message counters.
     pub metrics: Metrics,
-    /// The event trace, if enabled.
-    pub trace: Option<Trace>,
 }
 
 impl RunReport {
@@ -556,7 +528,6 @@ impl RunReport {
             decision_phases,
             max_phase,
             metrics,
-            trace: None,
         }
     }
 
@@ -690,26 +661,37 @@ mod tests {
         assert_eq!(report.metrics.messages_sent, 9, "3 broadcasts of 3");
     }
 
+    /// Keeps every event of a run.
+    #[derive(Default)]
+    struct Recorder(Vec<Event>);
+
+    impl crate::Subscriber for Recorder {
+        fn on_event(&mut self, event: &Event) {
+            self.0.push(*event);
+        }
+    }
+
     #[test]
     fn identical_seeds_replay_identically() {
         let run = |seed: u64| {
-            Sim::builder()
+            let recorder = std::sync::Arc::new(std::sync::Mutex::new(Recorder::default()));
+            let report = Sim::builder()
                 .process(echo(Value::Zero), Role::Correct)
                 .process(echo(Value::One), Role::Correct)
                 .process(echo(Value::One), Role::Correct)
                 .seed(seed)
-                .trace_capacity(1000)
+                .subscriber(recorder.clone())
                 .build()
-                .run()
+                .run();
+            let events = std::mem::take(&mut recorder.lock().unwrap().0);
+            (report, events)
         };
-        let a = run(42);
-        let b = run(42);
+        let (a, a_events) = run(42);
+        let (b, b_events) = run(42);
         assert_eq!(a.decisions, b.decisions);
         assert_eq!(a.steps, b.steps);
-        assert_eq!(
-            a.trace.as_ref().unwrap().events(),
-            b.trace.as_ref().unwrap().events()
-        );
+        assert!(!a_events.is_empty());
+        assert_eq!(a_events, b_events);
     }
 
     #[test]

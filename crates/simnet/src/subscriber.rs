@@ -1,11 +1,11 @@
 //! Run observability: the subscriber hook the engine publishes events to.
 //!
-//! A [`Subscriber`] receives every [`Event`] the engine would record in a
-//! [`Trace`](crate::Trace) — engine events *and* the structured
+//! A [`Subscriber`] is the engine's only observer. It receives every
+//! [`Event`] of a run — engine events *and* the structured
 //! [`ProtocolEvent`](crate::ProtocolEvent)s emitted by instrumented
 //! protocols — plus run-boundary callbacks, in a deterministic order fixed
 //! by the seed. Sinks live in the `obs` crate (in-memory per-phase
-//! aggregation, JSONL trace files, console reporting); this trait lives
+//! aggregation, JSONL trace files, console narration); this trait lives
 //! here so the engine can hold one without depending on any sink.
 //!
 //! The slot is optional and `None` by default: an unobserved run performs
@@ -28,8 +28,7 @@ pub trait Subscriber: Send {
         let _ = (n, seed);
     }
 
-    /// One event, in execution order. Called for every event, even when the
-    /// bounded [`Trace`](crate::Trace) has overflowed or is disabled.
+    /// One event, in execution order. Called for every event of the run.
     fn on_event(&mut self, event: &Event) {
         let _ = event;
     }

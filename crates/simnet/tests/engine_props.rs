@@ -2,13 +2,18 @@
 //! scheduler contract compliance, and replay determinism — independent of
 //! any particular protocol.
 
+use std::sync::{Arc, Mutex};
+
 use proptest::prelude::*;
 
 use simnet::scheduler::{
     DelayingScheduler, DeliveryOrder, FairScheduler, PartitionScheduler, RoundRobinScheduler,
     Scheduler, SystemView,
 };
-use simnet::{Buffer, Ctx, Envelope, Process, ProcessId, Role, Sim, SimRng, StopWhen, Value};
+use simnet::{
+    Buffer, Ctx, Envelope, Event, Process, ProcessId, Role, SharedSubscriber, Sim, SimRng,
+    StopWhen, Subscriber, Value,
+};
 
 /// A gossiping process: forwards each received token to a pseudo-random
 /// peer a bounded number of times, then decides. Exercises the engine with
@@ -50,7 +55,25 @@ impl Process for Gossip {
     }
 }
 
-fn gossip_sim(n: usize, hops: u32, seed: u64) -> Sim<u32> {
+/// Counts the sends and the atomic steps (starts plus deliveries) a run
+/// publishes.
+#[derive(Default)]
+struct Counts {
+    sends: u64,
+    steps: u64,
+}
+
+impl Subscriber for Counts {
+    fn on_event(&mut self, event: &Event) {
+        match event {
+            Event::Send { .. } => self.sends += 1,
+            Event::Start { .. } | Event::Deliver { .. } => self.steps += 1,
+            _ => {}
+        }
+    }
+}
+
+fn gossip_sim(n: usize, hops: u32, seed: u64, observer: Option<SharedSubscriber>) -> Sim<u32> {
     let mut b = Sim::builder();
     for _ in 0..n {
         b.process(
@@ -62,6 +85,9 @@ fn gossip_sim(n: usize, hops: u32, seed: u64) -> Sim<u32> {
         );
     }
     b.seed(seed).step_limit(200_000).stop_when(StopWhen::Never);
+    if let Some(s) = observer {
+        b.subscriber(s);
+    }
     b.build()
 }
 
@@ -72,7 +98,8 @@ proptest! {
     /// quiescence in-flight is zero.
     #[test]
     fn message_conservation(n in 2usize..8, hops in 0u32..6, seed in any::<u64>()) {
-        let r = gossip_sim(n, hops, seed).run();
+        let counts = Arc::new(Mutex::new(Counts::default()));
+        let r = gossip_sim(n, hops, seed, Some(counts.clone())).run();
         let m = &r.metrics;
         prop_assert_eq!(
             m.messages_sent,
@@ -81,20 +108,18 @@ proptest! {
         if r.status == simnet::RunStatus::Quiescent {
             prop_assert_eq!(m.in_flight(), 0, "quiescent runs drain completely");
         }
-        // Per-process sends sum to the global count.
-        prop_assert_eq!(m.sent_by.iter().sum::<u64>(), m.messages_sent);
-        // Steps: one initial step per process plus one per delivery.
-        prop_assert_eq!(
-            m.steps_by.iter().sum::<u64>(),
-            n as u64 + m.messages_delivered
-        );
+        // The event stream publishes every send, and one step per initial
+        // step plus one per delivery.
+        let counts = counts.lock().unwrap();
+        prop_assert_eq!(counts.sends, m.messages_sent);
+        prop_assert_eq!(counts.steps, n as u64 + m.messages_delivered);
     }
 
     /// Replay: seeds fully determine runs.
     #[test]
     fn replay_determinism(n in 2usize..8, hops in 0u32..6, seed in any::<u64>()) {
-        let a = gossip_sim(n, hops, seed).run();
-        let b = gossip_sim(n, hops, seed).run();
+        let a = gossip_sim(n, hops, seed, None).run();
+        let b = gossip_sim(n, hops, seed, None).run();
         prop_assert_eq!(a.steps, b.steps);
         prop_assert_eq!(a.decisions, b.decisions);
         prop_assert_eq!(a.metrics, b.metrics);

@@ -4,8 +4,10 @@
 //! or a protocol's deterministic behaviour changed — both are
 //! compatibility-relevant events that deserve a deliberate golden update.
 
+use std::sync::{Arc, Mutex};
+
 use simnet::scheduler::RoundRobinScheduler;
-use simnet::{Ctx, Envelope, Event, Process, ProcessId, Role, Sim, Value};
+use simnet::{Ctx, Envelope, Event, Process, ProcessId, Role, Sim, Subscriber, Value};
 
 /// A tiny deterministic protocol: collect two values, decide their AND.
 #[derive(Debug)]
@@ -46,7 +48,19 @@ impl Process for TwoVoteAnd {
     }
 }
 
-fn run() -> simnet::RunReport {
+/// Keeps every event of a run, in order.
+#[derive(Default)]
+struct Events(Vec<Event>);
+
+impl Subscriber for Events {
+    fn on_event(&mut self, event: &Event) {
+        self.0.push(*event);
+    }
+}
+
+/// Runs the fixed configuration; returns its report and its event stream.
+fn run() -> (simnet::RunReport, Vec<Event>) {
+    let events = Arc::new(Mutex::new(Events::default()));
     let mut b = Sim::builder();
     b.process(
         Box::new(TwoVoteAnd {
@@ -66,13 +80,15 @@ fn run() -> simnet::RunReport {
     );
     b.scheduler(Box::new(RoundRobinScheduler::new()))
         .seed(0)
-        .trace_capacity(64);
-    b.build().run()
+        .subscriber(events.clone());
+    let report = b.build().run();
+    let events = std::mem::take(&mut events.lock().unwrap().0);
+    (report, events)
 }
 
 #[test]
 fn golden_event_sequence() {
-    let report = run();
+    let (report, events) = run();
     let p0 = ProcessId::new(0);
     let p1 = ProcessId::new(1);
     let expected = vec![
@@ -139,19 +155,14 @@ fn golden_event_sequence() {
         },
         Event::Halt { step: 4, pid: p1 },
     ];
-    let trace = report.trace.as_ref().expect("tracing enabled");
-    assert_eq!(trace.events(), expected.as_slice());
+    assert_eq!(events, expected);
     assert_eq!(report.decided_value(), Some(Value::Zero));
     assert_eq!(report.steps, 4);
 }
 
 #[test]
 fn golden_is_stable_across_replays() {
-    let a = run();
-    let b = run();
-    assert_eq!(
-        a.trace.unwrap().events(),
-        b.trace.unwrap().events(),
-        "identical configurations replay identically"
-    );
+    let (_, a) = run();
+    let (_, b) = run();
+    assert_eq!(a, b, "identical configurations replay identically");
 }

@@ -74,6 +74,23 @@ echo "==> experiments E1-E12 (every EXPERIMENTS.md table; the paper's claims are
 # scheduler-independent safety abort the run if they fail. ~1m45s on 2 vCPUs.
 target/release/experiments "$FUZZTMP/experiments"
 
+echo "==> one event stream: explorer narration and JSONL trace, then btreport"
+# --trace narrates the events --jsonl writes, both from the run's one
+# subscriber, so the narrated lines and the trace's event lines must match
+# in number. btreport renders that trace, and refuses a corrupt one (a
+# two-line trace naming phase 2^40) with an error: exit 1, not an abort.
+target/release/consensus-explorer --protocol malicious --n 7 --k 2 --attacker twofaced \
+    --seed 42 --trace --jsonl "$FUZZTMP/x.jsonl" > "$FUZZTMP/x.narration"
+target/release/btreport "$FUZZTMP/x.jsonl" > /dev/null
+narrated=$(grep -c '^\[' "$FUZZTMP/x.narration")
+events=$(grep -vc '"kind":"run_' "$FUZZTMP/x.jsonl")
+[ "$narrated" -eq "$events" ] \
+    || { echo "narrated $narrated events; the JSONL trace holds $events"; exit 1; }
+status=0
+target/release/btreport tests/fixtures/btreport_huge_phase.jsonl > /dev/null 2>&1 || status=$?
+[ "$status" -eq 1 ] \
+    || { echo "btreport exited $status on tests/fixtures/btreport_huge_phase.jsonl, not 1"; exit 1; }
+
 echo "==> btfuzz self-test (injected defect: find, shrink, replay)"
 target/release/btfuzz --inject --out "$FUZZTMP/inject-repro.jsonl"
 

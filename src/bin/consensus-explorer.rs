@@ -15,7 +15,7 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 
-use obs::JsonlSink;
+use obs::{parse_line, ConsoleReporter, JsonlSink, TraceLine};
 
 use resilient_consensus::adversary::{
     ContrarianMalicious, CrashPlan, Crashing, EquivocatingEchoer, RandomMalicious, Silent,
@@ -29,7 +29,7 @@ use resilient_consensus::simnet::scheduler::{
     DelayingScheduler, DeliveryOrder, FairScheduler, PartitionScheduler, RoundRobinScheduler,
     Scheduler,
 };
-use resilient_consensus::simnet::{ProcessId, Role, RunReport, Sim, Value};
+use resilient_consensus::simnet::{ProcessId, Role, RunReport, Sim, SimBuilder, Subscriber, Value};
 
 #[derive(Debug)]
 struct Options {
@@ -109,7 +109,33 @@ fn inputs(count: usize) -> impl Iterator<Item = Value> {
     (0..count).map(|i| Value::from(i % 2 == 0))
 }
 
-fn run_malicious(o: &Options, sink: Option<&Arc<Mutex<JsonlSink>>>) -> Result<RunReport, String> {
+/// The run's one observer: `--jsonl` writes its lines, `--trace` narrates
+/// its events.
+type Sink = Arc<Mutex<JsonlSink>>;
+
+/// Attaches `sink`, when either flag asked for one, and runs.
+fn observe_and_run<M: Clone + PartialEq + 'static>(
+    b: &mut SimBuilder<M>,
+    sink: Option<&Sink>,
+) -> RunReport {
+    if let Some(s) = sink {
+        b.subscriber(s.clone());
+    }
+    b.build().run()
+}
+
+/// Narrates the recorded events, one line each.
+fn narrate(sink: &JsonlSink) -> String {
+    let mut reporter = ConsoleReporter::new();
+    for line in sink.lines() {
+        if let Ok(TraceLine::Event(event)) = parse_line(line) {
+            reporter.on_event(&event);
+        }
+    }
+    reporter.text()
+}
+
+fn run_malicious(o: &Options, sink: Option<&Sink>) -> Result<RunReport, String> {
     let config = Config::malicious(o.n, o.k).map_err(|e| e.to_string())?;
     let termination = match o.termination.as_str() {
         "continue" => Termination::Continue,
@@ -137,16 +163,10 @@ fn run_malicious(o: &Options, sink: Option<&Arc<Mutex<JsonlSink>>>) -> Result<Ru
     }
     b.scheduler(scheduler_for(&o.scheduler, o.n)?);
     b.seed(o.seed).step_limit(16_000_000);
-    if o.trace {
-        b.trace_capacity(100_000);
-    }
-    if let Some(s) = sink {
-        b.subscriber(s.clone());
-    }
-    Ok(b.build().run())
+    Ok(observe_and_run(&mut b, sink))
 }
 
-fn run_failstop(o: &Options, sink: Option<&Arc<Mutex<JsonlSink>>>) -> Result<RunReport, String> {
+fn run_failstop(o: &Options, sink: Option<&Sink>) -> Result<RunReport, String> {
     let config = Config::fail_stop(o.n, o.k).map_err(|e| e.to_string())?;
     let mut b = Sim::builder();
     for input in inputs(o.n - o.k) {
@@ -171,16 +191,10 @@ fn run_failstop(o: &Options, sink: Option<&Arc<Mutex<JsonlSink>>>) -> Result<Run
     }
     b.scheduler(scheduler_for(&o.scheduler, o.n)?);
     b.seed(o.seed).step_limit(8_000_000);
-    if o.trace {
-        b.trace_capacity(100_000);
-    }
-    if let Some(s) = sink {
-        b.subscriber(s.clone());
-    }
-    Ok(b.build().run())
+    Ok(observe_and_run(&mut b, sink))
 }
 
-fn run_simple(o: &Options, sink: Option<&Arc<Mutex<JsonlSink>>>) -> Result<RunReport, String> {
+fn run_simple(o: &Options, sink: Option<&Sink>) -> Result<RunReport, String> {
     let config = Config::malicious(o.n, o.k).map_err(|e| e.to_string())?;
     let mut b = Sim::builder();
     for input in inputs(o.n) {
@@ -188,16 +202,10 @@ fn run_simple(o: &Options, sink: Option<&Arc<Mutex<JsonlSink>>>) -> Result<RunRe
     }
     b.scheduler(scheduler_for(&o.scheduler, o.n)?);
     b.seed(o.seed).step_limit(8_000_000);
-    if o.trace {
-        b.trace_capacity(100_000);
-    }
-    if let Some(s) = sink {
-        b.subscriber(s.clone());
-    }
-    Ok(b.build().run())
+    Ok(observe_and_run(&mut b, sink))
 }
 
-fn run_benor(o: &Options, sink: Option<&Arc<Mutex<JsonlSink>>>) -> Result<RunReport, String> {
+fn run_benor(o: &Options, sink: Option<&Sink>) -> Result<RunReport, String> {
     let config = BenOrConfig::fail_stop(o.n, o.k).map_err(|e| e.to_string())?;
     let mut b = Sim::builder();
     for input in inputs(o.n) {
@@ -205,16 +213,10 @@ fn run_benor(o: &Options, sink: Option<&Arc<Mutex<JsonlSink>>>) -> Result<RunRep
     }
     b.scheduler(scheduler_for(&o.scheduler, o.n)?);
     b.seed(o.seed).step_limit(16_000_000);
-    if o.trace {
-        b.trace_capacity(100_000);
-    }
-    if let Some(s) = sink {
-        b.subscriber(s.clone());
-    }
-    Ok(b.build().run())
+    Ok(observe_and_run(&mut b, sink))
 }
 
-fn run_dead(o: &Options, sink: Option<&Arc<Mutex<JsonlSink>>>) -> Result<RunReport, String> {
+fn run_dead(o: &Options, sink: Option<&Sink>) -> Result<RunReport, String> {
     let mut b = Sim::builder();
     for input in inputs(o.n - o.k) {
         b.process(Box::new(InitiallyDead::new(o.n, input)), Role::Correct);
@@ -224,13 +226,7 @@ fn run_dead(o: &Options, sink: Option<&Arc<Mutex<JsonlSink>>>) -> Result<RunRepo
     }
     b.scheduler(scheduler_for(&o.scheduler, o.n)?);
     b.seed(o.seed).step_limit(2_000_000);
-    if o.trace {
-        b.trace_capacity(100_000);
-    }
-    if let Some(s) = sink {
-        b.subscriber(s.clone());
-    }
-    Ok(b.build().run())
+    Ok(observe_and_run(&mut b, sink))
 }
 
 fn main() -> ExitCode {
@@ -242,10 +238,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let sink = opts
-        .jsonl
-        .as_ref()
-        .map(|_| Arc::new(Mutex::new(JsonlSink::new())));
+    let sink = (opts.trace || opts.jsonl.is_some()).then(|| Arc::new(Mutex::new(JsonlSink::new())));
     let report = match opts.protocol.as_str() {
         "malicious" => run_malicious(&opts, sink.as_ref()),
         "failstop" => run_failstop(&opts, sink.as_ref()),
@@ -262,14 +255,15 @@ fn main() -> ExitCode {
         }
     };
 
+    let sink = sink.map(|s| std::mem::take(&mut *s.lock().expect("trace sink poisoned")));
     if let (Some(path), Some(sink)) = (&opts.jsonl, &sink) {
-        let sink = sink.lock().expect("jsonl sink poisoned");
         if let Err(err) = sink.write_to_file(path) {
             eprintln!("cannot write {path}: {err}");
             return ExitCode::FAILURE;
         }
         eprintln!("wrote JSONL trace to {path} (replay with: btreport {path})");
     }
+    let narration = sink.filter(|_| opts.trace).map(|s| narrate(&s));
 
     // Write through a fallible handle so a closed pipe (e.g. `| head`)
     // ends the program quietly instead of panicking.
@@ -285,9 +279,9 @@ fn main() -> ExitCode {
         writeln!(out, "steps:           {}", report.steps)?;
         writeln!(out, "messages sent:   {}", report.metrics.messages_sent)?;
         writeln!(out, "messages dropped:{}", report.metrics.messages_dropped)?;
-        if let Some(trace) = &report.trace {
-            writeln!(out, "\n--- trace ({} events) ---", trace.events().len())?;
-            write!(out, "{}", trace.render())?;
+        if let Some(text) = &narration {
+            writeln!(out, "\n--- trace ({} events) ---", text.lines().count())?;
+            write!(out, "{text}")?;
         }
         Ok(())
     };

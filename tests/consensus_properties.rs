@@ -2,15 +2,18 @@
 //! convergence, bivalence/validity) for every protocol, under every
 //! scheduler, with every fault mix the paper allows.
 
+use std::sync::{Arc, Mutex};
+
+use obs::PhaseAggregator;
 use resilient_consensus::adversary::{
     ContrarianMalicious, CrashPlan, Crashing, EquivocatingEchoer, Silent, TwoFacedMalicious,
 };
 use resilient_consensus::benor::{BenOrConfig, BenOrProcess};
-use resilient_consensus::bt_core::{Config, FailStop, Malicious, Simple};
+use resilient_consensus::bt_core::{failstop, Config, FailStop, Malicious, Simple};
 use resilient_consensus::simnet::scheduler::{
     DelayingScheduler, FairScheduler, PartitionScheduler, RoundRobinScheduler, Scheduler,
 };
-use resilient_consensus::simnet::{ProcessId, Role, RunReport, Sim, Value};
+use resilient_consensus::simnet::{Event, ProcessId, Role, RunReport, Sim, Subscriber, Value};
 
 /// A named scheduler constructor, rebuilt fresh for every run.
 type SchedulerFactory<M> = Box<dyn Fn() -> Box<dyn Scheduler<M>>>;
@@ -168,6 +171,18 @@ fn bivalence_both_values_reachable_mixed_inputs() {
     panic!("only one decision value ever reached: {seen:?}");
 }
 
+/// The decisions a run's event stream announces, in order.
+#[derive(Default)]
+struct Decisions(Vec<(ProcessId, Value)>);
+
+impl Subscriber for Decisions {
+    fn on_event(&mut self, event: &Event) {
+        if let Event::Decide { pid, value, .. } = *event {
+            self.0.push((pid, value));
+        }
+    }
+}
+
 #[test]
 fn reports_are_internally_consistent() {
     let config = Config::fail_stop(5, 2).unwrap();
@@ -178,10 +193,12 @@ fn reports_are_internally_consistent() {
             Role::Correct,
         );
     }
-    let r: RunReport = b.seed(9).trace_capacity(100_000).build().run();
-    // Decisions in the trace match the report.
-    let trace = r.trace.as_ref().unwrap();
-    for (pid, value) in trace.decisions() {
+    let decisions = Arc::new(Mutex::new(Decisions::default()));
+    let r: RunReport = b.seed(9).subscriber(decisions.clone()).build().run();
+    // Decisions in the event stream match the report.
+    let decisions = &decisions.lock().unwrap().0;
+    assert!(!decisions.is_empty());
+    for &(pid, value) in decisions {
         assert_eq!(r.decisions[pid.index()], Some(value));
     }
     // Message accounting balances.
@@ -195,4 +212,21 @@ fn reports_are_internally_consistent() {
             assert!(r.decision_steps[i].unwrap() <= r.steps);
         }
     }
+}
+
+/// Per-phase sends are a fold over the event stream, not an engine counter:
+/// for this seeded Fig. 1 run `PhaseAggregator` gives exactly the vector the
+/// engine's former per-phase counter reported.
+#[test]
+fn per_phase_sends_match_the_engine_counter_they_replace() {
+    let config = Config::fail_stop(5, 2).unwrap();
+    let inputs: Vec<Value> = (0..5).map(|i| Value::from(i % 2 == 0)).collect();
+    let agg = Arc::new(Mutex::new(PhaseAggregator::new()));
+    let mut b = Sim::builder();
+    failstop::build_correct_system(&mut b, config, &inputs);
+    let r = b.seed(3).subscriber(agg.clone()).build().run();
+    let phases = agg.lock().unwrap().phases();
+    let sent: Vec<u64> = phases.iter().map(|p| p.messages_sent).collect();
+    assert_eq!(sent, [25, 25, 25, 20, 30, 50]);
+    assert_eq!(sent.iter().sum::<u64>(), r.metrics.messages_sent);
 }
