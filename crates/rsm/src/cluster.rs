@@ -27,7 +27,7 @@ use simnet::{Process, ProcessId, Role};
 
 use crate::msg::RsmMsg;
 use crate::replica::{Replica, RsmOptions};
-use crate::service::{RsmService, ServiceOptions};
+use crate::service::RsmService;
 use crate::state::{AppliedState, LogView};
 
 /// Cluster shape and tuning.
@@ -39,8 +39,6 @@ pub struct RsmClusterOptions {
     pub seed: u64,
     /// Replica pipelining/batching knobs.
     pub replica: RsmOptions,
-    /// Service admission/batching knobs.
-    pub service: ServiceOptions,
     /// Directory holding one `rsm<i>.wal` per node. Created if absent.
     pub wal_dir: PathBuf,
     /// WAL checkpoint cadence (deliveries between snapshots; 0 replays
@@ -57,7 +55,6 @@ impl RsmClusterOptions {
             n,
             seed: 0xb70a_d001,
             replica: RsmOptions::default(),
-            service: ServiceOptions::default(),
             wal_dir,
             snapshot_every: 4096,
         }
@@ -75,7 +72,6 @@ struct Front {
 /// A running loopback cluster. Shuts everything down on drop.
 #[derive(Debug)]
 pub struct RsmCluster {
-    service: ServiceOptions,
     nodes: Cluster,
     client_addrs: Vec<SocketAddr>,
     fronts: Vec<Front>,
@@ -139,7 +135,6 @@ impl RsmCluster {
         let nodes = Cluster::host(n, config.k(), roles, options, wals, make, None)?;
 
         let mut cluster = RsmCluster {
-            service: opts.service,
             nodes,
             client_addrs,
             fronts,
@@ -158,7 +153,6 @@ impl RsmCluster {
             front.client_listener.try_clone()?,
             self.nodes.nodes()[i].submitter(),
             front.view.clone(),
-            self.service,
             &self.nodes.node_registry(i),
         )?);
         Ok(())

@@ -19,9 +19,10 @@
 //!   [`simnet::Process`] that runs unchanged under the simulator, the
 //!   fuzzer, and the `netstack` TCP runtime;
 //! * [`service`] — the client-facing TCP API (length-prefixed
-//!   [`ClientReq`]/[`ClientResp`] frames, bounded admission queue,
-//!   shed-with-`Busy`) and the batcher that hands accepted commands to
-//!   the replica's node as its own journaled input;
+//!   [`ClientReq`]/[`ClientResp`] frames); each connection's handler
+//!   hands its proposals straight to the replica's node as its own
+//!   journaled input, and sheds with `Busy` once
+//!   [`service::MAX_WAITING`] proposals await commitment;
 //! * [`cluster`] — a loopback harness ([`RsmCluster`]) that boots an
 //!   n-node service with WALs and supervised restarts, for integration
 //!   tests, the example, and `btbench`'s loopback workloads.
@@ -46,5 +47,5 @@ pub use cluster::{RsmCluster, RsmClusterOptions};
 pub use command::{Command, Op, MAX_BATCH_WIRE, MAX_KEY, MAX_VALUE};
 pub use msg::RsmMsg;
 pub use replica::{leader, word_width, Replica, RsmOptions};
-pub use service::{ClientReq, ClientResp, RsmService, ServiceOptions};
+pub use service::{ClientReq, ClientResp, RsmService};
 pub use state::{AppliedState, LogEntry, LogView};

@@ -1,5 +1,5 @@
 //! The client-facing service: a TCP API accepting proposals and reads,
-//! with a bounded admission queue in front of the replica.
+//! one hop in front of the replica.
 //!
 //! # Client protocol
 //!
@@ -15,34 +15,39 @@
 //! info     = 0x02
 //! response = committed | busy | timeout | value | info
 //! committed= 0x00 client:varint request:varint log_len:varint
-//! busy     = 0x01                      ; admission queue full, retry later
+//! busy     = 0x01                      ; MAX_WAITING proposals waiting, retry later
 //! timeout  = 0x02                      ; accepted but not committed in time
 //! value    = 0x03 present:u8 [bytes]   ; read result (local, committed state)
 //! info     = 0x04 applied:varint digest:varint applied_cmds:varint
 //!            deduped_cmds:varint kv_len:varint pending:varint
 //! ```
 //!
-//! # Backpressure
+//! # One hop, one bound
 //!
-//! `Propose` first passes a bounded admission queue
-//! ([`ServiceOptions::queue_depth`]); when full the service sheds with
-//! [`ClientResp::Busy`] immediately instead of buffering without bound. A
-//! batcher thread drains the queue and packs each batch into one
-//! [`RsmMsg::Submit`] for the node's event loop (its [`Submitter`]): the
+//! The handler that reads a `Propose` submits it itself, as a one-command
+//! [`RsmMsg::Submit`], to the node's event loop (its [`Submitter`]): the
 //! replica's own input, journaled and crash-replayed by the machinery
-//! every peer message uses, without crossing a socket. The service answers
+//! every peer message uses, without crossing a socket. Batching happens
+//! downstream: the node's tick journals every submission of one wake-up
+//! in one group write, and the replica packs up to `max_batch` pending
+//! commands into a slot. The service answers
 //! [`ClientResp::Committed`] only once the command's effect is visible in
 //! the replica's applied state (via [`LogView::wait_complete`]), i.e.
 //! after the slot carrying it committed.
+//!
+//! The one bound is on proposals waiting for commitment: at most
+//! [`MAX_WAITING`] per service. Past it the service sheds with
+//! [`ClientResp::Busy`] at once instead of buffering without bound. A
+//! proposal that waits [`PROPOSE_TIMEOUT`] answers [`ClientResp::Timeout`].
 //!
 //! Reads are served from the local committed prefix: sequentially
 //! consistent (they never see unapplied state) but not linearizable
 //! across replicas — a read through a lagging replica can be stale.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -52,7 +57,7 @@ use simnet::{ProcessId, Wire, WireError, WireReader};
 
 use crate::command::{Command, Op};
 use crate::msg::RsmMsg;
-use crate::state::LogView;
+use crate::state::{AppliedState, LogView};
 
 /// One client request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -136,7 +141,8 @@ pub enum ClientResp {
         /// The replica's applied log length after commitment.
         log_len: u64,
     },
-    /// The admission queue is full; retry after a backoff.
+    /// [`MAX_WAITING`] proposals already wait for commitment here; retry
+    /// after a backoff.
     Busy,
     /// Accepted but not committed within the service's patience; the
     /// client should retry (the request id makes the retry idempotent).
@@ -158,7 +164,8 @@ pub enum ClientResp {
         deduped_commands: u64,
         /// Keys currently bound.
         kv_len: u64,
-        /// Commands sitting in this service's admission queue.
+        /// Proposals submitted through this service and awaiting
+        /// commitment.
         pending: u64,
     },
 }
@@ -273,28 +280,13 @@ pub fn read_client_msg<T: Wire>(r: &mut impl Read) -> io::Result<T> {
     })
 }
 
-/// Service tuning knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct ServiceOptions {
-    /// Admission-queue capacity; a full queue sheds with
-    /// [`ClientResp::Busy`].
-    pub queue_depth: usize,
-    /// Largest number of queued commands one [`RsmMsg::Submit`] carries.
-    pub submit_batch: usize,
-    /// How long a `Propose` waits for commitment before answering
-    /// [`ClientResp::Timeout`].
-    pub propose_timeout: Duration,
-}
+/// Most proposals one service lets wait for commitment at once; the next
+/// one is shed with [`ClientResp::Busy`].
+pub const MAX_WAITING: u64 = 1024;
 
-impl Default for ServiceOptions {
-    fn default() -> Self {
-        ServiceOptions {
-            queue_depth: 1024,
-            submit_batch: 256,
-            propose_timeout: Duration::from_secs(10),
-        }
-    }
-}
+/// How long a `Propose` waits for commitment before answering
+/// [`ClientResp::Timeout`].
+pub const PROPOSE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Service-side telemetry, labelled `{node}`.
 #[derive(Clone, Debug)]
@@ -307,8 +299,8 @@ struct ServiceMetrics {
     busy: Counter,
     /// Proposals that timed out waiting for commitment.
     timeouts: Counter,
-    /// Commands currently sitting in the admission queue.
-    queue: Gauge,
+    /// Proposals submitted and awaiting commitment.
+    waiting: Gauge,
     /// Client connections accepted.
     connections: Counter,
 }
@@ -329,7 +321,7 @@ impl ServiceMetrics {
             ),
             busy: registry.counter(
                 "rsm_client_busy_total",
-                "proposals shed because the admission queue was full",
+                "proposals shed because too many were awaiting commitment",
                 &[("node", &node)],
             ),
             timeouts: registry.counter(
@@ -337,9 +329,9 @@ impl ServiceMetrics {
                 "proposals that did not commit within the service patience",
                 &[("node", &node)],
             ),
-            queue: registry.gauge(
+            waiting: registry.gauge(
                 "rsm_admission_queue",
-                "commands waiting in the admission queue",
+                "proposals submitted and awaiting commitment",
                 &[("node", &node)],
             ),
             connections: registry.counter(
@@ -351,18 +343,32 @@ impl ServiceMetrics {
     }
 }
 
-/// A running client service: acceptor + per-connection handlers + the
-/// batcher. Shuts down (and joins its threads) on drop.
+/// What the acceptor and every connection handler of one service share.
+#[derive(Debug)]
+struct Shared {
+    node: Submitter,
+    view: LogView,
+    metrics: ServiceMetrics,
+    /// Proposals submitted and awaiting commitment: the admission bound
+    /// reads this, not its `rsm_admission_queue` mirror, which a disabled
+    /// registry does not count.
+    waiting: AtomicU64,
+    /// Set once by [`RsmService::shutdown`].
+    stop: AtomicBool,
+}
+
+/// A running client service: an acceptor thread and one handler thread
+/// per client connection. Shuts down (and joins its threads) on drop.
 #[derive(Debug)]
 pub struct RsmService {
     local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
+    shared: Arc<Shared>,
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl RsmService {
     /// Boots the service on `listener`: client frames in, one
-    /// [`RsmMsg::Submit`] per batch out through `node` (the replica's
+    /// [`RsmMsg::Submit`] per proposal out through `node` (the replica's
     /// [`netstack::NodeHandle::submitter`]), completions observed via
     /// `view`.
     ///
@@ -373,122 +379,69 @@ impl RsmService {
         listener: TcpListener,
         node: Submitter,
         view: LogView,
-        opts: ServiceOptions,
         registry: &Registry,
     ) -> io::Result<RsmService> {
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         let me = node.id();
-        let metrics = ServiceMetrics::new(registry, me);
-        let mut threads = Vec::new();
+        let shared = Arc::new(Shared {
+            metrics: ServiceMetrics::new(registry, me),
+            node,
+            view,
+            waiting: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+        });
 
-        // Admission queue: bounded handoff from connection handlers to
-        // the batcher. `try_send` failure is the shed signal.
-        let (admit_tx, admit_rx) = mpsc::sync_channel::<Command>(opts.queue_depth);
-
-        // Batcher: drains the queue, packs each batch into one Submit and
-        // hands it to the node's event loop.
-        {
-            let shutdown_flag = Arc::clone(&shutdown);
-            let queue_gauge = metrics.queue.clone();
-            let max = opts.submit_batch.max(1);
-            let handle = thread::Builder::new()
-                .name(format!("rsm-batcher-p{}", me.index()))
-                .spawn(move || {
-                    loop {
-                        // Block for the first command, then sweep
-                        // whatever else queued behind it into one Submit.
-                        let first = match admit_rx.recv_timeout(Duration::from_millis(100)) {
-                            Ok(c) => c,
-                            Err(mpsc::RecvTimeoutError::Timeout) => {
-                                if shutdown_flag.load(Ordering::Relaxed) {
-                                    break;
-                                }
-                                continue;
-                            }
-                            Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                        };
-                        let mut batch = vec![first];
-                        while batch.len() < max {
-                            match admit_rx.try_recv() {
-                                Ok(c) => batch.push(c),
-                                Err(_) => break,
-                            }
-                        }
-                        queue_gauge.sub(batch.len() as u64);
-                        let submit = RsmMsg::Submit { commands: batch };
-                        if node.submit(submit.to_bytes()).is_err() {
-                            // The node stopped and never comes back under
-                            // this handle: its proposals time out, and
-                            // later ones are shed as `Busy`.
-                            break;
-                        }
-                    }
-                })
-                .expect("spawning the rsm batcher thread");
-            threads.push(handle);
-        }
-
-        // Acceptor: one handler thread per client connection. It keeps a
-        // clone of each live connection's stream beside its handler, to
-        // unblock the handler's read at shutdown, and drops both once the
-        // handler has ended.
-        {
-            let shutdown_flag = Arc::clone(&shutdown);
-            let handle = thread::Builder::new()
+        // Acceptor: blocks in `accept` and spawns one handler per client
+        // connection; `shutdown` wakes it with a connection of its own.
+        // Beside each handler it keeps only a weak reference to the
+        // stream: enough to unblock the handler's read at shutdown, while
+        // a handler that ends closes its socket at once.
+        let acceptor = {
+            let shared = Arc::clone(&shared);
+            thread::Builder::new()
                 .name(format!("rsm-accept-p{}", me.index()))
                 .spawn(move || {
-                    let mut handlers: Vec<(JoinHandle<()>, TcpStream)> = Vec::new();
-                    while !shutdown_flag.load(Ordering::Relaxed) {
+                    let mut handlers: Vec<(JoinHandle<()>, Weak<TcpStream>)> = Vec::new();
+                    loop {
+                        let accepted = listener.accept();
+                        if shared.stop.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        let Ok((stream, _)) = accepted else {
+                            // Out of descriptors or the like: back off
+                            // instead of spinning on the error.
+                            thread::sleep(Duration::from_millis(5));
+                            continue;
+                        };
                         handlers.retain(|(h, _)| !h.is_finished());
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                metrics.connections.inc();
-                                let _ = stream.set_nodelay(true);
-                                if stream.set_nonblocking(false).is_err() {
-                                    continue;
-                                }
-                                let Ok(clone) = stream.try_clone() else {
-                                    continue;
-                                };
-                                let conn = ClientConn {
-                                    stream,
-                                    view: view.clone(),
-                                    admit: admit_tx.clone(),
-                                    metrics: metrics.clone(),
-                                    opts,
-                                    shutdown: Arc::clone(&shutdown_flag),
-                                };
-                                if let Ok(h) = thread::Builder::new()
-                                    .name(format!("rsm-client-p{}", me.index()))
-                                    .spawn(move || conn.run())
-                                {
-                                    handlers.push((h, clone));
-                                }
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                thread::sleep(Duration::from_millis(5));
-                            }
-                            Err(_) => thread::sleep(Duration::from_millis(5)),
+                        shared.metrics.connections.inc();
+                        let _ = stream.set_nodelay(true);
+                        let conn = ClientConn {
+                            stream: Arc::new(stream),
+                            shared: Arc::clone(&shared),
+                        };
+                        let weak = Arc::downgrade(&conn.stream);
+                        if let Ok(h) = thread::Builder::new()
+                            .name(format!("rsm-client-p{}", me.index()))
+                            .spawn(move || conn.run())
+                        {
+                            handlers.push((h, weak));
                         }
                     }
-                    drop(admit_tx);
-                    for (_, stream) in &handlers {
-                        let _ = stream.shutdown(std::net::Shutdown::Both);
-                    }
-                    for (h, _) in handlers {
+                    for (h, stream) in handlers {
+                        if let Some(stream) = stream.upgrade() {
+                            let _ = stream.shutdown(Shutdown::Both);
+                        }
                         let _ = h.join();
                     }
                 })
-                .expect("spawning the rsm acceptor thread");
-            threads.push(handle);
-        }
+                .expect("spawning the rsm acceptor thread")
+        };
 
         Ok(RsmService {
             local_addr,
-            shutdown,
-            threads,
+            shared,
+            acceptor: Some(acceptor),
         })
     }
 
@@ -498,13 +451,27 @@ impl RsmService {
         self.local_addr
     }
 
-    /// Stops the acceptor, unblocks handlers, and joins all threads.
-    /// Safe to call more than once.
+    /// Stops the acceptor, wakes every handler — whether it is reading a
+    /// request or waiting for a commitment — and joins all threads. Safe
+    /// to call more than once.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
+        self.shared.stop.store(true, Ordering::SeqCst);
+        // Waiters re-check the flag under the view's lock.
+        self.shared.view.update(|_| ());
+        // One connection of our own wakes the blocking `accept`.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(if wake.is_ipv4() {
+                Ipv4Addr::LOCALHOST.into()
+            } else {
+                Ipv6Addr::LOCALHOST.into()
+            });
         }
+        let _ = TcpStream::connect(wake);
+        let _ = acceptor.join();
     }
 }
 
@@ -517,18 +484,15 @@ impl Drop for RsmService {
 /// One client connection: request frames in, response frames out, one at
 /// a time (pipelining across requests belongs to multiple connections).
 struct ClientConn {
-    stream: TcpStream,
-    view: LogView,
-    admit: mpsc::SyncSender<Command>,
-    metrics: ServiceMetrics,
-    opts: ServiceOptions,
-    shutdown: Arc<AtomicBool>,
+    stream: Arc<TcpStream>,
+    shared: Arc<Shared>,
 }
 
 impl ClientConn {
-    fn run(mut self) {
-        while !self.shutdown.load(Ordering::Relaxed) {
-            let req: ClientReq = match read_client_msg(&mut self.stream) {
+    fn run(self) {
+        let mut stream = &*self.stream;
+        while !self.shared.stop.load(Ordering::SeqCst) {
+            let req: ClientReq = match read_client_msg(&mut stream) {
                 Ok(r) => r,
                 Err(_) => return, // EOF, reset, or garbage: hang up
             };
@@ -541,68 +505,78 @@ impl ClientConn {
                     client,
                     request,
                     op,
-                } => (self.propose(client, request, op), &self.metrics.op_us),
+                } => (
+                    self.propose(client, request, op),
+                    &self.shared.metrics.op_us,
+                ),
                 ClientReq::Read { key } => (
                     ClientResp::Value {
-                        value: self.view.with(|a| a.kv.get(&key).cloned()),
+                        value: self.shared.view.with(|a| a.kv.get(&key).cloned()),
                     },
-                    &self.metrics.read_us,
+                    &self.shared.metrics.read_us,
                 ),
                 ClientReq::Info => (
-                    self.view.with(|a| ClientResp::Info {
+                    self.shared.view.with(|a| ClientResp::Info {
                         applied: a.next_slot(),
                         digest: a.digest(),
                         applied_commands: a.applied_commands,
                         deduped_commands: a.deduped_commands,
                         kv_len: a.kv.len() as u64,
-                        pending: self.metrics.queue.get(),
+                        pending: self.shared.waiting.load(Ordering::Relaxed),
                     }),
-                    &self.metrics.read_us,
+                    &self.shared.metrics.read_us,
                 ),
             };
             histogram.record_us(started.elapsed());
-            if write_client_msg(&mut self.stream, &resp).is_err() {
+            if write_client_msg(&mut stream, &resp).is_err() {
                 return;
             }
         }
     }
 
     fn propose(&self, client: u64, request: u64, op: Op) -> ClientResp {
-        // Idempotent fast path: an already-committed request id answers
-        // immediately (the retry path after a timeout or failover).
-        if self.view.with(|a| a.is_complete(client, request)) {
-            return ClientResp::Committed {
-                client,
-                request,
-                log_len: self.view.with(super::state::AppliedState::next_slot),
-            };
-        }
-        let cmd = Command {
+        let shared = &*self.shared;
+        let committed = || ClientResp::Committed {
             client,
             request,
-            op,
+            log_len: shared.view.with(AppliedState::next_slot),
         };
-        match self.admit.try_send(cmd) {
-            Ok(()) => self.metrics.queue.add(1),
-            Err(mpsc::TrySendError::Full(_)) => {
-                self.metrics.busy.inc();
-                return ClientResp::Busy;
-            }
-            Err(mpsc::TrySendError::Disconnected(_)) => return ClientResp::Busy,
+        // Idempotent fast path: an already-committed request id answers
+        // immediately (the retry path after a timeout or failover).
+        if shared.view.with(|a| a.is_complete(client, request)) {
+            return committed();
         }
-        if self
-            .view
-            .wait_complete(client, request, self.opts.propose_timeout)
-        {
-            ClientResp::Committed {
+        if shared.waiting.fetch_add(1, Ordering::Relaxed) >= MAX_WAITING {
+            shared.waiting.fetch_sub(1, Ordering::Relaxed);
+            shared.metrics.busy.inc();
+            return ClientResp::Busy;
+        }
+        shared.metrics.waiting.add(1);
+        let submit = RsmMsg::Submit {
+            commands: vec![Command {
                 client,
                 request,
-                log_len: self.view.with(super::state::AppliedState::next_slot),
-            }
+                op,
+            }],
+        };
+        let resp = if shared.node.submit(submit.to_bytes()).is_err() {
+            // The node stopped and never comes back under this handle.
+            ClientResp::Busy
+        } else if shared
+            .view
+            .wait_complete(client, request, PROPOSE_TIMEOUT, &shared.stop)
+        {
+            committed()
         } else {
-            self.metrics.timeouts.inc();
+            // A proposal cut short by shutdown did not time out.
+            if !shared.stop.load(Ordering::SeqCst) {
+                shared.metrics.timeouts.inc();
+            }
             ClientResp::Timeout
-        }
+        };
+        shared.waiting.fetch_sub(1, Ordering::Relaxed);
+        shared.metrics.waiting.sub(1);
+        resp
     }
 }
 

@@ -2,6 +2,7 @@
 //! and the shared view handles read by services, tests, and tooling.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use simnet::Wire;
@@ -172,10 +173,17 @@ impl LogView {
         self.with(Clone::clone)
     }
 
-    /// Blocks until `(client, request)` completes or `timeout` elapses;
-    /// returns whether it completed.
+    /// Blocks until `(client, request)` completes, `timeout` elapses or
+    /// `stop` is set; returns whether it completed. Whoever sets `stop`
+    /// then calls [`LogView::update`] to wake the waiters.
     #[must_use]
-    pub fn wait_complete(&self, client: u64, request: u64, timeout: std::time::Duration) -> bool {
+    pub fn wait_complete(
+        &self,
+        client: u64,
+        request: u64,
+        timeout: std::time::Duration,
+        stop: &AtomicBool,
+    ) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         let mut state = self.inner.0.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
@@ -183,7 +191,7 @@ impl LogView {
                 return true;
             }
             let now = std::time::Instant::now();
-            if now >= deadline {
+            if now >= deadline || stop.load(Ordering::SeqCst) {
                 return false;
             }
             let (s, _timed_out) = self
@@ -289,8 +297,10 @@ mod tests {
     fn view_wait_complete() {
         let view = LogView::new();
         let v2 = view.clone();
-        let t =
-            std::thread::spawn(move || v2.wait_complete(1, 1, std::time::Duration::from_secs(5)));
+        static NEVER: AtomicBool = AtomicBool::new(false);
+        let t = std::thread::spawn(move || {
+            v2.wait_complete(1, 1, std::time::Duration::from_secs(5), &NEVER)
+        });
         std::thread::sleep(std::time::Duration::from_millis(20));
         view.update(|a| {
             a.apply(LogEntry {
@@ -300,6 +310,24 @@ mod tests {
             });
         });
         assert!(t.join().unwrap());
-        assert!(!view.wait_complete(1, 9, std::time::Duration::from_millis(10)));
+        assert!(!view.wait_complete(1, 9, std::time::Duration::from_millis(10), &NEVER));
+    }
+
+    #[test]
+    fn view_wait_returns_once_stopped() {
+        let view = LogView::new();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (v2, s2) = (view.clone(), Arc::clone(&stop));
+        let t = std::thread::spawn(move || {
+            let started = std::time::Instant::now();
+            let done = v2.wait_complete(1, 1, std::time::Duration::from_secs(60), &s2);
+            (done, started.elapsed())
+        });
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        stop.store(true, Ordering::SeqCst);
+        view.update(|_| ());
+        let (done, waited) = t.join().unwrap();
+        assert!(!done);
+        assert!(waited < std::time::Duration::from_secs(10), "{waited:?}");
     }
 }

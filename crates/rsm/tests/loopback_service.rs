@@ -89,7 +89,6 @@ fn killed_replica_recovers_from_wal_and_converges() {
     let dir = temp_dir("recover");
     let mut opts = RsmClusterOptions::new(5, dir.clone());
     opts.snapshot_every = 64; // exercise checkpoint + tail replay
-    opts.service.propose_timeout = Duration::from_secs(30);
     let mut cluster = RsmCluster::start(opts).unwrap();
     let victim = 3;
 
@@ -137,12 +136,11 @@ fn killed_replica_recovers_from_wal_and_converges() {
             for round in 0..8u32 {
                 for c in &mut clients {
                     let id = c.id();
-                    let resp = c
-                        .put(
-                            format!("m{id}-{round}").as_bytes(),
-                            format!("w{round}").as_bytes(),
-                        )
-                        .unwrap();
+                    let op = rsm::Op::Put {
+                        key: format!("m{id}-{round}").into_bytes(),
+                        value: format!("w{round}").into_bytes(),
+                    };
+                    let resp = c.propose_with_retry(op, Duration::from_secs(60)).unwrap();
                     assert!(matches!(resp, ClientResp::Committed { .. }), "{resp:?}");
                 }
             }

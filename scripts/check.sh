@@ -22,6 +22,11 @@ if for f in crates/rsm/src/*.rs; do
     sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' "$f" | grep -nE 'Frame::|write_frame|read_frame' | sed "s|^|$f:|"
 done | grep .; then echo "rsm must reach its node only through its Submitter"; exit 1; fi
 
+echo "==> one hop from client to replica: service.rs has no queue of its own and no polling accept"
+# Each handler submits its own proposal; the acceptor blocks in accept and
+# shutdown wakes it. A second channel or a nonblocking accept must fail here.
+if sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' crates/rsm/src/service.rs | grep -nE 'sync_channel|recv_timeout|WouldBlock|set_nonblocking\(true\)'; then echo "service.rs must hand proposals straight to the Submitter and block in accept"; exit 1; fi
+
 echo "==> cargo test"
 cargo test --workspace -q
 

@@ -6,8 +6,7 @@
 //! btnode --id I --n N --k K --proto failstop|simple|malicious|benor|rsm \
 //!        [--input 0|1] --listen HOST:PORT --peer HOST:PORT [--peer ...] \
 //!        [--seed S] [--timeout SECS] [--jsonl PATH] [--admin PORT] \
-//!        [--client PORT] [--window W] [--max-batch B] \
-//!        [--queue-depth Q] [--submit-batch S]
+//!        [--client PORT] [--window W] [--max-batch B]
 //! ```
 //!
 //! `--peer` must appear exactly `N` times, in process-id order; entry `I`
@@ -51,11 +50,10 @@
 //! `--proto rsm` runs the node as one replica of the multi-decree
 //! replicated log (see `docs/RSM.md`) instead of a one-shot consensus:
 //! `--client PORT` (required) serves the length-prefixed client API on
-//! the listen host, `--window`/`--max-batch` tune the replica's
-//! pipelining and batching, and `--queue-depth`/`--submit-batch` tune
-//! the service's admission queue, whose batches enter the replica through
-//! the node's event loop as its own journaled input (the node's submit
-//! handle — no connection to its own port). `--input` does not apply;
+//! the listen host, and `--window`/`--max-batch` tune the replica's
+//! pipelining and batching. Each client proposal enters the replica
+//! through the node's event loop as its own journaled input (the node's
+//! submit handle — no connection to its own port). `--input` does not apply;
 //! `--timeout` becomes the serving duration (0 = serve until killed). The
 //! `/status` admin endpoint gains an `rsm` section (applied slots, log
 //! digest, command counters), and `--supervise`/`--wal` work unchanged —
@@ -76,14 +74,14 @@ use netstack::{
 };
 use obs::metrics::Registry;
 use obs::JsonlSink;
-use rsm::{RsmOptions, ServiceOptions};
+use rsm::RsmOptions;
 use simnet::{ProcessId, Role, SharedSubscriber, Subscriber, Value};
 
 const USAGE: &str = "usage: btnode --id I --n N --k K \
 --proto failstop|simple|malicious|benor|rsm [--input 0|1] \
 --listen HOST:PORT --peer HOST:PORT [--peer ...] \
 [--seed S] [--timeout SECS] [--jsonl PATH] [--admin PORT] \
-[--client PORT] [--window W] [--max-batch B] [--queue-depth Q] [--submit-batch S] \
+[--client PORT] [--window W] [--max-batch B] \
 [--wal PATH [--snapshot-every STEPS] [--supervise] [--max-restarts R]]";
 
 struct Args {
@@ -97,8 +95,6 @@ struct Args {
     client: Option<u16>,
     /// `--window`/`--max-batch` over the replica's defaults.
     replica: RsmOptions,
-    /// `--queue-depth`/`--submit-batch` over the service's defaults.
-    service: ServiceOptions,
     listen: SocketAddr,
     peers: Vec<SocketAddr>,
     seed: u64,
@@ -126,7 +122,6 @@ fn parse_args() -> Result<Args, String> {
     let mut input = None;
     let mut client = None;
     let mut replica = RsmOptions::default();
-    let mut service = ServiceOptions::default();
     let mut listen = None;
     let mut peers = Vec::new();
     let mut seed = 0u64;
@@ -163,12 +158,6 @@ fn parse_args() -> Result<Args, String> {
             "--client" => client = Some(parse(&value("--client")?, "--client")?),
             "--window" => replica.window = parse(&value("--window")?, "--window")?,
             "--max-batch" => replica.max_batch = parse(&value("--max-batch")?, "--max-batch")?,
-            "--queue-depth" => {
-                service.queue_depth = parse(&value("--queue-depth")?, "--queue-depth")?;
-            }
-            "--submit-batch" => {
-                service.submit_batch = parse(&value("--submit-batch")?, "--submit-batch")?;
-            }
             "--listen" => listen = Some(parse_addr(&value("--listen")?)?),
             "--peer" => peers.push(parse_addr(&value("--peer")?)?),
             "--seed" => seed = parse(&value("--seed")?, "--seed")?,
@@ -197,7 +186,6 @@ fn parse_args() -> Result<Args, String> {
         input,
         client,
         replica,
-        service,
         listen: listen.ok_or("--listen is required")?,
         peers,
         seed,
@@ -509,14 +497,8 @@ fn run_rsm(args: &Args, listener: TcpListener) -> Result<bool, String> {
     let client_bind = SocketAddr::new(args.listen.ip(), client_port);
     let client_listener = TcpListener::bind(client_bind)
         .map_err(|e| format!("cannot bind client port {client_bind}: {e}"))?;
-    let service = RsmService::spawn(
-        client_listener,
-        node.submitter(),
-        view.clone(),
-        args.service,
-        &registry,
-    )
-    .map_err(|e| format!("cannot start client service: {e}"))?;
+    let service = RsmService::spawn(client_listener, node.submitter(), view.clone(), &registry)
+        .map_err(|e| format!("cannot start client service: {e}"))?;
     eprintln!(
         "btnode: rsm replica p{} serving clients on {}",
         args.id,
