@@ -4,8 +4,9 @@
 //! and step limits, and returns its table. The `assert!`s inside are the
 //! paper's claims: Theorem 2/4 agreement at maximal `k`, the 3-phase and
 //! 2-phase fast paths, E8's lag ≤ 1 for `k < n/5`, the E5 lower-bound
-//! demonstrations, E11's safe paper rule and E12's scheduler-independent
-//! safety. A run that finishes is a run in which all of them held.
+//! demonstrations, E11's safe paper bars (and unsafe lowered Figure 2
+//! bars at `n = 4`) and E12's scheduler-independent safety. A run that
+//! finishes is a run in which all of them held.
 //!
 //! `main` prints every table to stdout and writes one CSV per table, with
 //! the same rows, to the output directory (default `results/`):
@@ -22,8 +23,7 @@ use bench::{
     malicious_system_silent, simple_system, split_inputs,
 };
 use benor::BenOrConfig;
-use bt_core::ablation::{AblatedFailStop, ThresholdRule};
-use bt_core::{Config, DeadMsg, InitiallyDead, Malicious, MaliciousMsg};
+use bt_core::{Config, DeadMsg, InitiallyDead, Malicious, MaliciousMsg, Threshold};
 use markov::{collapsed, FailStopChain, MaliciousChain};
 use modelcheck::demos;
 use simnet::scheduler::{
@@ -122,7 +122,7 @@ fn e1() -> Table {
         "n,k,agree_pct,decide_pct,mean_phases,mean_msgs",
     );
     for n in [3usize, 5, 7, 9, 11, 15, 21] {
-        let mut ks = vec![0, (n - 1) / 4, (n - 1) / 2];
+        let mut ks = vec![0, (n - 1) / 4, Config::max_fail_stop_k(n)];
         ks.dedup();
         for k in ks {
             let config = Config::fail_stop(n, k).expect("within bound");
@@ -144,38 +144,48 @@ fn e1() -> Table {
 
 type Attacker = fn(Config) -> Box<dyn Process<Msg = MaliciousMsg>>;
 
+/// The attacker families of E2 (the last two also attack E11's Figure 2
+/// rows).
+const ATTACKERS: [(&str, Attacker); 4] = [
+    ("silent", |_c| Box::new(Silent::<MaliciousMsg>::new())),
+    ("contrarian", |c| Box::new(ContrarianMalicious::new(c))),
+    ("two-faced", |c| Box::new(TwoFacedMalicious::new(c))),
+    ("equiv-echo", |c| Box::new(EquivocatingEchoer::new(c))),
+];
+
+/// E2's 100 trials: `n − k` correct Figure 2 processes with alternating
+/// inputs against `k` copies of one attacker, all on `config`.
+fn e2_trials(config: Config, make: Attacker) -> TrialStats {
+    let (n, k) = (config.n(), config.k());
+    run_trials(100, 0xE2, |seed| {
+        let mut b = Sim::builder();
+        for i in 0..n - k {
+            b.process(
+                Box::new(Malicious::new(config, Value::from(i % 2 == 0))),
+                Role::Correct,
+            );
+        }
+        for _ in 0..k {
+            b.process(make(config), Role::Faulty);
+        }
+        b.seed(seed).step_limit(16_000_000);
+        b.build()
+    })
+}
+
 /// E2 — Theorem 4: Figure 2 agrees at maximal `k` against four attacker
 /// families.
 fn e2() -> Table {
-    let strategies: [(&str, Attacker); 4] = [
-        ("silent", |_c| Box::new(Silent::<MaliciousMsg>::new())),
-        ("contrarian", |c| Box::new(ContrarianMalicious::new(c))),
-        ("two-faced", |c| Box::new(TwoFacedMalicious::new(c))),
-        ("equiv-echo", |c| Box::new(EquivocatingEchoer::new(c))),
-    ];
     let mut t = Table::new(
         "e2_malicious_resilience",
         "E2: malicious resilience sweep (100 trials/point, max k)".into(),
         "n,k,strategy,agree_pct,decide_pct,mean_phases",
     );
     for n in [4usize, 7, 10, 13] {
-        let k = (n - 1) / 3;
+        let k = Config::max_malicious_k(n);
         let config = Config::malicious(n, k).expect("within bound");
-        for (name, make) in strategies {
-            let s = run_trials(100, 0xE2, |seed| {
-                let mut b = Sim::builder();
-                for i in 0..n - k {
-                    b.process(
-                        Box::new(Malicious::new(config, Value::from(i % 2 == 0))),
-                        Role::Correct,
-                    );
-                }
-                for _ in 0..k {
-                    b.process(make(config), Role::Faulty);
-                }
-                b.seed(seed).step_limit(16_000_000);
-                b.build()
-            });
+        for (name, make) in ATTACKERS {
+            let s = e2_trials(config, make);
             assert_eq!(
                 s.disagreements, 0,
                 "Theorem 4 violated: n={n} k={k} vs {name}"
@@ -208,7 +218,7 @@ fn e3() -> Table {
         // Simulate at the protocol's maximal decidable k = ⌊(n−1)/3⌋ (at
         // the analysis's idealized k = n/3 the decide threshold equals the
         // quota and no process can decide — see EXPERIMENTS.md).
-        let config = Config::unchecked(n, (n - 1) / 3);
+        let config = Config::unchecked(n, Config::max_malicious_k(n));
         let inputs = split_inputs(n, n / 2);
         let s = run_trials(400, 0xE3, |seed| simple_system(config, &inputs, 0, seed));
         assert!(bound < 7.0, "eq. (13) must stay below 7");
@@ -400,14 +410,14 @@ fn e7() -> Table {
     );
     for n in [4usize, 6, 8, 10, 12] {
         let inputs = alternating_inputs(n);
-        let bt_cfg = Config::malicious(n, (n - 1) / 3).unwrap();
+        let bt_cfg = Config::malicious(n, Config::max_malicious_k(n)).unwrap();
         let bt = run_trials(200, 0xE7, |seed| {
             let mut b = Sim::builder();
             bt_core::simple::build_correct_system(&mut b, bt_cfg, &inputs);
             b.seed(seed).step_limit(8_000_000);
             b.build()
         });
-        let bo_cfg = BenOrConfig::fail_stop(n, (n - 1) / 2).unwrap();
+        let bo_cfg = BenOrConfig::fail_stop(n, Config::max_fail_stop_k(n)).unwrap();
         let bo = run_trials(200, 0xE7, |seed| {
             let mut b = Sim::builder();
             benor::build_correct_system(&mut b, bo_cfg, &inputs);
@@ -477,9 +487,9 @@ fn e9() -> Table {
     );
     for n in [4usize, 7, 10, 13, 16] {
         let inputs = split_inputs(n, n / 2);
-        let fs_cfg = Config::fail_stop(n, (n - 1) / 2).unwrap();
+        let fs_cfg = Config::fail_stop(n, Config::max_fail_stop_k(n)).unwrap();
         let fs = run_trials(100, 0xE9, |seed| failstop_system(fs_cfg, &inputs, 0, seed));
-        let mal_cfg = Config::malicious(n, (n - 1) / 3).unwrap();
+        let mal_cfg = Config::malicious(n, Config::max_malicious_k(n)).unwrap();
         let mal = run_trials(100, 0xE9, |seed| {
             malicious_system_silent(mal_cfg, &inputs, 0, seed)
         });
@@ -548,8 +558,8 @@ fn e10() -> Table {
 /// E11 — ablation of Figure 1's witness (`> n/2`) and decision (`> k`)
 /// bars: lowering either trades safety for speed.
 fn e11() -> Table {
-    let config = Config::fail_stop(8, 3).unwrap();
-    let paper = ThresholdRule::paper(config);
+    let paper = Config::fail_stop(8, 3).unwrap();
+    let inputs = alternating_inputs(paper.n());
     let mut t = Table::new(
         "e11_threshold_ablation",
         "E11: Figure 1 threshold ablation (n=8, k=3, split inputs, 400 trials)".into(),
@@ -557,24 +567,21 @@ fn e11() -> Table {
     );
     for witness_slack in [0usize, 1, 2, 3, 4] {
         for decide_slack in [0usize, 2] {
-            let rule = ThresholdRule::weakened(config, witness_slack, decide_slack);
+            let config = paper
+                .ablate(Threshold::Witness, witness_slack)
+                .ablate(Threshold::WitnessesToDecide, decide_slack);
             let s = run_trials(400, 0xE11, |seed| {
                 let mut b = Sim::builder();
-                for i in 0..config.n() {
-                    b.process(
-                        Box::new(AblatedFailStop::new(config, rule, Value::from(i % 2 == 0))),
-                        Role::Correct,
-                    );
-                }
+                bt_core::failstop::build_correct_system(&mut b, config, &inputs);
                 b.seed(seed).step_limit(2_000_000);
                 b.build()
             });
-            if rule == paper {
+            if config == paper {
                 assert_eq!(s.disagreements, 0, "the paper's rule must be safe");
             }
             t.row(vec![
-                rule.witness_at.to_string(),
-                rule.decide_at.to_string(),
+                config.bar(Threshold::Witness).to_string(),
+                config.bar(Threshold::WitnessesToDecide).to_string(),
                 format!(
                     "{:.1}",
                     100.0 * (s.trials - s.disagreements) as f64 / s.trials as f64
@@ -585,6 +592,55 @@ fn e11() -> Table {
         }
     }
     t.note = "lower bars decide faster — and start disagreeing. The paper's bars are tight.";
+    t
+}
+
+/// E11, Figure 2 — ablation of the accept and decide bars (both
+/// `> (n+k)/2`) in E2's setup at `n = 3k+1`, where the paper's bars have
+/// no slack: at `n = 4` lowering either one by a single count breaks
+/// agreement.
+fn e11_fig2() -> Table {
+    let mut t = Table::new(
+        "e11_fig2_threshold_ablation",
+        "E11: Figure 2 threshold ablation (E2 setup, n = 3k+1, 100 trials)".into(),
+        "n,k,strategy,accept_at,decide_at,disagreements,decide_pct,mean_phases",
+    );
+    let lowered: [(usize, usize); 4] = [(0, 0), (1, 0), (0, 1), (1, 1)];
+    // Whether lowering only the [accept, decide] bar disagreed at n = 4.
+    let mut broke_at_4 = [false; 2];
+    for n in [4usize, 7] {
+        let paper = Config::malicious(n, Config::max_malicious_k(n)).expect("within bound");
+        for (name, make) in &ATTACKERS[2..] {
+            for (accept_slack, decide_slack) in lowered {
+                let config = paper
+                    .ablate(Threshold::EchoesToAccept, accept_slack)
+                    .ablate(Threshold::AcceptedToDecide, decide_slack);
+                let s = e2_trials(config, *make);
+                if config == paper {
+                    assert_eq!(s.disagreements, 0, "Theorem 4 violated: n={n} vs {name}");
+                }
+                if n == 4 && accept_slack + decide_slack == 1 && s.disagreements > 0 {
+                    broke_at_4[decide_slack] = true;
+                }
+                t.row(vec![
+                    n.to_string(),
+                    paper.k().to_string(),
+                    (*name).to_string(),
+                    config.bar(Threshold::EchoesToAccept).to_string(),
+                    config.bar(Threshold::AcceptedToDecide).to_string(),
+                    s.disagreements.to_string(),
+                    pct(s.decided, s.trials),
+                    format!("{:.2}", s.phases.mean),
+                ]);
+            }
+        }
+    }
+    assert_eq!(
+        broke_at_4,
+        [true, true],
+        "at n = 4 either bar lowered alone must break agreement somewhere"
+    );
+    t.note = "n = 3k+1 leaves no slack: at n = 4 either bar lowered by one lets an attacker split a run.";
     t
 }
 
@@ -661,8 +717,9 @@ fn main() {
         .nth(1)
         .map_or_else(|| PathBuf::from("results"), PathBuf::from);
     std::fs::create_dir_all(&dir).expect("creating output directory");
-    let experiments: [fn() -> Table; 14] =
-        [e1, e2, e3, e4, e5, e6a, e6b, e6c, e7, e8, e9, e10, e11, e12];
+    let experiments: [fn() -> Table; 15] = [
+        e1, e2, e3, e4, e5, e6a, e6b, e6c, e7, e8, e9, e10, e11, e11_fig2, e12,
+    ];
     for run in experiments {
         let table = run();
         table.print();

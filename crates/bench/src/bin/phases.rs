@@ -367,7 +367,7 @@ fn main() -> ExitCode {
     // E3: §4.1 simple variant, balanced inputs, maximal decidable k.
     let mut e3 = Vec::new();
     for n in [12usize, 18] {
-        let k = (n - 1) / 3;
+        let k = Config::max_malicious_k(n);
         let config = Config::unchecked(n, k);
         let inputs = split_inputs(n, n / 2);
         eprintln!("phases: E3 n={n} k={k}…");

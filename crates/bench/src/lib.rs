@@ -66,7 +66,7 @@ pub fn sweep_k(n: usize) -> usize {
     let ideal = markov::collapsed::paper_l() * (n as f64).sqrt() / 2.0;
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let k = ideal.round() as usize;
-    k.min((n - 1) / 3)
+    k.min(Config::max_malicious_k(n))
 }
 
 /// A step cap for one malicious-protocol run at size `n`: Figure 2 costs

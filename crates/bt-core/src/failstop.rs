@@ -337,6 +337,7 @@ pub fn build_correct_system(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Threshold;
     use simnet::{ProcessId, RunStatus, Sim};
 
     fn run_inputs(n: usize, k: usize, inputs: &[Value], seed: u64) -> simnet::RunReport {
@@ -384,6 +385,23 @@ mod tests {
                 report.status
             );
         }
+    }
+
+    #[test]
+    fn weakened_witness_rule_eventually_breaks_agreement() {
+        // Drop the witness bar to 1: any message certifies its value, so
+        // split inputs can produce "witnessed" both ways and fast, wrong
+        // decisions. Some seed must disagree.
+        let paper = Config::fail_stop(6, 2).unwrap();
+        let config = paper.ablate(Threshold::Witness, paper.bar(Threshold::Witness) - 1);
+        assert_eq!(config.bar(Threshold::Witness), 1);
+        let inputs: Vec<Value> = (0..6).map(|i| Value::from(i % 2 == 0)).collect();
+        let broke = (0..400).any(|seed| {
+            let mut b = Sim::builder();
+            build_correct_system(&mut b, config, &inputs);
+            !b.seed(seed).step_limit(2_000_000).build().run().agreement()
+        });
+        assert!(broke, "witness bar 1 should violate agreement on some seed");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! 1. **Stage 1** — broadcast `(p, v_p)`; collect stage-1 messages until
 //!    `L` distinct senders (including `p` itself) have been heard, then
 //!    freeze that set as `p`'s *ancestors* `E_p` (the edges of `G` into
-//!    `p`). The quorum `L` defaults to a majority, `⌈(n+1)/2⌉`.
+//!    `p`). The quorum `L` is a majority, `⌊n/2⌋ + 1`.
 //! 2. **Stage 2** — broadcast `(p, v_p, E_p)`; collect everyone's edge
 //!    lists until `p`'s *ancestor closure* (the least set containing `p`
 //!    and closed under `q ↦ E_q`) is fully covered.
@@ -42,6 +42,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use simnet::{Ctx, Envelope, Process, ProcessId, Value};
+
+use crate::config::majority;
 
 /// Wire messages of the initially-dead protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -123,15 +125,29 @@ pub struct InitiallyDead {
 }
 
 impl InitiallyDead {
-    /// Creates a process with the default majority quorum `⌈(n+1)/2⌉`,
-    /// which tolerates up to `⌊(n−1)/2⌋` initially-dead processes.
+    /// Creates a process whose stage-1 quorum `L` is a majority,
+    /// `⌊n/2⌋ + 1` (the same bar as a Figure 1 witness), which tolerates up
+    /// to `⌊(n−1)/2⌋` initially-dead processes and makes the source
+    /// component unique.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
     #[must_use]
     pub fn new(n: usize, input: Value) -> Self {
-        InitiallyDead::with_quorum(n, n / 2 + 1, input)
+        assert!(n > 0, "a system needs at least one process");
+        InitiallyDead {
+            n,
+            quorum: majority(n),
+            input,
+            heard: BTreeSet::new(),
+            inputs: vec![None; n],
+            ancestors: None,
+            edge_lists: BTreeMap::new(),
+            rule: DecisionRule::default(),
+            decision: None,
+            halted: false,
+        }
     }
 
     /// Creates a process using the original [Fisc83] decision rule — the
@@ -144,7 +160,7 @@ impl InitiallyDead {
     /// Panics if `n == 0`.
     #[must_use]
     pub fn flp(n: usize, input: Value) -> Self {
-        let mut p = InitiallyDead::with_quorum(n, n / 2 + 1, input);
+        let mut p = InitiallyDead::new(n, input);
         p.rule = DecisionRule::FischerLynchPaterson;
         p
     }
@@ -153,36 +169,6 @@ impl InitiallyDead {
     #[must_use]
     pub fn rule(&self) -> DecisionRule {
         self.rule
-    }
-
-    /// Creates a process with an explicit stage-1 quorum `L` (the number of
-    /// distinct stage-1 senders, including itself, to wait for). Larger `L`
-    /// makes `C = [n]` easier to reach but tolerates fewer dead processes
-    /// (`n − L`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`, `quorum == 0`, or `quorum > n`.
-    #[must_use]
-    pub fn with_quorum(n: usize, quorum: usize, input: Value) -> Self {
-        assert!(n > 0, "a system needs at least one process");
-        assert!((1..=n).contains(&quorum), "quorum must be between 1 and n");
-        assert!(
-            2 * quorum > n,
-            "quorum must be a majority for the source component to be unique"
-        );
-        InitiallyDead {
-            n,
-            quorum,
-            input,
-            heard: BTreeSet::new(),
-            inputs: vec![None; n],
-            ancestors: None,
-            edge_lists: BTreeMap::new(),
-            rule: DecisionRule::default(),
-            decision: None,
-            halted: false,
-        }
     }
 
     /// Number of dead processes this instance tolerates: `n − L`.
@@ -460,12 +446,6 @@ mod tests {
     fn single_process_decides_own_input() {
         let report = run(1, 0, &[Value::One], 0);
         assert_eq!(report.decided_value(), Some(Value::One));
-    }
-
-    #[test]
-    #[should_panic(expected = "majority")]
-    fn sub_majority_quorum_rejected() {
-        let _ = InitiallyDead::with_quorum(5, 2, Value::One);
     }
 
     #[test]

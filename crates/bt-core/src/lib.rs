@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod ablation;
 pub mod broadcast;
 mod config;
 pub mod failstop;
@@ -59,7 +58,7 @@ pub mod simple;
 mod tally;
 mod wire;
 
-pub use config::{Config, ConfigError};
+pub use config::{Config, ConfigError, Threshold};
 pub use failstop::FailStop;
 pub use initially_dead::{DeadMsg, DecisionRule, InitiallyDead};
 pub use malicious::{Malicious, Termination};

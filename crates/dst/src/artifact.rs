@@ -138,32 +138,30 @@ mod tests {
     use super::*;
     use crate::scenario::{FaultSpec, Injection, OrderSpec, ProtoKind, SchedSpec};
 
-    /// Finds the first seed whose ablated run actually violates; the
-    /// search is deterministic, so tests built on it are stable.
+    /// Finds the first seed whose run on lowered bars breaks agreement
+    /// (not just the bars the oracle flags at once); the search is
+    /// deterministic, so tests built on it are stable.
     fn violating_scenario() -> Scenario {
         let mut scenario = Scenario {
             proto: ProtoKind::FailStop,
             n: 4,
             k: 1,
             seed: 0,
-            inputs: vec![Value::Zero, Value::One, Value::One, Value::One],
+            inputs: vec![Value::Zero, Value::One, Value::Zero, Value::One],
             faults: vec![FaultSpec::Correct; 4],
             sched: SchedSpec::Fair(OrderSpec::Random),
             step_limit: 200_000,
-            inject: Some(Injection::WeakenFailStop {
-                witness_slack: 100,
-                decide_slack: 100,
-            }),
+            inject: Some(Injection::broken_fig1_quorums()),
         };
         for seed in 0..500 {
             scenario.seed = seed;
             let out = run_sim(&scenario);
             let trace = obs::parse_trace(&out.trace).expect("trace parses");
-            if !check(&scenario, &out.report, &trace).is_empty() {
+            if classes(&check(&scenario, &out.report, &trace)).contains(&"disagreement") {
                 return scenario;
             }
         }
-        panic!("no seed below 500 violates — injection lost its teeth");
+        panic!("no seed below 500 disagrees — injection lost its teeth");
     }
 
     #[test]
@@ -172,7 +170,10 @@ mod tests {
         let out = run_sim(&scenario);
         let trace = obs::parse_trace(&out.trace).expect("trace parses");
         let violations = check(&scenario, &out.report, &trace);
-        assert!(!violations.is_empty(), "injection must violate");
+        assert!(
+            classes(&violations).contains(&"disagreement"),
+            "injection must break agreement: {violations:?}"
+        );
 
         let text = render(&scenario, &violations, &out.trace);
         let repro = parse(&text).expect("artifact parses");

@@ -17,8 +17,9 @@
 //! to per-slot agreement, gap-freedom, batch provenance, and exactly-once
 //! invariants; a violating multi-slot scenario is written to `--out` as
 //! its scenario JSON. `--inject` is the harness self-test: it plants a
-//! broken fail-stop quorum rule and exits 0 only if the fuzzer finds it,
-//! shrinks it, and the artifact replays. `--replay` re-executes a
+//! broken fail-stop quorum rule and exits 0 only if the fuzzer finds a
+//! disagreement it causes, shrinks it, and the artifact replays.
+//! `--replay` re-executes a
 //! previously written artifact and byte-verifies the trace.
 //! `--netstack-stress` runs the scale leg instead of the fuzz loop:
 //! loopback clusters up a size ladder to n=50, each under a healing
@@ -256,11 +257,8 @@ fn main() -> ExitCode {
     config.budget = args.budget;
     config.max_cases = case_cap(&args, config.max_cases);
     if args.inject {
-        config.inject = Some(Injection::WeakenFailStop {
-            witness_slack: 100,
-            decide_slack: 100,
-        });
-        // The ablated protocol only exists in the simulator.
+        config.inject = Some(Injection::broken_fig1_quorums());
+        // Injected scenarios run only in the simulator.
         config.netstack = false;
     }
 

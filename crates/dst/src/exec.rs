@@ -14,7 +14,6 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use adversary::TwoFacedMalicious;
-use bt_core::ablation::{AblatedFailStop, ThresholdRule};
 use bt_core::{Config, FailStop, Malicious, Simple, Termination};
 use netstack::{
     sockets_available, Cluster, ClusterOptions, CrashPlan, DiskFault, FaultPlan, NodeFault, Proto,
@@ -27,7 +26,7 @@ use simnet::scheduler::{
 use simnet::{Process, ProcessId, Role, RunReport, Scheduler, Selection, SharedSubscriber, Sim};
 
 use crate::invariants::{check, check_equivocations, check_storage, Violation};
-use crate::scenario::{FaultSpec, Injection, OrderSpec, ProtoKind, Scenario, SchedSpec};
+use crate::scenario::{FaultSpec, OrderSpec, ProtoKind, Scenario, SchedSpec};
 
 /// A simulated run's results: the report plus its JSONL trace.
 #[derive(Debug)]
@@ -114,40 +113,38 @@ where
 /// generated and shrunk scenarios never do.
 #[must_use]
 pub fn run_sim_scheduled(scenario: &Scenario, schedule: Option<Vec<Selection>>) -> SimOutcome {
+    // An injected defect lowers the scenario's bars, whatever the protocol.
+    let lowered = |config: Config| {
+        scenario
+            .inject
+            .as_ref()
+            .map_or(config, |inject| inject.apply(config))
+    };
     match scenario.proto {
         ProtoKind::FailStop => {
-            let config = Config::fail_stop(scenario.n, scenario.k).expect("generator bound");
-            let rule = scenario.inject.map(
-                |Injection::WeakenFailStop {
-                     witness_slack,
-                     decide_slack,
-                 }| {
-                    ThresholdRule::weakened(config, witness_slack, decide_slack)
-                },
-            );
+            let config =
+                lowered(Config::fail_stop(scenario.n, scenario.k).expect("generator bound"));
             let processes = (0..scenario.n)
-                .map(|i| match rule {
-                    Some(rule) => apply_fault(
-                        AblatedFailStop::new(config, rule, scenario.inputs[i]),
-                        scenario.faults[i],
-                    ),
-                    None => apply_fault(
+                .map(|i| {
+                    apply_fault(
                         FailStop::new(config, scenario.inputs[i]),
                         scenario.faults[i],
-                    ),
+                    )
                 })
                 .collect();
             run_generic(scenario, processes, schedule)
         }
         ProtoKind::Simple => {
-            let config = Config::fail_stop(scenario.n, scenario.k).expect("generator bound");
+            let config =
+                lowered(Config::fail_stop(scenario.n, scenario.k).expect("generator bound"));
             let processes = (0..scenario.n)
                 .map(|i| apply_fault(Simple::new(config, scenario.inputs[i]), scenario.faults[i]))
                 .collect();
             run_generic(scenario, processes, schedule)
         }
         ProtoKind::Malicious => {
-            let config = Config::malicious(scenario.n, scenario.k).expect("generator bound");
+            let config =
+                lowered(Config::malicious(scenario.n, scenario.k).expect("generator bound"));
             let processes = (0..scenario.n)
                 .map(|i| -> Box<dyn Process<Msg = bt_core::MaliciousMsg>> {
                     if scenario.faults[i] == FaultSpec::TwoFaced {
@@ -277,9 +274,9 @@ impl NetOutcome {
 static RUN_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Runs the scenario over loopback TCP under `mode`, or `None` when the
-/// sandbox forbids sockets or the scenario carries an injection (the
-/// ablated protocol only exists in the simulator). Journaling modes keep
-/// their WALs in a scratch directory that lives only for the run.
+/// sandbox forbids sockets or the scenario carries an injection (lowered
+/// bars are a simulator-only self-test). Journaling modes keep their WALs
+/// in a scratch directory that lives only for the run.
 #[must_use]
 pub fn run_netstack(scenario: &Scenario, timeout: Duration, mode: NetMode) -> Option<NetOutcome> {
     if !sockets_available() || scenario.inject.is_some() {
@@ -434,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_scenario_runs_the_ablated_protocol() {
+    fn injected_scenario_runs_on_the_lowered_bars() {
         let s = Scenario {
             proto: ProtoKind::FailStop,
             n: 4,
@@ -449,14 +446,64 @@ mod tests {
             faults: vec![FaultSpec::Correct; 4],
             sched: crate::scenario::SchedSpec::Fair(crate::scenario::OrderSpec::Random),
             step_limit: 100_000,
-            inject: Some(Injection::WeakenFailStop {
-                witness_slack: 100,
-                decide_slack: 100,
-            }),
+            inject: Some(crate::scenario::Injection::broken_fig1_quorums()),
         };
         let out = run_sim(&s);
-        // The fully weakened protocol decides instantly — the run must at
-        // least complete; whether it *agrees* is the fuzzer's business.
+        // The fully weakened protocol decides at the end of phase 0 — the
+        // run must at least complete; whether it *agrees* is the fuzzer's
+        // business.
         assert_eq!(out.report.status, RunStatus::Stopped);
+        assert_eq!(out.report.phases_to_decision(), Some(1));
+    }
+
+    /// An injection reaches Figure 2 too: at n = 3k+1 against a two-faced
+    /// process, seeds that all agree on the paper's bars split once both
+    /// Figure 2 bars sit one lower.
+    #[test]
+    fn injected_fig2_defect_breaks_the_malicious_protocol() {
+        use bt_core::Threshold;
+        use simnet::Value::{One, Zero};
+
+        use crate::invariants::classes;
+        use crate::scenario::Injection;
+
+        let mut s = Scenario {
+            proto: ProtoKind::Malicious,
+            n: 4,
+            k: 1,
+            seed: 0,
+            inputs: vec![Zero, One, Zero, One],
+            faults: vec![
+                FaultSpec::TwoFaced,
+                FaultSpec::Correct,
+                FaultSpec::Correct,
+                FaultSpec::Correct,
+            ],
+            sched: crate::scenario::SchedSpec::Fair(crate::scenario::OrderSpec::Random),
+            step_limit: 1_000_000,
+            inject: None,
+        };
+        let lowered = Injection {
+            lower: vec![
+                (Threshold::EchoesToAccept, 1),
+                (Threshold::AcceptedToDecide, 1),
+            ],
+        };
+        let mut split = 0;
+        for seed in 0..200 {
+            s.seed = seed;
+            for inject in [None, Some(lowered.clone())] {
+                s.inject = inject;
+                let out = run_sim(&s);
+                let trace = obs::parse_trace(&out.trace).expect("trace parses");
+                let disagrees = classes(&check(&s, &out.report, &trace)).contains(&"disagreement");
+                assert!(
+                    !(disagrees && s.inject.is_none()),
+                    "Theorem 4 broken at seed {seed}"
+                );
+                split += usize::from(disagrees);
+            }
+        }
+        assert!(split > 0, "no seed below 200 disagrees on the lowered bars");
     }
 }

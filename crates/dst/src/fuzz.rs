@@ -8,9 +8,10 @@
 //!   unanimous-input scenario is additionally run over loopback TCP and
 //!   held to the same decision properties — a divergence between runtimes
 //!   is reported like any other finding.
-//! - **inject**: every scenario is rewritten to run the deliberately
-//!   ablated fail-stop protocol with split inputs. The harness must find a
-//!   violation quickly, shrink it, and produce a replayable artifact —
+//! - **inject**: every scenario is rewritten to run Figure 1 on
+//!   deliberately lowered quorum bars with split inputs, while the
+//!   invariant oracle keeps the paper's. The harness must find a
+//!   disagreement quickly, shrink it, and produce a replayable artifact —
 //!   this is the fuzzer's own end-to-end self test.
 
 use std::time::{Duration, Instant};
@@ -68,7 +69,8 @@ pub struct FuzzConfig {
     pub netstack_every: u64,
     /// Per-cluster verdict deadline for netstack runs.
     pub netstack_timeout: Duration,
-    /// Deliberate defect to inject into every scenario (self-test mode).
+    /// Deliberate defect to inject into every scenario (self-test mode);
+    /// it should lower a Figure 1 bar, the protocol injected runs use.
     pub inject: Option<Injection>,
     /// Probe budget for the shrinker.
     pub shrink_runs: usize,
@@ -100,36 +102,43 @@ pub struct FuzzOutcome {
     pub finding: Option<Finding>,
 }
 
-/// Rewrites a drawn scenario for injection mode: the ablated fail-stop
-/// protocol with a lone dissenting input, so the planted bug surfaces
-/// within a handful of cases instead of thousands.
+/// Rewrites a drawn scenario for injection mode: Figure 1 on the lowered
+/// bars, with inputs alternating `Zero`, `One` so the planted bug surfaces
+/// within a handful of cases.
 ///
-/// The input shape matters: the ablated decision loop scans values in a
-/// fixed order, so with *balanced* split inputs every quota window
-/// contains the preferred value and the broken protocol accidentally
-/// agrees. One `Zero` among `One`s gives each process a real chance of a
-/// window with and without the dissent — a disagreement.
-fn apply_injection(mut scenario: Scenario, inject: Injection) -> Scenario {
+/// The input shape matters: `FailStop` decides the value it adopted, and
+/// with a lone dissenting input every quota window adopts the majority,
+/// so the broken protocol agrees by accident. With split inputs, windows
+/// differ in their majority, and some processes decide each way.
+fn apply_injection(mut scenario: Scenario, inject: &Injection) -> Scenario {
     scenario.proto = ProtoKind::FailStop;
-    scenario.inject = Some(inject);
-    scenario.inputs = vec![Value::One; scenario.n];
-    let dissenter = (0..scenario.n)
-        .find(|&i| !scenario.faults[i].is_faulty())
-        .expect("generator leaves a correct majority");
-    scenario.inputs[dissenter] = Value::Zero;
+    scenario.inject = Some(inject.clone());
+    scenario.inputs = (0..scenario.n).map(|i| Value::from(i % 2 == 1)).collect();
     scenario
 }
 
-/// Packages a violating scenario: shrink it, re-run the minimum for its
-/// trace, and render the artifact.
+/// The violation classes a run is judged and shrunk by. Under injection
+/// the oracle flags the lowered bars themselves at once — a witness below
+/// a majority only restates the defect — so the self-test asks for their
+/// consequence alone: a disagreement.
+fn target(config: &FuzzConfig, violations: &[Violation]) -> Vec<&'static str> {
+    let mut found = classes(violations);
+    if config.inject.is_some() {
+        found.retain(|&class| class == "disagreement");
+    }
+    found
+}
+
+/// Packages a violating scenario: shrink it toward `target`, re-run the
+/// minimum for its trace, and render the artifact.
 fn package(
     case: u64,
     scenario: Scenario,
     violations: Vec<Violation>,
+    target: &[&'static str],
     shrink_runs: usize,
 ) -> Finding {
-    let target = classes(&violations);
-    let shrunk = shrink(&scenario, &target, shrink_runs);
+    let shrunk = shrink(&scenario, target, shrink_runs);
     let minimal_out = run_sim(&shrunk.scenario);
     let artifact = artifact::render(&shrunk.scenario, &shrunk.violations, &minimal_out.trace);
     Finding {
@@ -164,7 +173,7 @@ pub fn fuzz(config: &FuzzConfig, mut progress: impl FnMut(&str)) -> FuzzOutcome 
         }
 
         let mut scenario = Scenario::generate(&mut rng);
-        if let Some(inject) = config.inject {
+        if let Some(inject) = &config.inject {
             scenario = apply_injection(scenario, inject);
         }
 
@@ -178,14 +187,15 @@ pub fn fuzz(config: &FuzzConfig, mut progress: impl FnMut(&str)) -> FuzzOutcome 
             }
         };
         let violations = check(&scenario, &out.report, &trace);
-        if !violations.is_empty() {
+        let target = target(config, &violations);
+        if !target.is_empty() {
             progress(&format!(
                 "case {case}: {} violation(s) [{}] in {}",
                 violations.len(),
                 classes(&violations).join(", "),
                 scenario.describe()
             ));
-            let finding = package(case, scenario, violations, config.shrink_runs);
+            let finding = package(case, scenario, violations, &target, config.shrink_runs);
             return FuzzOutcome {
                 cases: case + 1,
                 netstack_runs,
@@ -271,24 +281,31 @@ mod tests {
         );
     }
 
-    /// The end-to-end self test the issue demands: plant a broken quorum
-    /// rule, and the fuzzer must find it, shrink it, and emit an artifact
-    /// that replays deterministically.
+    /// The end-to-end self test: plant a broken quorum rule, and the
+    /// fuzzer must find its consequence (a disagreement), shrink it while
+    /// keeping that, and emit an artifact that replays deterministically.
     #[test]
     fn injected_defect_is_found_shrunk_and_replayable() {
         let config = FuzzConfig {
             max_cases: 50,
             netstack: false,
-            inject: Some(Injection::WeakenFailStop {
-                witness_slack: 100,
-                decide_slack: 100,
-            }),
+            inject: Some(Injection::broken_fig1_quorums()),
             ..FuzzConfig::default()
         };
         let outcome = fuzz(&config, |_| {});
         let finding = outcome.finding.expect("injected defect must be found");
         assert_eq!(finding.kind, FindingKind::SimViolation);
+        assert!(
+            classes(&finding.violations).contains(&"disagreement"),
+            "the finding must be a consequence of the defect: {:?}",
+            finding.violations
+        );
         let shrunk = finding.shrunk.as_ref().expect("sim findings shrink");
+        assert!(
+            classes(&shrunk.violations).contains(&"disagreement"),
+            "shrinking must keep the disagreement: {:?}",
+            shrunk.violations
+        );
         assert!(shrunk.scenario.n <= finding.scenario.n);
         assert!(
             shrunk.scenario.faults.iter().all(|f| !f.is_faulty()),
@@ -307,15 +324,13 @@ mod tests {
         let config = FuzzConfig {
             max_cases: 50,
             netstack: false,
-            inject: Some(Injection::WeakenFailStop {
-                witness_slack: 100,
-                decide_slack: 100,
-            }),
+            inject: Some(Injection::broken_fig1_quorums()),
             ..FuzzConfig::default()
         };
         let a = fuzz(&config, |_| {});
         let b = fuzz(&config, |_| {});
         let (fa, fb) = (a.finding.expect("found"), b.finding.expect("found"));
+        assert!(classes(&fa.violations).contains(&"disagreement"));
         assert_eq!(fa.case, fb.case);
         assert_eq!(fa.scenario, fb.scenario);
         assert_eq!(fa.artifact, fb.artifact);

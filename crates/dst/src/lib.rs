@@ -34,9 +34,9 @@
 //!
 //! The companion binary `btfuzz` drives the loop from the command line
 //! (`btfuzz --budget 30` is wired into `scripts/check.sh`); its
-//! `--inject` mode plants a broken quorum rule via
-//! [`bt_core::ablation::AblatedFailStop`] and demands the harness catch
-//! it — the fuzzer testing itself.
+//! `--inject` mode plants a broken quorum rule by lowering Figure 1's bars
+//! with [`bt_core::Config::ablate`] and demands the harness catch it — the
+//! fuzzer testing itself.
 
 pub mod artifact;
 pub mod exec;

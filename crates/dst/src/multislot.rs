@@ -153,7 +153,7 @@ impl MultiSlotScenario {
     /// watermark exists for).
     pub fn generate(rng: &mut Prng) -> MultiSlotScenario {
         let n = 4 + rng.index(4); // 4..=7
-        let k = (n - 1) / 3;
+        let k = bt_core::Config::max_malicious_k(n);
         let window = 1 + rng.below_u64(8);
         let max_batch = 1 + rng.index(8);
 

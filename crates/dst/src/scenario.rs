@@ -10,6 +10,7 @@
 //! JSON object for repro artifacts, and compare by value so shrinking and
 //! determinism tests can assert exact equality.
 
+use bt_core::{Config, Threshold};
 use obs::json::Json;
 use prng::Prng;
 use simnet::Value;
@@ -35,8 +36,8 @@ impl ProtoKind {
     #[must_use]
     pub fn k_bound(self, n: usize) -> usize {
         match self {
-            ProtoKind::FailStop => (n - 1) / 2,
-            ProtoKind::Simple | ProtoKind::Malicious => (n - 1) / 3,
+            ProtoKind::FailStop => Config::max_fail_stop_k(n),
+            ProtoKind::Simple | ProtoKind::Malicious => Config::max_malicious_k(n),
         }
     }
 
@@ -240,50 +241,79 @@ impl SchedSpec {
     }
 }
 
-/// A deliberate protocol defect, injected to prove the harness catches it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Injection {
-    /// Runs the fail-stop protocol through
-    /// [`bt_core::ablation::AblatedFailStop`] with both thresholds lowered
-    /// by the given slacks (floored at 1). Large slacks reduce "witness"
-    /// to "any message" and "decide" to "one witness" — the classic
-    /// broken-quorum bug the fuzzer must find.
-    WeakenFailStop {
-        /// Subtracted from the paper's `⌊n/2⌋ + 1` witness bar.
-        witness_slack: usize,
-        /// Subtracted from the paper's `k + 1` decision bar.
-        decide_slack: usize,
-    },
+/// A deliberate protocol defect, injected to prove the harness catches it:
+/// the scenario's [`Config`] with some of the paper's quorum bars lowered,
+/// whatever the protocol. The invariant oracle keeps the paper's own
+/// arithmetic, so it judges the weakened run against the real bars.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Injection {
+    /// Each `(bar, by)` lowers `bar` by `by` (floored at 1), in order.
+    pub lower: Vec<(Threshold, usize)>,
 }
 
+/// Artifact names of the thresholds an [`Injection`] can lower.
+const THRESHOLD_NAMES: [(Threshold, &str); 4] = [
+    (Threshold::Witness, "witness"),
+    (Threshold::WitnessesToDecide, "witnesses-to-decide"),
+    (Threshold::EchoesToAccept, "echoes-to-accept"),
+    (Threshold::AcceptedToDecide, "accepted-to-decide"),
+];
+
 impl Injection {
-    fn to_json(self) -> Json {
-        match self {
-            Injection::WeakenFailStop {
-                witness_slack,
-                decide_slack,
-            } => Json::Obj(vec![
-                ("kind".into(), Json::str("weaken-fail-stop")),
-                ("witness_slack".into(), Json::num(witness_slack as u64)),
-                ("decide_slack".into(), Json::num(decide_slack as u64)),
-            ]),
+    /// The classic broken-quorum bug the fuzzer must find: both Figure 1
+    /// bars lowered by 100, reducing "witness" to "any message" and
+    /// "decide" to "one witness".
+    #[must_use]
+    pub fn broken_fig1_quorums() -> Self {
+        Injection {
+            lower: vec![
+                (Threshold::Witness, 100),
+                (Threshold::WitnessesToDecide, 100),
+            ],
         }
     }
 
+    /// `config` with every listed bar lowered.
+    #[must_use]
+    pub fn apply(&self, config: Config) -> Config {
+        self.lower
+            .iter()
+            .fold(config, |c, &(bar, by)| c.ablate(bar, by))
+    }
+
+    fn to_json(&self) -> Json {
+        let lowering = |&(bar, by): &(Threshold, usize)| {
+            let (_, name) = THRESHOLD_NAMES
+                .iter()
+                .find(|(t, _)| *t == bar)
+                .expect("every threshold is named");
+            Json::Arr(vec![Json::str(*name), Json::num(by as u64)])
+        };
+        Json::Obj(vec![(
+            "lower".into(),
+            Json::Arr(self.lower.iter().map(lowering).collect()),
+        )])
+    }
+
     fn from_json(j: &Json) -> Result<Self, String> {
-        match j.get("kind").and_then(Json::as_str) {
-            Some("weaken-fail-stop") => Ok(Injection::WeakenFailStop {
-                witness_slack: j
-                    .get("witness_slack")
-                    .and_then(Json::as_usize)
-                    .ok_or("injection needs witness_slack")?,
-                decide_slack: j
-                    .get("decide_slack")
-                    .and_then(Json::as_usize)
-                    .ok_or("injection needs decide_slack")?,
-            }),
-            other => Err(format!("unknown injection {other:?}")),
-        }
+        let Some(Json::Arr(items)) = j.get("lower") else {
+            return Err("injection needs a lower array".into());
+        };
+        let lowering = |item: &Json| match item {
+            Json::Arr(pair) if pair.len() == 2 => {
+                let bar = pair[0]
+                    .as_str()
+                    .and_then(|s| THRESHOLD_NAMES.iter().find(|(_, n)| *n == s))
+                    .map(|(t, _)| *t)
+                    .ok_or_else(|| format!("unknown threshold {:?}", pair[0]))?;
+                let by = pair[1].as_usize().ok_or("lowering needs a count")?;
+                Ok((bar, by))
+            }
+            other => Err(format!("bad lowering {other:?}")),
+        };
+        Ok(Injection {
+            lower: items.iter().map(lowering).collect::<Result<_, String>>()?,
+        })
     }
 }
 
@@ -349,10 +379,11 @@ impl Scenario {
 
         // Liveness floor: how many processes may go quiet. Fail-stop
         // tolerates any k deaths; the quorum protocols additionally need
-        // more than (n+k)/2 live senders.
+        // enough live senders to reach their decide bar.
+        let decide_bar = Config::unchecked(n, k).bar(Threshold::AcceptedToDecide);
         let max_faulty = match proto {
             ProtoKind::FailStop => k,
-            ProtoKind::Simple | ProtoKind::Malicious => k.min(n.saturating_sub(1 + (n + k) / 2)),
+            ProtoKind::Simple | ProtoKind::Malicious => k.min(n.saturating_sub(decide_bar)),
         };
         let mut faults = vec![FaultSpec::Correct; n];
         let budget = rng.index(max_faulty + 1);
@@ -450,7 +481,7 @@ impl Scenario {
             ("step_limit".into(), Json::num(self.step_limit)),
             (
                 "inject".into(),
-                self.inject.map_or(Json::Null, Injection::to_json),
+                self.inject.as_ref().map_or(Json::Null, Injection::to_json),
             ),
         ])
     }
@@ -580,10 +611,10 @@ mod tests {
         for _ in 0..200 {
             let mut s = Scenario::generate(&mut rng);
             if rng.coin() {
-                s.inject = Some(Injection::WeakenFailStop {
-                    witness_slack: rng.index(9),
-                    decide_slack: rng.index(4),
-                });
+                let lower = (0..rng.index(4))
+                    .map(|_| (THRESHOLD_NAMES[rng.index(4)].0, rng.index(9)))
+                    .collect();
+                s.inject = Some(Injection { lower });
             }
             let j = s.to_json();
             let text = j.render();

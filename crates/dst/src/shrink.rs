@@ -228,12 +228,22 @@ mod tests {
     use super::*;
     use crate::scenario::Injection;
 
+    /// Whether the run of `scenario` breaks agreement — the consequence
+    /// the shrinker must keep, not the lowered bars the oracle flags at
+    /// once.
+    fn disagrees(scenario: &Scenario) -> bool {
+        let out = run_sim(scenario);
+        let trace = obs::parse_trace(&out.trace).expect("trace parses");
+        classes(&check(scenario, &out.report, &trace)).contains(&"disagreement")
+    }
+
     /// A deliberately broken fail-stop config (thresholds ablated to 1)
-    /// with one dissenting input under an adversarial scheduler: a process
-    /// whose quota window misses the dissent decides differently from one
-    /// that catches it. The shrinker must strip the decorations and keep
-    /// the disagreement. Seed search is deterministic, so the returned
-    /// scenario is stable.
+    /// under an adversarial scheduler. The correct processes start with
+    /// two `Zero`s and three `One`s, so quota windows of four can hold
+    /// either majority, and processes that see different ones decide
+    /// differently. The
+    /// shrinker must strip the decorations and keep the disagreement.
+    /// Seed search is deterministic, so the returned scenario is stable.
     fn broken_scenario() -> Scenario {
         let mut scenario = Scenario {
             proto: ProtoKind::FailStop,
@@ -243,7 +253,7 @@ mod tests {
             inputs: vec![
                 Value::Zero,
                 Value::One,
-                Value::One,
+                Value::Zero,
                 Value::One,
                 Value::One,
                 Value::One,
@@ -262,42 +272,28 @@ mod tests {
                 heal_every: 3,
             },
             step_limit: 200_000,
-            inject: Some(Injection::WeakenFailStop {
-                witness_slack: 100,
-                decide_slack: 100,
-            }),
+            inject: Some(Injection::broken_fig1_quorums()),
         };
         for seed in 0..500 {
             scenario.seed = seed;
-            let out = run_sim(&scenario);
-            let trace = obs::parse_trace(&out.trace).expect("trace parses");
-            if !check(&scenario, &out.report, &trace).is_empty() {
+            if disagrees(&scenario) {
                 return scenario;
             }
         }
-        panic!("no seed below 500 violates — injection lost its teeth");
+        panic!("no seed below 500 disagrees — injection lost its teeth");
     }
 
     #[test]
     fn shrinking_a_broken_run_keeps_the_violation_and_simplifies() {
         let initial = broken_scenario();
-        let out = run_sim(&initial);
-        let trace = obs::parse_trace(&out.trace).expect("trace parses");
-        let violations = check(&initial, &out.report, &trace);
-        assert!(
-            !violations.is_empty(),
-            "the fully weakened protocol must misbehave"
-        );
-        let target = classes(&violations);
+        let target = ["disagreement"];
 
         let shrunk = shrink(&initial, &target, DEFAULT_SHRINK_RUNS);
-        assert!(!shrunk.violations.is_empty());
-        for class in &target {
-            assert!(
-                classes(&shrunk.violations).contains(class),
-                "shrink lost class {class}"
-            );
-        }
+        assert!(
+            classes(&shrunk.violations).contains(&"disagreement"),
+            "shrink lost the disagreement: {:?}",
+            shrunk.violations
+        );
         assert!(shrunk.steps > 0, "nothing simplified at all");
         // Structural minimality: no faults left, mild scheduler, small ring.
         assert!(shrunk.scenario.n <= initial.n);
@@ -326,29 +322,23 @@ mod tests {
     #[test]
     fn shrink_on_an_already_small_scenario_stays_within_bounds() {
         // Near-minimal to begin with: n=4, k=1, no faults, fair random
-        // scheduling, a lone dissenting input. Seed-search for a violating
+        // scheduling, split inputs. Seed-search for a disagreeing
         // instance, then check the shrinker never grows anything.
         let mut s = broken_scenario();
         s.n = 4;
         s.k = 1;
-        s.inputs = vec![Value::Zero, Value::One, Value::One, Value::One];
+        s.inputs = vec![Value::Zero, Value::One, Value::Zero, Value::One];
         s.faults = vec![FaultSpec::Correct; 4];
         s.sched = SchedSpec::Fair(OrderSpec::Random);
-        let violations = loop {
-            let out = run_sim(&s);
-            let trace = obs::parse_trace(&out.trace).expect("trace parses");
-            let violations = check(&s, &out.report, &trace);
-            if !violations.is_empty() {
-                break violations;
-            }
+        s.seed = 0;
+        while !disagrees(&s) {
             s.seed += 1;
-            assert!(s.seed < 500, "no violating seed found");
-        };
-        let target = classes(&violations);
-        let shrunk = shrink(&s, &target, DEFAULT_SHRINK_RUNS);
+            assert!(s.seed < 500, "no disagreeing seed found");
+        }
+        let shrunk = shrink(&s, &["disagreement"], DEFAULT_SHRINK_RUNS);
         assert!(shrunk.scenario.n <= s.n);
         assert!(shrunk.scenario.faults.iter().all(|f| !f.is_faulty()));
         assert!(shrunk.runs <= DEFAULT_SHRINK_RUNS);
-        assert!(!shrunk.violations.is_empty());
+        assert!(classes(&shrunk.violations).contains(&"disagreement"));
     }
 }

@@ -81,7 +81,7 @@ pub fn find_bivalent_initial(config: Config, crashes: usize) -> Option<Vec<Value
 #[must_use]
 pub fn failstop_beyond_bound_never_decides(n: usize, k: usize) -> bool {
     assert!(
-        k > (n - 1) / 2,
+        k > Config::max_fail_stop_k(n),
         "this demonstration is about k beyond the bound"
     );
     let config = Config::unchecked(n, k);

@@ -91,7 +91,7 @@ impl RsmCluster {
     pub fn start(opts: RsmClusterOptions) -> io::Result<RsmCluster> {
         let n = opts.n;
         assert!(n >= 1, "a cluster needs at least one node");
-        let config = Config::malicious(n, (n - 1) / 3)
+        let config = Config::malicious(n, Config::max_malicious_k(n))
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
 
         let mut client_addrs = Vec::with_capacity(n);

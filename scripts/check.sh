@@ -15,6 +15,18 @@ echo "==> sans-IO gate: netstack core.rs names no socket, poller, thread or cloc
 # Comments and the test module excluded: the seam must not silently close.
 if sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' crates/netstack/src/core.rs | grep -nE 'std::net|std::os|crate::poll|TcpStream|Instant::now|thread::'; then echo "core.rs must stay sans-IO"; exit 1; fi
 
+echo "==> thresholds are data: only bt-core's config.rs derives a quorum bar or a resilience bound"
+# Config holds the paper's four bars and Config::ablate is the only way to
+# lower one; a protocol re-deriving ⌊n/2⌋+1, k+1 or (n+k)/2, or a caller
+# re-deriving ⌊(n−1)/2⌋ or ⌊(n−1)/3⌋ instead of asking Config, must fail here.
+if for f in crates/bt-core/src/*.rs; do
+    [ "$f" = crates/bt-core/src/config.rs ] && continue
+    sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' "$f" | grep -nE '/ 2 \+ 1|k\(\) \+ 1|n \+ (self\.)?k\b' | sed "s|^|$f:|"
+done | grep .; then echo "bt-core must read its quorum bars from Config"; exit 1; fi
+if find crates/*/src src -name '*.rs' ! -path crates/bt-core/src/config.rs | sort | while read -r f; do
+    sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' "$f" | grep -nE '\(n - 1\) / [23]' | sed "s|^|$f:|"
+done | grep .; then echo "resilience bounds come from Config::max_fail_stop_k / max_malicious_k"; exit 1; fi
+
 echo "==> one way into the replica: rsm names none of netstack's peer framing"
 # Client commands reach the node through its Submitter. A socket into the
 # node's own peer port (a Hello, a Msg, a read of its acks) must fail here.
@@ -75,8 +87,9 @@ done
 
 echo "==> experiments E1-E12 (every EXPERIMENTS.md table; the paper's claims are asserts)"
 # Thm 2/4 agreement at max k, the 3-/2-phase fast paths, E8's lag <= 1 for
-# k < n/5, the E5 lower-bound demonstrations, E11's safe rule and E12's
-# scheduler-independent safety abort the run if they fail. ~1m45s on 2 vCPUs.
+# k < n/5, the E5 lower-bound demonstrations, E11's safe paper bars (and
+# unsafe lowered Fig. 2 bars at n = 4) and E12's scheduler-independent
+# safety abort the run if they fail. ~2m20s on 2 vCPUs.
 target/release/experiments "$FUZZTMP/experiments"
 
 echo "==> one event stream: explorer narration and JSONL trace, then btreport"
@@ -98,6 +111,10 @@ target/release/btreport tests/fixtures/btreport_huge_phase.jsonl > /dev/null 2>&
 
 echo "==> btfuzz self-test (injected defect: find, shrink, replay)"
 target/release/btfuzz --inject --out "$FUZZTMP/inject-repro.jsonl"
+# The oracle flags the lowered bars themselves in every injected run; the
+# self-test must have caught what they cause.
+head -n 1 "$FUZZTMP/inject-repro.jsonl" | grep -q '"violations":\[[^]]*"disagreement"' \
+    || { echo "btfuzz --inject: the minimal repro does not disagree"; exit 1; }
 
 echo "==> btfuzz clean sweep (30s budget)"
 # The netstack cross-checks inside skip themselves where the sandbox
