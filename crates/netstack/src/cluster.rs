@@ -56,7 +56,7 @@ use simnet::{
 use crate::admin::{self, AdminServer};
 use crate::conn::jittered;
 use crate::fault::FaultPlan;
-use crate::node::{spawn, NodeConfig, NodeHandle, NodeStatus};
+use crate::node::{spawn, ClientPort, NodeConfig, NodeHandle, NodeStatus};
 
 pub use adversary::CrashPlan;
 
@@ -158,12 +158,12 @@ pub fn spawn_proto(
         Proto::FailStop => {
             let config = Config::fail_stop(n, k).map_err(bound)?;
             let process = fault.apply(FailStop::new(config, input));
-            spawn(cfg, listener, peers, process, subscriber)
+            spawn(cfg, listener, peers, process, subscriber, None)
         }
         Proto::Simple => {
             let config = Config::fail_stop(n, k).map_err(bound)?;
             let process = fault.apply(Simple::new(config, input));
-            spawn(cfg, listener, peers, process, subscriber)
+            spawn(cfg, listener, peers, process, subscriber, None)
         }
         Proto::Malicious => {
             let config = Config::malicious(n, k).map_err(bound)?;
@@ -171,12 +171,12 @@ pub fn spawn_proto(
                 NodeFault::TwoFaced => Box::new(TwoFacedMalicious::new(config)),
                 fault => fault.apply(Malicious::new(config, input)),
             };
-            spawn(cfg, listener, peers, process, subscriber)
+            spawn(cfg, listener, peers, process, subscriber, None)
         }
         Proto::BenOr => {
             let config = BenOrConfig::fail_stop(n, k).map_err(bound)?;
             let process = fault.apply(BenOrProcess::new(config, input));
-            spawn(cfg, listener, peers, process, subscriber)
+            spawn(cfg, listener, peers, process, subscriber, None)
         }
     }
 }
@@ -248,6 +248,10 @@ pub struct ClusterOptions {
     /// can read [`Cluster::metrics_snapshot`] without sockets.
     pub admin: bool,
 }
+
+/// What [`Cluster::host`]'s `make` builds for one incarnation of a node:
+/// its state machine and its client port, if it serves one.
+pub type Hosted<M> = (Box<dyn Process<Msg = M> + Send>, Option<ClientPort>);
 
 /// Boots one incarnation of a member from its config, a clone of its
 /// retained listener, and the peer address list.
@@ -356,11 +360,11 @@ impl Cluster {
     }
 
     /// Boots an `n`-node cluster of arbitrary processes on loopback TCP:
-    /// `make(i, registry)` builds node `i`'s state machine, and is called
-    /// again for every later incarnation of that node with the same
-    /// registry. `roles` says which nodes [`Cluster::await_verdict`] waits
-    /// on; `wals` holds one WAL path per node when `options.recovery` is
-    /// set (and is empty otherwise).
+    /// `make(i, registry)` builds node `i`'s state machine and its client
+    /// port, if any, and is called again for every later incarnation of
+    /// that node with the same registry. `roles` says which nodes
+    /// [`Cluster::await_verdict`] waits on; `wals` holds one WAL path per
+    /// node when `options.recovery` is set (and is empty otherwise).
     ///
     /// If a `subscriber` is given it receives `on_run_start` now, every
     /// node's events as they happen (interleaved in real arrival order —
@@ -386,13 +390,13 @@ impl Cluster {
         roles: Vec<Role>,
         options: ClusterOptions,
         wals: Vec<PathBuf>,
-        make: impl Fn(usize, &Arc<Registry>) -> Box<dyn Process<Msg = M> + Send> + Send + 'static,
+        make: impl Fn(usize, &Arc<Registry>) -> io::Result<Hosted<M>> + Send + 'static,
         subscriber: Option<SharedSubscriber>,
     ) -> io::Result<Self> {
         let boot: Boot = Box::new(move |cfg, listener, peers, subscriber| {
             let registry = cfg.metrics.as_ref().expect("members share a registry");
-            let process = make(cfg.id.index(), registry);
-            spawn(cfg, listener, peers, process, subscriber)
+            let (process, client) = make(cfg.id.index(), registry)?;
+            spawn(cfg, listener, peers, process, subscriber, client)
         });
         Cluster::start(n, k, roles, options, wals, boot, subscriber)
     }

@@ -9,7 +9,8 @@
 //! `TcpStream`: [`Link`] dials (with jittered exponential backoff),
 //! replays the peer's whole queue in order after every reconnect, and
 //! reads the acks and probe answers coming back; [`InConn`] frames an
-//! accepted connection's bytes and writes the replies. A link holds no
+//! accepted connection's bytes — a peer's frames, or a client's requests
+//! one at a time — and writes the replies. A link holds no
 //! protocol state — drop one mid-run and nothing is lost but a
 //! connection — so nothing that must survive a crash belongs in this
 //! file.
@@ -38,7 +39,8 @@ use obs::metrics::{Counter, Gauge, Histogram, Registry};
 use simnet::ProcessId;
 
 use crate::core::SendQueue;
-use crate::frame::{drain_frames, encode_chunk, Frame};
+use crate::frame::{complete_body, drain_frames, encode_chunk, Frame};
+use crate::node::Answer;
 
 /// Initial redial backoff; doubles per consecutive failure.
 pub(crate) const BACKOFF_INITIAL: Duration = Duration::from_millis(5);
@@ -250,8 +252,9 @@ fn flush_chunks<B: Chunk>(
     Ok(false)
 }
 
-/// Reads everything currently available on a nonblocking socket into an
-/// accumulation buffer. Returns `true` on orderly EOF.
+/// Reads what is available on a nonblocking socket into an accumulation
+/// buffer, until `WouldBlock` or until `enough` says the buffer holds
+/// what the caller wants. Returns `true` on orderly EOF.
 ///
 /// # Errors
 ///
@@ -260,9 +263,10 @@ fn drain_readable(
     stream: &mut TcpStream,
     rbuf: &mut Vec<u8>,
     stats: &LoopStats,
+    enough: impl Fn(&[u8]) -> bool,
 ) -> io::Result<bool> {
     let mut buf = [0u8; 16 * 1024];
-    loop {
+    while !enough(rbuf) {
         match stream.read(&mut buf) {
             Ok(0) => return Ok(true),
             Ok(k) => {
@@ -274,6 +278,7 @@ fn drain_readable(
             Err(e) => return Err(e),
         }
     }
+    Ok(false)
 }
 
 /// One live outbound connection: dialing or established, with its write
@@ -476,7 +481,7 @@ impl Link {
         let Some(conn) = &mut self.conn else {
             return Ok(());
         };
-        let eof = drain_readable(&mut conn.stream, &mut conn.rbuf, stats)?;
+        let eof = drain_readable(&mut conn.stream, &mut conn.rbuf, stats, |_| false)?;
         drain_frames(&mut conn.rbuf, out)?;
         if eof {
             return Err(io::ErrorKind::UnexpectedEof.into());
@@ -518,7 +523,9 @@ impl Link {
 /// state-transfer answer is the whole replicated state, and the prober
 /// re-probes on a timer, so one unsent answer is enough. A peer that
 /// floods frames and never reads its replies therefore holds at most two
-/// replies here and two more partly written — not one per frame sent.
+/// replies here and two more partly written — not one per frame sent. A
+/// client is read only once its last answer is written, so it is owed at
+/// most one, queued straight for writing.
 #[derive(Debug, Default)]
 struct ReplyQueue {
     /// The newest cumulative ack not yet handed to the socket.
@@ -555,8 +562,9 @@ impl ReplyQueue {
     }
 }
 
-/// One accepted inbound connection: handshake, incremental read
-/// framing, and the (rarely blocking) reply write queue.
+/// One accepted inbound connection — a peer's or a client's:
+/// incremental read framing and the (rarely blocking) reply write queue,
+/// plus a peer's handshake or a client's one outstanding request.
 #[derive(Debug)]
 pub(crate) struct InConn {
     pub stream: TcpStream,
@@ -565,6 +573,9 @@ pub(crate) struct InConn {
     /// The connection carried protocol frames since the last tick: the
     /// driver owes it one cumulative ack after the next.
     pub ack_due: bool,
+    /// A client's request is answered later: read nothing more until it
+    /// is.
+    pub awaiting: bool,
     rbuf: Vec<u8>,
     replies: ReplyQueue,
     pub write_blocked: bool,
@@ -576,10 +587,69 @@ impl InConn {
             stream,
             peer: None,
             ack_due: false,
+            awaiting: false,
             rbuf: Vec::new(),
             replies: ReplyQueue::default(),
             write_blocked: false,
         }
+    }
+
+    /// Whether a client connection wants its next request read: nothing
+    /// awaits an answer and every answer is written.
+    pub fn reading(&self) -> bool {
+        !self.awaiting && !self.write_blocked
+    }
+
+    /// Serves a client connection: writes its owed answer (retrying a
+    /// blocked write), then reads one request at a time — never past it,
+    /// so pipelined requests wait in the kernel's buffer and TCP pushes
+    /// back on the client — and hands its body to `handle`. An answer
+    /// given at once is written and the next request read; one given
+    /// later, or a blocked write, stops the loop until the driver calls
+    /// again. Returns when the socket has no whole request left.
+    ///
+    /// # Errors
+    ///
+    /// Socket errors, EOF, unparseable bytes, and [`Answer::HangUp`]: the
+    /// caller tears down.
+    pub fn serve(
+        &mut self,
+        stats: &LoopStats,
+        mut handle: impl FnMut(&[u8]) -> Answer,
+    ) -> io::Result<()> {
+        self.write_blocked = false;
+        loop {
+            self.flush(stats)?;
+            if !self.reading() {
+                return Ok(());
+            }
+            // Stop at a whole request, or at a prefix that will be refused.
+            let whole = |buf: &[u8]| !matches!(complete_body(buf), Ok(None));
+            let eof = drain_readable(&mut self.stream, &mut self.rbuf, stats, whole)?;
+            let Some(len) = complete_body(&self.rbuf)? else {
+                return if eof {
+                    Err(io::ErrorKind::UnexpectedEof.into())
+                } else {
+                    Ok(())
+                };
+            };
+            let answer = handle(&self.rbuf[4..4 + len]);
+            self.rbuf.drain(..4 + len);
+            match answer {
+                Answer::Now(body) => self.queue_answer(&body),
+                Answer::Later => self.awaiting = true,
+                Answer::HangUp => return Err(io::ErrorKind::InvalidData.into()),
+            }
+        }
+    }
+
+    /// Queues a client's answer, length-prefixed like a frame, for the
+    /// next [`InConn::serve`] to write.
+    pub fn queue_answer(&mut self, body: &[u8]) {
+        let len = u32::try_from(body.len()).expect("an answer fits a frame");
+        let chunk = [&len.to_be_bytes(), body].concat();
+        self.replies.wq.push_back(chunk);
+        self.awaiting = false;
     }
 
     /// Drains the socket and parses complete frames into `out`.
@@ -589,7 +659,7 @@ impl InConn {
     ///
     /// Socket errors and unparseable bytes; the caller tears down.
     pub fn read_frames(&mut self, out: &mut Vec<Frame>, stats: &LoopStats) -> io::Result<bool> {
-        let eof = drain_readable(&mut self.stream, &mut self.rbuf, stats)?;
+        let eof = drain_readable(&mut self.stream, &mut self.rbuf, stats, |_| false)?;
         drain_frames(&mut self.rbuf, out)?;
         Ok(eof)
     }

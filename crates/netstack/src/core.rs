@@ -538,6 +538,11 @@ impl<M: Wire> NodeCore<M> {
         self.admit(self.me, seq, payload);
     }
 
+    /// Whether input was admitted since the last tick.
+    pub fn has_admitted(&self) -> bool {
+        !self.admitted.is_empty()
+    }
+
     /// The cumulative ack `peer` is owed, sent once per tick on every
     /// connection that carried its frames — duplicates and gaps included,
     /// so a reconnected sender can retire its queue and resync. With a

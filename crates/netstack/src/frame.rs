@@ -219,20 +219,7 @@ pub fn encode_chunk(frame: &Frame) -> Vec<u8> {
 /// should be dropped.
 pub fn drain_frames(buf: &mut Vec<u8>, out: &mut Vec<Frame>) -> io::Result<()> {
     let mut consumed = 0;
-    while buf.len() - consumed >= 4 {
-        let len_bytes: [u8; 4] = buf[consumed..consumed + 4]
-            .try_into()
-            .expect("4-byte slice");
-        let len = u32::from_be_bytes(len_bytes) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("peer announced a {len}-byte frame"),
-            ));
-        }
-        if buf.len() - consumed - 4 < len {
-            break;
-        }
+    while let Some(len) = complete_body(&buf[consumed..])? {
         let body = &buf[consumed + 4..consumed + 4 + len];
         consumed += 4 + len;
         let frame = Frame::from_bytes(body)
@@ -241,6 +228,28 @@ pub fn drain_frames(buf: &mut Vec<u8>, out: &mut Vec<Frame>) -> io::Result<()> {
     }
     buf.drain(..consumed);
     Ok(())
+}
+
+/// The body length of the frame at the front of `buf`, once all of it is
+/// there: the framing under [`drain_frames`], and under a client port's
+/// opaque request bodies.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::InvalidData`] for a length prefix above
+/// [`MAX_FRAME_LEN`].
+pub(crate) fn complete_body(buf: &[u8]) -> io::Result<Option<usize>> {
+    let Some(prefix) = buf.get(..4) else {
+        return Ok(None);
+    };
+    let len = u32::from_be_bytes(prefix.try_into().expect("4-byte slice")) as usize;
+    if len > MAX_FRAME_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("peer announced a {len}-byte frame"),
+        ));
+    }
+    Ok((buf.len() - 4 >= len).then_some(len))
 }
 
 /// Reads one frame, blocking until it is complete.

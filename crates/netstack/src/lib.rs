@@ -29,9 +29,10 @@
 //! * [`conn`] (private) — the links: per-connection socket machinery
 //!   (dial/backoff, framing, coalesced vectored writes) that carries the
 //!   core's queues and replies. A new transport concern goes here;
-//! * [`node`] — the driver: `spawn`, `NodeHandle`, the `Submitter` that
-//!   feeds a node its own input, config/telemetry types, and the poll
-//!   loop that moves frames between links and core;
+//! * [`node`] — the driver: `spawn`, `NodeHandle`, config/telemetry
+//!   types, the optional client port (a listener plus a sans-IO
+//!   `ClientService` whose requests become the node's own input), and the
+//!   poll loop that moves frames between links, clients and core;
 //! * `poll` (private) — epoll/`poll(2)` readiness over raw syscalls;
 //! * [`frame`] — length-prefixed framing and the connection protocol;
 //! * [`wal`] / [`storage`] — the write-ahead log and the file-I/O trait
@@ -80,7 +81,7 @@ pub use cluster::{
 pub use conn::jittered;
 pub use fault::{CrashRestart, FaultInjector, FaultPlan, LinkAction};
 pub use frame::{drain_frames, encode_chunk, read_frame, write_frame, Frame, MAX_FRAME_LEN};
-pub use node::{fnv1a64, spawn, NetCounters, NodeConfig, NodeHandle, NodeStatus, Submitter};
+pub use node::{fnv1a64, spawn, NetCounters, NodeConfig, NodeHandle, NodeStatus};
 pub use storage::{DiskFault, FaultyStorage, RealStorage, Storage};
 pub use wal::{
     BootRecord, DeliveryRecord, Recovered, SnapshotRecord, Wal, WalDamage, WalRecord, WAL_VERSION,

@@ -9,7 +9,7 @@
 //!           ┌──────────────────────── node (ONE thread) ───────────────────────┐
 //! peers ──▶ │ listener ─▶ InConns ──frames──▶ ┌─────────── core ────────────┐  │
 //!           │      ▲         ◀──replies────── │ seq dedup · durable acks    │  │
-//! local ──▶ │   inbox ──────── payloads ────▶ │ WAL (log-before-send)       │  │
+//! clients ▶ │ client port ─▶ service ─submit▶ │ WAL (log-before-send)       │  │
 //!           │   poller ── readiness           │ Process ◀── rng (seeded)    │  │
 //!           │   Links ◀───── SendQueues ───── │ amnesia · k+1 adoption      │  │
 //!           │     │ (dial, backoff, writev)   └─────────────────────────────┘  │
@@ -26,16 +26,21 @@
 //! * The **links** (`crate::conn`) are the per-connection socket
 //!   machinery: dialing, backoff, framing, coalesced vectored writes. A
 //!   new *transport* concern (TLS, a different framing) goes there.
-//! * The **driver**, in this file, owns the poller, the listener, the
-//!   connection tables and the local inbox, and nothing else. It resolves
-//!   each inbound connection's `Hello` (tearing down anything that skips
-//!   it, names a process outside the system, or names this node itself),
-//!   forwards decoded frames and the [`Submitter`]s' payloads to the
-//!   core, ticks it, sends its acks and replies, and pumps the core's
-//!   queues through the links. It is also the node's only clock reader:
-//!   one `Instant::now()` per wakeup, handed to everything that tick
-//!   touches. A node's own input is local state (§2.1), not channel
-//!   traffic: it never crosses a socket.
+//! * The **driver**, in this file, owns the poller, the listeners and
+//!   the connection tables, and nothing else. It resolves each inbound
+//!   connection's `Hello` (tearing down anything that skips it, names a
+//!   process outside the system, or names this node itself), forwards
+//!   decoded frames to the core, ticks it, sends its acks and replies,
+//!   and pumps the core's queues through the links. It is also the
+//!   node's only clock reader: one `Instant::now()` per wakeup, handed to
+//!   everything that tick touches.
+//! * The optional **client port** ([`ClientPort`]) is the node's local
+//!   input (§2.1): a listener whose connections the driver frames like
+//!   peer connections, and a sans-IO [`ClientService`] that turns each
+//!   request into an answer, or into a payload it submits to the core in
+//!   the same wakeup and answers after a later tick. A node's own input
+//!   is local state, not channel traffic: it never enters as a peer
+//!   frame.
 //!
 //! The event thread is the only thread, and the process needs no locking:
 //! it keeps the simulator's atomic-step semantics — one delivery, one
@@ -50,21 +55,21 @@
 //! only admits them; then it ticks the core — one journal write per
 //! round, every step, one sealed frame per peer — queues **one ack per
 //! connection** that carried frames (the watermark after the tick's
-//! appends), and pumps every link once: a vectored write per peer.
+//! appends), lets the client service answer what the tick settled, and
+//! pumps every link once: a vectored write per peer.
 //!
 //! Crash recovery ([`NodeConfig::wal`]) is entirely the core's: it
 //! replays the log inside [`spawn`], before the event thread exists. See
 //! the core's module docs and `docs/RECOVERY.md`.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -92,13 +97,16 @@ const POLL: Duration = Duration::from_millis(20);
 
 /// Token of the listening socket in the poller.
 const TOKEN_LISTENER: u64 = 0;
-/// Token of the wake-up socket [`Submitter`]s write to.
-const TOKEN_WAKE: u64 = 1;
+/// Token of the client port's listening socket.
+const TOKEN_CLIENTS: u64 = 1;
 /// Outbound link tokens: `OUT_BASE + peer_index`, stable for the life of
 /// the node (each peer has at most one outbound connection at a time).
 const OUT_BASE: u64 = 2;
-/// Inbound connection tokens count up from here, never reused.
+/// Inbound peer connection tokens count up from here, never reused.
 const IN_BASE: u64 = 1 << 32;
+/// Client connection tokens count up from here, never reused; a
+/// [`ClientService`] knows each connection by its token.
+const CLIENT_BASE: u64 = 1 << 48;
 
 /// FNV-1a 64-bit hash of a payload — cheap, dependency-free, and plenty
 /// for flagging a restarted sender that re-sends different bytes under a
@@ -382,47 +390,58 @@ impl NodeMetrics {
     }
 }
 
-/// Feeds a running node its own input: each payload becomes a delivery
-/// from the node to itself, journalled under its own sender slot — the
-/// way an rsm replica's client commands enter it. Cheap to clone and
-/// `Send`; every clone feeds the same event loop.
-#[derive(Clone, Debug)]
-pub struct Submitter {
-    id: ProcessId,
-    queue: mpsc::Sender<Vec<u8>>,
-    /// The writing end of the loop's wake-up pair (nonblocking).
-    wake: Arc<UnixStream>,
+/// What a [`ClientService`] does with one request.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Answer {
+    /// Reply with this body now.
+    Now(Vec<u8>),
+    /// The reply comes from a later [`ClientService::after_tick`]; until
+    /// then the connection stays open and its next request unread.
+    Later,
+    /// The request is malformed: close the connection.
+    HangUp,
 }
 
-impl Submitter {
-    /// The node this handle feeds.
-    #[must_use]
-    pub fn id(&self) -> ProcessId {
-        self.id
-    }
+/// The sans-IO half of a node's client port: it owns no socket and reads
+/// no clock. The driver frames each client connection's requests like
+/// peer frames (4-byte length prefix, at most [`MAX_FRAME_LEN`]) and
+/// hands their bodies here one at a time per connection: it reads a
+/// connection's next request only once its last one is answered. Every
+/// method runs on the node's event thread, between two ticks.
+///
+/// [`MAX_FRAME_LEN`]: crate::frame::MAX_FRAME_LEN
+pub trait ClientService: Send + std::fmt::Debug {
+    /// A client connection was accepted.
+    fn on_open(&mut self, conn: u64);
 
-    /// Queues `payload` — one or more encoded protocol messages, like a
-    /// frame's — for the node's next tick, and wakes its loop. Never
-    /// blocks on the node.
-    ///
-    /// # Errors
-    ///
-    /// `BrokenPipe` once the event loop has stopped (shut down or died).
-    pub fn submit(&self, payload: Vec<u8>) -> io::Result<()> {
-        self.queue.send(payload).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::BrokenPipe,
-                "the node's event loop has stopped",
-            )
-        })?;
-        // A full socket buffer already holds a wake-up: nothing is lost.
-        let _ = (&*self.wake).write(&[1]);
-        Ok(())
-    }
+    /// One request `body` from connection `conn`, read at `now`. Each
+    /// payload handed to `submit` — encoded protocol messages, like a
+    /// frame's — becomes the node's next frame from itself: journaled,
+    /// stepped and crash-replayed by the next tick like a peer's.
+    fn on_request(
+        &mut self,
+        conn: u64,
+        body: &[u8],
+        now: Instant,
+        submit: &mut dyn FnMut(Vec<u8>),
+    ) -> Answer;
+
+    /// After every live tick at `now`: push `(conn, body)` for each
+    /// request answered [`Answer::Later`] that is now settled.
+    fn after_tick(&mut self, now: Instant, replies: &mut Vec<(u64, Vec<u8>)>);
 }
 
-/// A handle to a spawned node: status snapshots, its [`Submitter`], and
-/// shutdown.
+/// A node's client port: the listener clients dial and the service that
+/// answers them, both run by the node's event loop.
+#[derive(Debug)]
+pub struct ClientPort {
+    /// The bound client listener.
+    pub listener: TcpListener,
+    /// What answers the requests.
+    pub service: Box<dyn ClientService>,
+}
+
+/// A handle to a spawned node: status snapshots and shutdown.
 #[derive(Debug)]
 pub struct NodeHandle {
     id: ProcessId,
@@ -431,7 +450,6 @@ pub struct NodeHandle {
     /// `(reconnects, retransmits)` of each outbound link.
     links: Vec<(Counter, Counter)>,
     registry: Arc<Registry>,
-    submitter: Submitter,
     shutdown: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
 }
@@ -553,12 +571,6 @@ impl NodeHandle {
         self.counters.state_transfers.get()
     }
 
-    /// A handle that feeds this node its own input (see [`Submitter`]).
-    #[must_use]
-    pub fn submitter(&self) -> Submitter {
-        self.submitter.clone()
-    }
-
     /// Asks the event thread to stop and joins it. The loop re-checks the
     /// flag at least every [`POLL`], so this returns promptly. Safe to
     /// call more than once.
@@ -577,8 +589,9 @@ impl Drop for NodeHandle {
 }
 
 /// Boots a node: takes ownership of its (already bound) listener, dials
-/// its peers lazily, runs `process` on the event loop, and streams events
-/// to `subscriber` if one is attached.
+/// its peers lazily, runs `process` on the event loop, streams events
+/// to `subscriber` if one is attached, and serves the `client` port, if
+/// any, on the same loop.
 ///
 /// Binding the listener *before* spawning (and passing it in) is the
 /// loopback-cluster handshake discipline: all addresses exist before any
@@ -590,7 +603,8 @@ impl Drop for NodeHandle {
 /// snapshot (if any), replays the logged deliveries through the state
 /// machine, and re-queues the resulting (byte-identical) frames. Only
 /// then does the driver feed it frames, so a frame arriving mid-recovery
-/// can never be mistaken for new.
+/// can never be mistaken for new, and no client is answered from a
+/// half-replayed state.
 ///
 /// # Errors
 ///
@@ -603,6 +617,7 @@ pub fn spawn<M>(
     peers: Vec<SocketAddr>,
     process: Box<dyn Process<Msg = M> + Send>,
     subscriber: Option<SharedSubscriber>,
+    client: Option<ClientPort>,
 ) -> io::Result<NodeHandle>
 where
     M: Wire + Send + 'static,
@@ -648,17 +663,10 @@ where
     listener.set_nonblocking(true)?;
     let mut poller = Poller::new()?;
     poller.register(listener.as_raw_fd(), TOKEN_LISTENER)?;
-    let (wake, wake_tx) = UnixStream::pair()?;
-    wake.set_nonblocking(true)?;
-    wake_tx.set_nonblocking(true)?;
-    poller.register(wake.as_raw_fd(), TOKEN_WAKE)?;
-    // The loop owns the receiver: once it is gone, every submit fails.
-    let (queue, inbox) = mpsc::channel();
-    let submitter = Submitter {
-        id: cfg.id,
-        queue,
-        wake: Arc::new(wake_tx),
-    };
+    if let Some(port) = &client {
+        port.listener.set_nonblocking(true)?;
+        poller.register(port.listener.as_raw_fd(), TOKEN_CLIENTS)?;
+    }
 
     let shutdown = Arc::new(AtomicBool::new(false));
     let status = Arc::clone(&core.status);
@@ -672,8 +680,7 @@ where
         inconns: HashMap::new(),
         next_in_token: 0,
         replying: Vec::new(),
-        wake,
-        inbox,
+        client,
         io: io_stats,
         shutdown: Arc::clone(&shutdown),
     };
@@ -701,7 +708,6 @@ where
         counters,
         links: link_counters,
         registry,
-        submitter,
         shutdown,
         thread: Some(thread),
     })
@@ -717,15 +723,13 @@ struct EventLoop<M: Wire> {
     links: Vec<Option<Link>>,
     poller: Poller,
     listener: TcpListener,
-    /// Accepted connections by token.
+    /// Accepted peer and client connections by token.
     inconns: HashMap<u64, InConn>,
     next_in_token: u64,
     /// Inbound connections with replies to send once the core has
     /// ticked: the tick's ack, a probe's answer.
     replying: Vec<u64>,
-    /// The reading end of the [`Submitter`]s' wake-up pair.
-    wake: UnixStream,
-    inbox: mpsc::Receiver<Vec<u8>>,
+    client: Option<ClientPort>,
     io: LoopStats,
     shutdown: Arc<AtomicBool>,
 }
@@ -760,10 +764,17 @@ impl<M: Wire> EventLoop<M> {
             // stepped and sealed into one frame per peer (an amnesiac
             // refreshes its probes so they ride the same flush). Only
             // then acknowledge, once per connection, what is now
-            // durable; then dial due links, release delayed frames, and
+            // durable, and answer the clients whose requests the tick
+            // settled; then dial due links, release delayed frames, and
             // write what the tick sealed.
             core_deadline = self.core.tick(now);
             self.flush_replies();
+            self.answer_clients(now);
+            if self.core.has_admitted() {
+                // Answered clients' next requests submitted input: it
+                // needs a tick now, not at the next readiness event.
+                core_deadline = Some(now);
+            }
             self.pump_links(now);
         }
     }
@@ -782,12 +793,13 @@ impl<M: Wire> EventLoop<M> {
     }
 
     fn dispatch_event(&mut self, ev: PollEvent, now: Instant, frames: &mut Vec<Frame>) {
-        if ev.token == TOKEN_LISTENER {
+        if ev.token == TOKEN_LISTENER || ev.token == TOKEN_CLIENTS {
             if ev.readable {
-                self.accept_ready(frames);
+                self.accept_ready(ev.token == TOKEN_CLIENTS, now, frames);
             }
-        } else if ev.token == TOKEN_WAKE {
-            self.drain_inbox();
+        } else if ev.token >= CLIENT_BASE {
+            // A request to read, or room to finish a blocked answer.
+            self.serve_client(ev.token, now);
         } else if ev.token >= IN_BASE {
             self.inbound_event(ev, frames);
         } else {
@@ -796,39 +808,72 @@ impl<M: Wire> EventLoop<M> {
         }
     }
 
-    /// Empties the wake-up socket (the edge-triggered contract), *then*
-    /// the queue — a payload queued after that writes a fresh wake-up, so
-    /// none is stranded — admitting each payload as this node's own next
-    /// frame.
-    fn drain_inbox(&mut self) {
-        let mut buf = [0u8; 256];
-        while matches!(self.wake.read(&mut buf), Ok(n) if n > 0) {}
-        while let Ok(payload) = self.inbox.try_recv() {
-            self.core.submit(payload);
+    /// Accepts on the peer or the client listener until `WouldBlock` (the
+    /// edge-triggered contract) and reads each new connection immediately
+    /// — its first bytes may have landed before it was registered, which
+    /// with epoll's edge semantics would otherwise never produce an event.
+    fn accept_ready(&mut self, clients: bool, now: Instant, frames: &mut Vec<Frame>) {
+        loop {
+            let listener = match &self.client {
+                Some(port) if clients => &port.listener,
+                _ => &self.listener,
+            };
+            let Ok((stream, _)) = listener.accept() else {
+                return; // WouldBlock, or transient accept noise
+            };
+            let _ = stream.set_nodelay(true);
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            let base = if clients { CLIENT_BASE } else { IN_BASE };
+            let token = base + self.next_in_token;
+            self.next_in_token += 1;
+            if self.poller.register(stream.as_raw_fd(), token).is_err() {
+                continue;
+            }
+            self.inconns.insert(token, InConn::new(stream));
+            match &mut self.client {
+                Some(port) if clients => {
+                    port.service.on_open(token);
+                    self.serve_client(token, now);
+                }
+                _ => self.inbound_readable(token, frames),
+            }
         }
     }
 
-    /// Accepts until `WouldBlock` (the edge-triggered contract) and reads
-    /// each new connection immediately — its first bytes may have landed
-    /// before it was registered, which with epoll's edge semantics would
-    /// otherwise never produce an event.
-    fn accept_ready(&mut self, frames: &mut Vec<Frame>) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let token = IN_BASE + self.next_in_token;
-                    self.next_in_token += 1;
-                    if self.poller.register(stream.as_raw_fd(), token).is_err() {
-                        continue;
-                    }
-                    self.inconns.insert(token, InConn::new(stream));
-                    self.inbound_readable(token, frames);
-                }
-                Err(_) => return, // WouldBlock, or transient accept noise
+    /// Runs one client connection's request loop ([`InConn::serve`]), the
+    /// service's submissions going straight to the core.
+    fn serve_client(&mut self, token: u64, now: Instant) {
+        let (Some(conn), Some(port)) = (self.inconns.get_mut(&token), self.client.as_mut()) else {
+            return;
+        };
+        let core = &mut self.core;
+        let served = conn.serve(&self.io, |body| {
+            let mut submit = |payload| core.submit(payload);
+            port.service.on_request(token, body, now, &mut submit)
+        });
+        let (reading, blocked) = (conn.reading(), conn.write_blocked);
+        if served.is_ok() {
+            self.poller.set_interest(token, reading, blocked);
+        } else {
+            self.teardown_inbound(token);
+        }
+    }
+
+    /// After the core's tick: the client service answers the requests the
+    /// tick settled, and each answered connection is served again — its
+    /// answer written, its next request read.
+    fn answer_clients(&mut self, now: Instant) {
+        let Some(port) = &mut self.client else {
+            return;
+        };
+        let mut answers = Vec::new();
+        port.service.after_tick(now, &mut answers);
+        for (token, body) in answers {
+            if let Some(conn) = self.inconns.get_mut(&token) {
+                conn.queue_answer(&body);
+                self.serve_client(token, now);
             }
         }
     }
@@ -848,7 +893,7 @@ impl<M: Wire> EventLoop<M> {
                 if failed {
                     self.teardown_inbound(ev.token);
                 } else {
-                    self.poller.set_write_interest(ev.token, blocked);
+                    self.poller.set_interest(ev.token, true, blocked);
                 }
             }
         }
@@ -861,7 +906,7 @@ impl<M: Wire> EventLoop<M> {
     /// from another process of this system, and anything else ends the
     /// connection — the core only ever sees frames with a resolved sender.
     /// A `Hello` naming this node is an impersonation: its own input
-    /// arrives through a [`Submitter`], never over a socket.
+    /// arrives through its client port, never as a peer frame.
     fn inbound_readable(&mut self, token: u64, frames: &mut Vec<Frame>) {
         let Some(conn) = self.inconns.get_mut(&token) else {
             return;
@@ -935,7 +980,7 @@ impl<M: Wire> EventLoop<M> {
             let flushed = conn.flush(&self.io).is_ok();
             let blocked = conn.write_blocked;
             if flushed {
-                self.poller.set_write_interest(token, blocked);
+                self.poller.set_interest(token, true, blocked);
             } else {
                 self.teardown_inbound(token);
             }
@@ -1029,7 +1074,7 @@ impl<M: Wire> EventLoop<M> {
         if let Some(conn) = &link.conn {
             let token = conn.token;
             let want = conn.connecting || conn.write_blocked;
-            self.poller.set_write_interest(token, want);
+            self.poller.set_interest(token, true, want);
         }
     }
 
@@ -1069,5 +1114,77 @@ impl<M: Wire> EventLoop<M> {
                 self.sync_out_interest(peer);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    use bt_core::{Config, FailStop};
+    use simnet::Value;
+
+    use super::*;
+
+    /// Echoes each request: one whose body starts with 0 after the next
+    /// tick, any other at once.
+    #[derive(Debug, Default)]
+    struct Echo {
+        later: Vec<(u64, Vec<u8>)>,
+    }
+
+    impl ClientService for Echo {
+        fn on_open(&mut self, _conn: u64) {}
+
+        fn on_request(
+            &mut self,
+            conn: u64,
+            body: &[u8],
+            _now: Instant,
+            _submit: &mut dyn FnMut(Vec<u8>),
+        ) -> Answer {
+            if body.first() == Some(&0) {
+                self.later.push((conn, body.to_vec()));
+                Answer::Later
+            } else {
+                Answer::Now(body.to_vec())
+            }
+        }
+
+        fn after_tick(&mut self, _now: Instant, replies: &mut Vec<(u64, Vec<u8>)>) {
+            replies.append(&mut self.later);
+        }
+    }
+
+    #[test]
+    fn a_client_is_served_one_request_at_a_time_and_hung_up_on_at_shutdown() {
+        let (Ok(listener), Ok(clients)) = (
+            TcpListener::bind("127.0.0.1:0"),
+            TcpListener::bind("127.0.0.1:0"),
+        ) else {
+            eprintln!("skipping: loopback sockets unavailable in this sandbox");
+            return;
+        };
+        let addr = clients.local_addr().unwrap();
+        let port = ClientPort {
+            listener: clients,
+            service: Box::new(Echo::default()),
+        };
+        let cfg = NodeConfig::new(ProcessId::new(0), 1, 7, FaultPlan::reliable());
+        let process = Box::new(FailStop::new(Config::fail_stop(1, 0).unwrap(), Value::One));
+        let peers = vec![listener.local_addr().unwrap()];
+        let mut node = spawn(cfg, listener, peers, process, None, Some(port)).unwrap();
+
+        // Two requests in one segment, the first answered after a tick:
+        // the second is not read, let alone answered, before it is.
+        let mut c = TcpStream::connect(addr).unwrap();
+        c.write_all(&[0, 0, 0, 1, 0, 0, 0, 0, 1, 5]).unwrap();
+        let mut answers = [0u8; 10];
+        c.read_exact(&mut answers).unwrap();
+        assert_eq!(answers, [0, 0, 0, 1, 0, 0, 0, 0, 1, 5]);
+
+        node.shutdown();
+        assert_eq!(c.read(&mut answers).unwrap(), 0, "EOF once the node stops");
     }
 }

@@ -20,7 +20,7 @@
 //!   no `EPOLL_CTL_MOD` churn is ever needed.
 //! * **poll(2)** is level-triggered and stateless per call; the backend
 //!   keeps the registered set in user space, rebuilds the `pollfd` array
-//!   on every wait, and honours [`Poller::set_write_interest`] to avoid
+//!   on every wait, and honours [`Poller::set_interest`] to avoid
 //!   busy-waking on always-writable sockets.
 //!
 //! The choice is observed, never configured: `poll(2)` is the only path
@@ -113,6 +113,7 @@ mod epoll_sys {
 struct Registered {
     fd: RawFd,
     token: u64,
+    want_read: bool,
     want_write: bool,
 }
 
@@ -183,7 +184,7 @@ impl Poller {
 
     /// Registers `fd` under `token`. epoll arms it edge-triggered for
     /// both directions once and for all; poll(2) starts read-only until
-    /// [`Poller::set_write_interest`] says otherwise.
+    /// [`Poller::set_interest`] says otherwise.
     pub fn register(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
@@ -206,6 +207,7 @@ impl Poller {
                 set.push(Registered {
                     fd,
                     token,
+                    want_read: true,
                     want_write: false,
                 });
                 Ok(())
@@ -213,17 +215,18 @@ impl Poller {
         }
     }
 
-    /// Declares whether `token` wants writable events. Meaningful only
-    /// for the level-triggered poll(2) backend — an always-writable
-    /// socket with standing `POLLOUT` interest would turn every wait
+    /// Declares which events `token` wants. Meaningful only for the
+    /// level-triggered poll(2) backend, where standing interest the loop
+    /// will not act on — `POLLOUT` on an always-writable socket, `POLLIN`
+    /// on a client whose next request must wait — would turn every wait
     /// into a spin. The edge-triggered epoll backend ignores it.
-    pub fn set_write_interest(&mut self, token: u64, on: bool) {
+    pub fn set_interest(&mut self, token: u64, read: bool, write: bool) {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll { .. } => {}
             Backend::Poll { set } => {
                 if let Some(r) = set.iter_mut().find(|r| r.token == token) {
-                    r.want_write = on;
+                    (r.want_read, r.want_write) = (read, write);
                 }
             }
         }
@@ -284,7 +287,8 @@ impl Poller {
                     .iter()
                     .map(|r| PollFd {
                         fd: r.fd,
-                        events: POLLIN | if r.want_write { POLLOUT } else { 0 },
+                        events: if r.want_read { POLLIN } else { 0 }
+                            | if r.want_write { POLLOUT } else { 0 },
                         revents: 0,
                     })
                     .collect();
@@ -477,7 +481,7 @@ mod tests {
                 // Wait for writability, then confirm the connect landed.
                 let mut poller = Poller::new().unwrap();
                 poller.register(s.as_raw_fd(), 1).unwrap();
-                poller.set_write_interest(1, true);
+                poller.set_interest(1, true, true);
                 let mut events = Vec::new();
                 let deadline = std::time::Instant::now() + Duration::from_secs(5);
                 loop {
@@ -514,7 +518,7 @@ mod tests {
             Ok(Dial::InProgress(s)) => {
                 let mut poller = Poller::new().unwrap();
                 poller.register(s.as_raw_fd(), 1).unwrap();
-                poller.set_write_interest(1, true);
+                poller.set_interest(1, true, true);
                 let mut events = Vec::new();
                 let deadline = std::time::Instant::now() + Duration::from_secs(5);
                 loop {

@@ -206,6 +206,7 @@ fn out_of_range_subject_bytes_do_not_kill_liveness() {
             addrs.clone(),
             Box::new(Malicious::new(config, Value::One)),
             None,
+            None,
         )
         .expect("loopback spawn");
         nodes.push(node);

@@ -127,6 +127,7 @@ fn restarted_node_resends_byte_identical_frames() {
         addrs.clone(),
         Box::new(FailStop::new(config, Value::One)),
         None,
+        None,
     )
     .expect("boot incarnation one");
 
@@ -173,6 +174,7 @@ fn restarted_node_resends_byte_identical_frames() {
         relisten,
         addrs,
         Box::new(FailStop::new(config, Value::One)),
+        None,
         None,
     )
     .expect("boot incarnation two from the WAL");
@@ -251,6 +253,7 @@ fn relistened_socket_accepts_dials_in_the_next_event_loop() {
         addrs.clone(),
         Box::new(FailStop::new(config, Value::One)),
         None,
+        None,
     )
     .expect("boot incarnation one");
 
@@ -297,6 +300,7 @@ fn relistened_socket_accepts_dials_in_the_next_event_loop() {
         relisten,
         addrs.clone(),
         Box::new(FailStop::new(config, Value::One)),
+        None,
         None,
     )
     .expect("boot incarnation two from the WAL");

@@ -161,42 +161,10 @@ impl Gauge {
         }
     }
 
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if self.on {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Subtracts `n`. The caller keeps adds and subs balanced; gauges do
-    /// not go negative in the long run.
-    #[inline]
-    pub fn sub(&self, n: u64) {
-        if self.on {
-            // One wrapping fetch_sub, not a CAS loop: an observer racing
-            // between paired add/sub calls can catch a transient underflow
-            // (a huge wrapped value), which reads clamp back to zero.
-            self.cell.fetch_sub(n, Ordering::Relaxed);
-        }
-    }
-
     /// The current value.
     #[must_use]
     pub fn get(&self) -> u64 {
-        clamp_gauge(self.cell.load(Ordering::Relaxed))
-    }
-}
-
-/// Reads a gauge cell, treating a transiently wrapped-negative value (a
-/// `sub` observed before its matching `add`) as zero. Legitimate gauge
-/// values (queue depths, byte backlogs) never approach 2⁶³.
-#[inline]
-fn clamp_gauge(v: u64) -> u64 {
-    if v > i64::MAX as u64 {
-        0
-    } else {
-        v
+        self.cell.load(Ordering::Relaxed)
     }
 }
 
@@ -840,7 +808,7 @@ impl Registry {
             });
             let value = match cell {
                 Cell::Counter(c) => SeriesValue::Counter(c.load(Ordering::Relaxed)),
-                Cell::Gauge(g) => SeriesValue::Gauge(clamp_gauge(g.load(Ordering::Relaxed))),
+                Cell::Gauge(g) => SeriesValue::Gauge(g.load(Ordering::Relaxed)),
                 Cell::Histogram(h) => SeriesValue::Histogram(
                     Histogram {
                         core: Arc::clone(h),
@@ -890,15 +858,14 @@ mod tests {
         assert_eq!(r.counter("bt_frames_total", "", &[("peer", "3")]).get(), 0);
 
         let g = r.gauge("bt_depth", "queue depth", &[]);
-        g.add(10);
-        g.sub(3);
+        g.set(7);
         assert_eq!(g.get(), 7);
         g.set_max(5);
         assert_eq!(g.get(), 7, "set_max never lowers");
         g.set_max(11);
         assert_eq!(g.get(), 11);
-        g.sub(100);
-        assert_eq!(g.get(), 0, "saturating");
+        g.set(2);
+        assert_eq!(g.get(), 2, "set lowers");
 
         let h = r.histogram("bt_lat_us", "latency", &[]);
         for v in [1, 2, 3, 1000] {

@@ -60,7 +60,7 @@ fn snapshot_of(node: &str, vals: &[u64]) -> Snapshot {
     let h = registry.histogram("m_lat_us", "test histogram", shared);
     for &v in vals {
         c.add(v % 1000);
-        g.add(v % 97);
+        g.set_max(v % 97);
         h.record(v);
     }
     registry.snapshot()

@@ -1,8 +1,8 @@
 //! A loopback rsm cluster: a [`netstack::Cluster`] hosting `n`
-//! [`Replica`]s, plus what makes each node a *service* — its client
-//! listener, its [`RsmService`], and the [`LogView`] the two share. The
-//! harness behind the integration tests, the example, and `btbench`'s
-//! loopback workloads.
+//! [`Replica`]s, each serving clients through a client port — its client
+//! listener and a [`ServiceCore`] answering from the replica's
+//! [`LogView`]. The harness behind the integration tests, the example,
+//! and `btbench`'s loopback workloads.
 //!
 //! The node side — bound-first retained listeners, WAL recovery before
 //! the first frame, `expect_history` from the second incarnation on, one
@@ -11,8 +11,8 @@
 //! listener is bound before any node boots and kept by the harness, so a
 //! killed node's client port survives it and [`RsmCluster::restart`]
 //! serves the replacement on the same socket, re-attached to the
-//! recovered [`LogView`] and to the new node's submit handle — whose
-//! core numbers the next client commands after those the WAL holds.
+//! recovered [`LogView`] — its core numbers the next client commands
+//! after those the WAL holds.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -21,13 +21,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bt_core::Config;
+use netstack::node::ClientPort;
 use netstack::{Cluster, ClusterOptions, NodeStatus, RecoveryOptions};
 use obs::metrics::Registry;
 use simnet::{Process, ProcessId, Role};
 
 use crate::msg::RsmMsg;
 use crate::replica::{Replica, RsmOptions};
-use crate::service::RsmService;
+use crate::service::ServiceCore;
 use crate::state::{AppliedState, LogView};
 
 /// Cluster shape and tuning.
@@ -61,25 +62,18 @@ impl RsmClusterOptions {
     }
 }
 
-/// The client-facing half of one node.
-#[derive(Debug)]
-struct Front {
-    service: Option<RsmService>,
-    view: LogView,
-    client_listener: TcpListener,
-}
-
 /// A running loopback cluster. Shuts everything down on drop.
 #[derive(Debug)]
 pub struct RsmCluster {
     nodes: Cluster,
     client_addrs: Vec<SocketAddr>,
-    fronts: Vec<Front>,
+    /// Each node's applied state, live across its incarnations.
+    views: Vec<LogView>,
 }
 
 impl RsmCluster {
     /// Binds all listeners, creates the WAL directory, and boots every
-    /// node and its service.
+    /// node with its client port.
     ///
     /// # Errors
     ///
@@ -94,31 +88,36 @@ impl RsmCluster {
         let config = Config::malicious(n, Config::max_malicious_k(n))
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
 
+        // Bound once and kept here, so a client port outlives the node
+        // serving it; each incarnation serves a clone.
+        let mut client_listeners = Vec::with_capacity(n);
         let mut client_addrs = Vec::with_capacity(n);
-        let mut fronts = Vec::with_capacity(n);
         for _ in 0..n {
-            let client_listener = TcpListener::bind("127.0.0.1:0")?;
-            client_addrs.push(client_listener.local_addr()?);
-            fronts.push(Front {
-                service: None,
-                view: LogView::new(),
-                client_listener,
-            });
+            let listener = TcpListener::bind("127.0.0.1:0")?;
+            client_addrs.push(listener.local_addr()?);
+            client_listeners.push(listener);
         }
+        let views: Vec<LogView> = (0..n).map(|_| LogView::new()).collect();
 
-        let views: Vec<LogView> = fronts.iter().map(|f| f.view.clone()).collect();
+        let node_views = views.clone();
         let replica = opts.replica;
         let make = move |i: usize, registry: &Arc<Registry>| {
+            let (me, view) = (ProcessId::new(i), &node_views[i]);
             // The replica rebuilds the applied state deterministically
             // during WAL replay. The snapshot path resets the shared view
             // itself, but a from-genesis replay (no checkpoint yet)
             // re-applies from slot 0 — which must land on an empty fold,
             // not on the pre-kill state still held by the retained view.
-            views[i].update(|a| *a = AppliedState::default());
-            let replica = Replica::new(config, ProcessId::new(i), replica)
-                .with_view(views[i].clone())
+            view.update(|a| *a = AppliedState::default());
+            let replica = Replica::new(config, me, replica)
+                .with_view(view.clone())
                 .with_metrics(registry);
-            Box::new(replica) as Box<dyn Process<Msg = RsmMsg> + Send>
+            let client = ClientPort {
+                listener: client_listeners[i].try_clone()?,
+                service: Box::new(ServiceCore::new(view.clone(), registry, me)),
+            };
+            let process: Box<dyn Process<Msg = RsmMsg> + Send> = Box::new(replica);
+            Ok((process, Some(client)))
         };
         let options = ClusterOptions {
             seed: opts.seed,
@@ -133,35 +132,17 @@ impl RsmCluster {
             .collect();
         let roles = vec![Role::Correct; n];
         let nodes = Cluster::host(n, config.k(), roles, options, wals, make, None)?;
-
-        let mut cluster = RsmCluster {
+        Ok(RsmCluster {
             nodes,
             client_addrs,
-            fronts,
-        };
-        for i in 0..n {
-            cluster.serve(i)?;
-        }
-        Ok(cluster)
-    }
-
-    /// Starts node `i`'s client service on its retained listener, feeding
-    /// the (possibly recovered) node.
-    fn serve(&mut self, i: usize) -> io::Result<()> {
-        let front = &mut self.fronts[i];
-        front.service = Some(RsmService::spawn(
-            front.client_listener.try_clone()?,
-            self.nodes.nodes()[i].submitter(),
-            front.view.clone(),
-            &self.nodes.node_registry(i),
-        )?);
-        Ok(())
+            views,
+        })
     }
 
     /// System size.
     #[must_use]
     pub fn n(&self) -> usize {
-        self.fronts.len()
+        self.views.len()
     }
 
     /// The client-facing service address of node `i`.
@@ -179,7 +160,7 @@ impl RsmCluster {
     /// Node `i`'s applied-state view (live even while the node is down).
     #[must_use]
     pub fn view(&self, i: usize) -> LogView {
-        self.fronts[i].view.clone()
+        self.views[i].clone()
     }
 
     /// Node `i`'s metrics registry (shared across restarts).
@@ -200,16 +181,11 @@ impl RsmCluster {
         self.nodes.is_up(i)
     }
 
-    /// Kills node `i`: tears down its service and node threads abruptly
-    /// (no protocol goodbye — peers see a dead connection, exactly as
-    /// after a crash). The WAL keeps everything the node journaled; the
+    /// Kills node `i`: stops its event loop abruptly (no protocol goodbye
+    /// — peers see a dead connection, exactly as after a crash, and its
+    /// clients see EOF). The WAL keeps everything the node journaled; the
     /// listeners stay bound for the replacement.
     pub fn kill(&mut self, i: usize) {
-        // Service first: it hangs up on its clients before the node they
-        // wait on goes.
-        if let Some(mut s) = self.fronts[i].service.take() {
-            s.shutdown();
-        }
         self.nodes.kill(i);
     }
 
@@ -218,17 +194,8 @@ impl RsmCluster {
     /// # Errors
     ///
     /// Propagates spawn/WAL failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if node `i` was not killed first.
     pub fn restart(&mut self, i: usize) -> io::Result<()> {
-        assert!(
-            self.fronts[i].service.is_none(),
-            "kill node {i} before restarting it"
-        );
-        self.nodes.restart(i)?;
-        self.serve(i)
+        self.nodes.restart(i)
     }
 
     /// Polls until every *live* node reports the same applied length and
@@ -242,7 +209,7 @@ impl RsmCluster {
         loop {
             let now: Vec<(u64, u64)> = (0..self.n())
                 .filter(|&i| self.is_up(i))
-                .map(|i| self.fronts[i].view.with(|a| (a.next_slot(), a.digest())))
+                .map(|i| self.views[i].with(|a| (a.next_slot(), a.digest())))
                 .collect();
             let uniform = now.windows(2).all(|w| w[0] == w[1]);
             if uniform && !now.is_empty() && last.as_ref() == Some(&now) {
@@ -256,7 +223,7 @@ impl RsmCluster {
         }
     }
 
-    /// Shuts every node and service down.
+    /// Shuts every node down.
     pub fn shutdown(&mut self) {
         for i in 0..self.n() {
             self.kill(i);
@@ -297,7 +264,8 @@ mod tests {
         let make = move |i: usize, registry: &Arc<Registry>| {
             let replica = Replica::new(config, ProcessId::new(i), RsmOptions::default())
                 .with_metrics(registry);
-            Box::new(replica) as Box<dyn Process<Msg = RsmMsg> + Send>
+            let process: Box<dyn Process<Msg = RsmMsg> + Send> = Box::new(replica);
+            Ok((process, None))
         };
         let roles = vec![Role::Correct; 4];
         let mut cluster = Cluster::host(4, 1, roles, options, wals.clone(), make, None).unwrap();

@@ -14,15 +14,15 @@
 //!   per-client request ids for exactly-once application;
 //! * [`msg`] — the replica-to-replica wire protocol ([`RsmMsg`]);
 //! * [`state`] — the applied side: [`LogEntry`], the [`AppliedState`]
-//!   KV fold with chained digests, and the waitable [`LogView`];
+//!   KV fold with chained digests, and the shared [`LogView`];
 //! * [`replica`] — the [`Replica`] state machine composing it all, a
 //!   [`simnet::Process`] that runs unchanged under the simulator, the
 //!   fuzzer, and the `netstack` TCP runtime;
 //! * [`service`] — the client-facing TCP API (length-prefixed
-//!   [`ClientReq`]/[`ClientResp`] frames); each connection's handler
-//!   hands its proposals straight to the replica's node as its own
-//!   journaled input, and sheds with `Busy` once
-//!   [`service::MAX_WAITING`] proposals await commitment;
+//!   [`ClientReq`]/[`ClientResp`] frames) as a sans-IO [`ServiceCore`]
+//!   that the replica's node runs on its own event loop: proposals become
+//!   the replica's own journaled input in the same wakeup, and are shed
+//!   with `Busy` once [`service::MAX_WAITING`] await commitment;
 //! * [`cluster`] — a loopback harness ([`RsmCluster`]) that boots an
 //!   n-node service with WALs and supervised restarts, for integration
 //!   tests, the example, and `btbench`'s loopback workloads.
@@ -47,5 +47,5 @@ pub use cluster::{RsmCluster, RsmClusterOptions};
 pub use command::{Command, Op, MAX_BATCH_WIRE, MAX_KEY, MAX_VALUE};
 pub use msg::RsmMsg;
 pub use replica::{leader, word_width, Replica, RsmOptions};
-pub use service::{ClientReq, ClientResp, RsmService};
+pub use service::{ClientReq, ClientResp, ServiceCore};
 pub use state::{AppliedState, LogEntry, LogView};

@@ -1,5 +1,5 @@
 //! The client-facing service: a TCP API accepting proposals and reads,
-//! one hop in front of the replica.
+//! served by the replica's own event loop.
 //!
 //! # Client protocol
 //!
@@ -22,42 +22,44 @@
 //!            deduped_cmds:varint kv_len:varint pending:varint
 //! ```
 //!
-//! # One hop, one bound
+//! # A local input, one bound
 //!
-//! The handler that reads a `Propose` submits it itself, as a one-command
-//! [`RsmMsg::Submit`], to the node's event loop (its [`Submitter`]): the
-//! replica's own input, journaled and crash-replayed by the machinery
-//! every peer message uses, without crossing a socket. Batching happens
-//! downstream: the node's tick journals every submission of one wake-up
-//! in one group write, and the replica packs up to `max_batch` pending
-//! commands into a slot. The service answers
-//! [`ClientResp::Committed`] only once the command's effect is visible in
-//! the replica's applied state (via [`LogView::wait_complete`]), i.e.
-//! after the slot carrying it committed.
+//! [`ServiceCore`] is the sans-IO [`ClientService`] a node's client port
+//! runs: the node's event loop accepts and frames the connections, and
+//! hands each request here between two ticks, reading a connection's
+//! next request only once its last one is answered. A `Propose` becomes
+//! one one-command [`RsmMsg::Submit`] handed straight to the node's core
+//! in the same wakeup: the replica's own input, journaled and
+//! crash-replayed by the machinery every peer message uses, never
+//! crossing a socket. Batching happens downstream: the node's tick
+//! journals every submission of one wake-up in one group write, and the
+//! replica packs up to `max_batch` pending commands into a slot. After
+//! each tick the service answers [`ClientResp::Committed`] for every
+//! waiting proposal whose effect is visible in the replica's applied
+//! state (its [`LogView`]), i.e. whose slot committed.
 //!
 //! The one bound is on proposals waiting for commitment: at most
 //! [`MAX_WAITING`] per service. Past it the service sheds with
 //! [`ClientResp::Busy`] at once instead of buffering without bound. A
-//! proposal that waits [`PROPOSE_TIMEOUT`] answers [`ClientResp::Timeout`].
+//! proposal still waiting at the first tick [`PROPOSE_TIMEOUT`] after it
+//! was read answers [`ClientResp::Timeout`]. A node that stops closes its
+//! client connections: a client waiting on it sees EOF.
 //!
 //! Reads are served from the local committed prefix: sequentially
 //! consistent (they never see unapplied state) but not linearizable
 //! across replicas — a read through a lagging replica can be stale.
 
 use std::io::{self, Read, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
-use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use netstack::{Submitter, MAX_FRAME_LEN};
+use netstack::node::{Answer, ClientService};
+use netstack::MAX_FRAME_LEN;
 use obs::metrics::{Counter, Gauge, Histogram, Registry};
 use simnet::{ProcessId, Wire, WireError, WireReader};
 
 use crate::command::{Command, Op};
 use crate::msg::RsmMsg;
-use crate::state::{AppliedState, LogView};
+use crate::state::LogView;
 
 /// One client request.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -243,15 +245,19 @@ impl Wire for ClientResp {
 ///
 /// Propagates I/O errors; `InvalidInput` for oversized bodies.
 pub fn write_client_msg<T: Wire>(w: &mut impl Write, msg: &T) -> io::Result<()> {
-    let body = msg.to_bytes();
-    if body.len() > MAX_FRAME_LEN {
+    // Prefix and body in one buffer and one write: one segment on a
+    // `TCP_NODELAY` socket, and one readiness edge for the reader.
+    let mut buf = vec![0u8; 4];
+    msg.encode(&mut buf);
+    let len = buf.len() - 4;
+    if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "client message exceeds frame cap",
         ));
     }
-    w.write_all(&(body.len() as u32).to_be_bytes())?;
-    w.write_all(&body)?;
+    buf[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    w.write_all(&buf)?;
     w.flush()
 }
 
@@ -291,15 +297,17 @@ pub const PROPOSE_TIMEOUT: Duration = Duration::from_secs(10);
 /// Service-side telemetry, labelled `{node}`.
 #[derive(Clone, Debug)]
 struct ServiceMetrics {
-    /// End-to-end client-operation latency (request read → response
-    /// written), labelled further by op kind.
+    /// Client-operation latency, labelled further by op kind: from the
+    /// tick that read the request to the tick that answered it (zero for
+    /// an answer given at once).
     op_us: Histogram,
     read_us: Histogram,
     /// Proposals shed with `Busy`.
     busy: Counter,
     /// Proposals that timed out waiting for commitment.
     timeouts: Counter,
-    /// Proposals submitted and awaiting commitment.
+    /// Proposals submitted and awaiting commitment: a mirror of the
+    /// service's own count, which the admission bound reads.
     waiting: Gauge,
     /// Client connections accepted.
     connections: Counter,
@@ -308,17 +316,13 @@ struct ServiceMetrics {
 impl ServiceMetrics {
     fn new(registry: &Registry, me: ProcessId) -> Self {
         let node = me.index().to_string();
+        let op_us = |op| {
+            let help = "client operation latency, request tick to answer tick (microseconds)";
+            registry.histogram("rsm_client_op_us", help, &[("node", &node), ("op", op)])
+        };
         ServiceMetrics {
-            op_us: registry.histogram(
-                "rsm_client_op_us",
-                "client operation latency, request read to response written (microseconds)",
-                &[("node", &node), ("op", "propose")],
-            ),
-            read_us: registry.histogram(
-                "rsm_client_op_us",
-                "client operation latency, request read to response written (microseconds)",
-                &[("node", &node), ("op", "read")],
-            ),
+            op_us: op_us("propose"),
+            read_us: op_us("read"),
             busy: registry.counter(
                 "rsm_client_busy_total",
                 "proposals shed because too many were awaiting commitment",
@@ -343,240 +347,154 @@ impl ServiceMetrics {
     }
 }
 
-/// What the acceptor and every connection handler of one service share.
+/// A proposal submitted and awaiting commitment.
 #[derive(Debug)]
-struct Shared {
-    node: Submitter,
+struct Waiting {
+    conn: u64,
+    client: u64,
+    request: u64,
+    /// The tick that read it.
+    admitted: Instant,
+}
+
+/// The client service of one replica, as a sans-IO state machine: client
+/// requests in, answers and one [`RsmMsg::Submit`] per admitted proposal
+/// out. It owns no socket and reads no clock; a node's event loop runs it
+/// as its client port's [`ClientService`].
+#[derive(Debug)]
+pub struct ServiceCore {
     view: LogView,
     metrics: ServiceMetrics,
-    /// Proposals submitted and awaiting commitment: the admission bound
-    /// reads this, not its `rsm_admission_queue` mirror, which a disabled
-    /// registry does not count.
-    waiting: AtomicU64,
-    /// Set once by [`RsmService::shutdown`].
-    stop: AtomicBool,
+    /// At most one per connection: its next request is not read before
+    /// this one is answered.
+    waiting: Vec<Waiting>,
 }
 
-/// A running client service: an acceptor thread and one handler thread
-/// per client connection. Shuts down (and joins its threads) on drop.
-#[derive(Debug)]
-pub struct RsmService {
-    local_addr: SocketAddr,
-    shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
-}
-
-impl RsmService {
-    /// Boots the service on `listener`: client frames in, one
-    /// [`RsmMsg::Submit`] per proposal out through `node` (the replica's
-    /// [`netstack::NodeHandle::submitter`]), completions observed via
-    /// `view`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener configuration failures.
-    pub fn spawn(
-        listener: TcpListener,
-        node: Submitter,
-        view: LogView,
-        registry: &Registry,
-    ) -> io::Result<RsmService> {
-        let local_addr = listener.local_addr()?;
-        let me = node.id();
-        let shared = Arc::new(Shared {
-            metrics: ServiceMetrics::new(registry, me),
-            node,
-            view,
-            waiting: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-        });
-
-        // Acceptor: blocks in `accept` and spawns one handler per client
-        // connection; `shutdown` wakes it with a connection of its own.
-        // Beside each handler it keeps only a weak reference to the
-        // stream: enough to unblock the handler's read at shutdown, while
-        // a handler that ends closes its socket at once.
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name(format!("rsm-accept-p{}", me.index()))
-                .spawn(move || {
-                    let mut handlers: Vec<(JoinHandle<()>, Weak<TcpStream>)> = Vec::new();
-                    loop {
-                        let accepted = listener.accept();
-                        if shared.stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok((stream, _)) = accepted else {
-                            // Out of descriptors or the like: back off
-                            // instead of spinning on the error.
-                            thread::sleep(Duration::from_millis(5));
-                            continue;
-                        };
-                        handlers.retain(|(h, _)| !h.is_finished());
-                        shared.metrics.connections.inc();
-                        let _ = stream.set_nodelay(true);
-                        let conn = ClientConn {
-                            stream: Arc::new(stream),
-                            shared: Arc::clone(&shared),
-                        };
-                        let weak = Arc::downgrade(&conn.stream);
-                        if let Ok(h) = thread::Builder::new()
-                            .name(format!("rsm-client-p{}", me.index()))
-                            .spawn(move || conn.run())
-                        {
-                            handlers.push((h, weak));
-                        }
-                    }
-                    for (h, stream) in handlers {
-                        if let Some(stream) = stream.upgrade() {
-                            let _ = stream.shutdown(Shutdown::Both);
-                        }
-                        let _ = h.join();
-                    }
-                })
-                .expect("spawning the rsm acceptor thread")
-        };
-
-        Ok(RsmService {
-            local_addr,
-            shared,
-            acceptor: Some(acceptor),
-        })
-    }
-
-    /// The address clients dial.
+impl ServiceCore {
+    /// The service of replica `me`, answering from `view` and counting
+    /// into `registry`.
     #[must_use]
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+    pub fn new(view: LogView, registry: &Registry, me: ProcessId) -> ServiceCore {
+        ServiceCore {
+            view,
+            metrics: ServiceMetrics::new(registry, me),
+            waiting: Vec::new(),
+        }
+    }
+}
+
+impl ClientService for ServiceCore {
+    fn on_open(&mut self, _conn: u64) {
+        self.metrics.connections.inc();
     }
 
-    /// Stops the acceptor, wakes every handler — whether it is reading a
-    /// request or waiting for a commitment — and joins all threads. Safe
-    /// to call more than once.
-    pub fn shutdown(&mut self) {
-        let Some(acceptor) = self.acceptor.take() else {
-            return;
+    fn on_request(
+        &mut self,
+        conn: u64,
+        body: &[u8],
+        now: Instant,
+        submit: &mut dyn FnMut(Vec<u8>),
+    ) -> Answer {
+        let Ok(req) = ClientReq::from_bytes(body) else {
+            return Answer::HangUp; // garbage: hang up rather than serve
         };
-        self.shared.stop.store(true, Ordering::SeqCst);
-        // Waiters re-check the flag under the view's lock.
-        self.shared.view.update(|_| ());
-        // One connection of our own wakes the blocking `accept`.
-        let mut wake = self.local_addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(if wake.is_ipv4() {
-                Ipv4Addr::LOCALHOST.into()
-            } else {
-                Ipv6Addr::LOCALHOST.into()
-            });
+        if !req.validate(usize::MAX) {
+            return Answer::HangUp; // hostile contents, likewise
         }
-        let _ = TcpStream::connect(wake);
-        let _ = acceptor.join();
-    }
-}
-
-impl Drop for RsmService {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// One client connection: request frames in, response frames out, one at
-/// a time (pipelining across requests belongs to multiple connections).
-struct ClientConn {
-    stream: Arc<TcpStream>,
-    shared: Arc<Shared>,
-}
-
-impl ClientConn {
-    fn run(self) {
-        let mut stream = &*self.stream;
-        while !self.shared.stop.load(Ordering::SeqCst) {
-            let req: ClientReq = match read_client_msg(&mut stream) {
-                Ok(r) => r,
-                Err(_) => return, // EOF, reset, or garbage: hang up
-            };
-            if !req.validate(usize::MAX) {
-                return; // hostile contents: hang up rather than serve
-            }
-            let started = Instant::now();
-            let (resp, histogram) = match req {
-                ClientReq::Propose {
-                    client,
-                    request,
-                    op,
-                } => (
-                    self.propose(client, request, op),
-                    &self.shared.metrics.op_us,
-                ),
-                ClientReq::Read { key } => (
-                    ClientResp::Value {
-                        value: self.shared.view.with(|a| a.kv.get(&key).cloned()),
-                    },
-                    &self.shared.metrics.read_us,
-                ),
-                ClientReq::Info => (
-                    self.shared.view.with(|a| ClientResp::Info {
-                        applied: a.next_slot(),
-                        digest: a.digest(),
-                        applied_commands: a.applied_commands,
-                        deduped_commands: a.deduped_commands,
-                        kv_len: a.kv.len() as u64,
-                        pending: self.shared.waiting.load(Ordering::Relaxed),
-                    }),
-                    &self.shared.metrics.read_us,
-                ),
-            };
-            histogram.record_us(started.elapsed());
-            if write_client_msg(&mut stream, &resp).is_err() {
-                return;
-            }
-        }
-    }
-
-    fn propose(&self, client: u64, request: u64, op: Op) -> ClientResp {
-        let shared = &*self.shared;
-        let committed = || ClientResp::Committed {
-            client,
-            request,
-            log_len: shared.view.with(AppliedState::next_slot),
-        };
-        // Idempotent fast path: an already-committed request id answers
-        // immediately (the retry path after a timeout or failover).
-        if shared.view.with(|a| a.is_complete(client, request)) {
-            return committed();
-        }
-        if shared.waiting.fetch_add(1, Ordering::Relaxed) >= MAX_WAITING {
-            shared.waiting.fetch_sub(1, Ordering::Relaxed);
-            shared.metrics.busy.inc();
-            return ClientResp::Busy;
-        }
-        shared.metrics.waiting.add(1);
-        let submit = RsmMsg::Submit {
-            commands: vec![Command {
+        let (resp, histogram) = match req {
+            ClientReq::Propose {
                 client,
                 request,
                 op,
-            }],
-        };
-        let resp = if shared.node.submit(submit.to_bytes()).is_err() {
-            // The node stopped and never comes back under this handle.
-            ClientResp::Busy
-        } else if shared
-            .view
-            .wait_complete(client, request, PROPOSE_TIMEOUT, &shared.stop)
-        {
-            committed()
-        } else {
-            // A proposal cut short by shutdown did not time out.
-            if !shared.stop.load(Ordering::SeqCst) {
-                shared.metrics.timeouts.inc();
+            } => {
+                // Idempotent fast path: an already-committed request id
+                // answers at once (the retry after a timeout or failover).
+                let view = &self.view;
+                let done = view.with(|a| a.is_complete(client, request).then(|| a.next_slot()));
+                let resp = match done {
+                    Some(log_len) => ClientResp::Committed {
+                        client,
+                        request,
+                        log_len,
+                    },
+                    None if self.waiting.len() as u64 >= MAX_WAITING => {
+                        self.metrics.busy.inc();
+                        ClientResp::Busy
+                    }
+                    None => {
+                        let commands = vec![Command {
+                            client,
+                            request,
+                            op,
+                        }];
+                        submit(RsmMsg::Submit { commands }.to_bytes());
+                        self.waiting.push(Waiting {
+                            conn,
+                            client,
+                            request,
+                            admitted: now,
+                        });
+                        self.metrics.waiting.set(self.waiting.len() as u64);
+                        return Answer::Later;
+                    }
+                };
+                (resp, &self.metrics.op_us)
             }
-            ClientResp::Timeout
+            ClientReq::Read { key } => (
+                ClientResp::Value {
+                    value: self.view.with(|a| a.kv.get(&key).cloned()),
+                },
+                &self.metrics.read_us,
+            ),
+            ClientReq::Info => (
+                self.view.with(|a| ClientResp::Info {
+                    applied: a.next_slot(),
+                    digest: a.digest(),
+                    applied_commands: a.applied_commands,
+                    deduped_commands: a.deduped_commands,
+                    kv_len: a.kv.len() as u64,
+                    pending: self.waiting.len() as u64,
+                }),
+                &self.metrics.read_us,
+            ),
         };
-        shared.waiting.fetch_sub(1, Ordering::Relaxed);
-        shared.metrics.waiting.sub(1);
-        resp
+        histogram.record_us(Duration::ZERO);
+        Answer::Now(resp.to_bytes())
+    }
+
+    fn after_tick(&mut self, now: Instant, replies: &mut Vec<(u64, Vec<u8>)>) {
+        if self.waiting.is_empty() {
+            return;
+        }
+        let metrics = &self.metrics;
+        self.view.with(|a| {
+            self.waiting.retain(|w| {
+                let waited = now.saturating_duration_since(w.admitted);
+                let resp = if a.is_complete(w.client, w.request) {
+                    ClientResp::Committed {
+                        client: w.client,
+                        request: w.request,
+                        log_len: a.next_slot(),
+                    }
+                } else if waited >= PROPOSE_TIMEOUT {
+                    metrics.timeouts.inc();
+                    ClientResp::Timeout
+                } else {
+                    return true;
+                };
+                metrics.op_us.record_us(waited);
+                replies.push((w.conn, resp.to_bytes()));
+                false
+            });
+        });
+        metrics.waiting.set(self.waiting.len() as u64);
+    }
+}
+
+impl Drop for ServiceCore {
+    fn drop(&mut self) {
+        // A stopped node's proposals wait no more: its clients saw EOF.
+        self.metrics.waiting.set(0);
     }
 }
 
@@ -627,13 +545,164 @@ mod tests {
         }
     }
 
+    /// A [`ServiceCore`] driven the way a node's event loop drives it,
+    /// with submissions collected and time virtual.
+    struct Driven {
+        core: ServiceCore,
+        view: LogView,
+        registry: Registry,
+        submitted: Vec<Vec<u8>>,
+        t0: Instant,
+    }
+
+    impl Driven {
+        fn new() -> Driven {
+            let (view, registry) = (LogView::new(), Registry::new());
+            Driven {
+                core: ServiceCore::new(view.clone(), &registry, ProcessId::new(0)),
+                view,
+                registry,
+                submitted: Vec::new(),
+                t0: Instant::now(),
+            }
+        }
+
+        fn request(&mut self, conn: u64, req: &ClientReq, at: Duration) -> Answer {
+            let submitted = &mut self.submitted;
+            let mut submit = |payload| submitted.push(payload);
+            (self.core).on_request(conn, &req.to_bytes(), self.t0 + at, &mut submit)
+        }
+
+        fn tick(&mut self, at: Duration) -> Vec<(u64, ClientResp)> {
+            let mut replies = Vec::new();
+            self.core.after_tick(self.t0 + at, &mut replies);
+            (replies.into_iter())
+                .map(|(conn, body)| (conn, ClientResp::from_bytes(&body).unwrap()))
+                .collect()
+        }
+
+        fn counter(&self, name: &str) -> u64 {
+            self.registry.counter(name, "", &[("node", "0")]).get()
+        }
+
+        fn commit(&self, client: u64, request: u64, key: &[u8], value: &[u8]) {
+            let op = Op::Put {
+                key: key.to_vec(),
+                value: value.to_vec(),
+            };
+            self.view.update(|a| {
+                a.apply(crate::state::LogEntry {
+                    slot: a.next_slot(),
+                    winner: 0,
+                    commands: vec![Command {
+                        client,
+                        request,
+                        op,
+                    }],
+                });
+            });
+        }
+    }
+
+    fn put(client: u64, request: u64) -> ClientReq {
+        ClientReq::Propose {
+            client,
+            request,
+            op: Op::Put {
+                key: b"k".to_vec(),
+                value: b"v".to_vec(),
+            },
+        }
+    }
+
     #[test]
-    fn zero_request_id_rejected() {
-        let req = ClientReq::Propose {
-            client: 1,
-            request: 0,
-            op: Op::Noop,
+    fn proposals_past_max_waiting_are_shed_busy() {
+        let mut d = Driven::new();
+        for conn in 0..MAX_WAITING {
+            assert_eq!(
+                d.request(conn, &put(conn, 1), Duration::ZERO),
+                Answer::Later
+            );
+        }
+        let busy = Answer::Now(ClientResp::Busy.to_bytes());
+        assert_eq!(
+            d.request(MAX_WAITING, &put(MAX_WAITING, 1), Duration::ZERO),
+            busy
+        );
+        assert_eq!(d.counter("rsm_client_busy_total"), 1);
+        assert_eq!(
+            d.submitted.len() as u64,
+            MAX_WAITING,
+            "the shed one was not submitted"
+        );
+        let waiting = d
+            .registry
+            .gauge("rsm_admission_queue", "", &[("node", "0")]);
+        assert_eq!(waiting.get(), MAX_WAITING);
+    }
+
+    #[test]
+    fn a_complete_request_id_answers_committed_without_submitting() {
+        let mut d = Driven::new();
+        d.commit(7, 3, b"k", b"v");
+        let committed = ClientResp::Committed {
+            client: 7,
+            request: 2,
+            log_len: 1,
         };
-        assert!(!req.validate(4));
+        let answer = d.request(1, &put(7, 2), Duration::ZERO);
+        assert_eq!(answer, Answer::Now(committed.to_bytes()));
+        assert!(d.submitted.is_empty());
+    }
+
+    #[test]
+    fn a_proposal_times_out_at_the_first_tick_past_its_patience() {
+        let mut d = Driven::new();
+        let admitted = Duration::from_millis(5);
+        assert_eq!(d.request(4, &put(1, 1), admitted), Answer::Later);
+        let just_before = admitted + PROPOSE_TIMEOUT - Duration::from_millis(1);
+        assert_eq!(d.tick(just_before), []);
+        assert_eq!(d.counter("rsm_client_timeout_total"), 0);
+        let deadline = admitted + PROPOSE_TIMEOUT;
+        assert_eq!(d.tick(deadline), [(4, ClientResp::Timeout)]);
+        assert_eq!(d.counter("rsm_client_timeout_total"), 1);
+        assert_eq!(d.tick(deadline), [], "answered once");
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order() {
+        // The loop hands the connection's second request (a read of the
+        // key the first one puts) only once the first is answered.
+        let mut d = Driven::new();
+        let read = ClientReq::Read { key: b"k".to_vec() };
+        assert_eq!(d.request(9, &put(2, 1), Duration::ZERO), Answer::Later);
+        assert_eq!(d.tick(Duration::from_millis(1)), [], "not committed yet");
+        d.commit(2, 1, b"k", b"v");
+        let committed = ClientResp::Committed {
+            client: 2,
+            request: 1,
+            log_len: 1,
+        };
+        assert_eq!(d.tick(Duration::from_millis(2)), [(9, committed)]);
+        let value = ClientResp::Value {
+            value: Some(b"v".to_vec()),
+        };
+        let answer = d.request(9, &read, Duration::from_millis(2));
+        assert_eq!(
+            answer,
+            Answer::Now(value.to_bytes()),
+            "the read sees the put"
+        );
+        assert_eq!(d.submitted.len(), 1);
+    }
+
+    #[test]
+    fn a_zero_request_id_or_garbage_hangs_up() {
+        let mut d = Driven::new();
+        assert_eq!(d.request(1, &put(1, 0), Duration::ZERO), Answer::HangUp);
+        let mut submit = |_| panic!("nothing to submit");
+        let garbage = d.core.on_request(1, &[0xff], d.t0, &mut submit);
+        assert_eq!(garbage, Answer::HangUp);
+        assert!(d.submitted.is_empty());
     }
 }

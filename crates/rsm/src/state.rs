@@ -2,8 +2,7 @@
 //! and the shared view handles read by services, tests, and tooling.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use simnet::Wire;
 
@@ -96,7 +95,7 @@ impl AppliedState {
     }
 
     /// Whether `(client, request)` has already been applied (or skipped
-    /// as a duplicate) — the completion predicate services wait on.
+    /// as a duplicate) — the completion predicate a service answers on.
     #[must_use]
     pub fn is_complete(&self, client: u64, request: u64) -> bool {
         self.watermarks.get(&client).copied().unwrap_or(0) >= request
@@ -137,14 +136,15 @@ impl AppliedState {
     }
 }
 
-/// A shared, waitable view of one replica's [`AppliedState`].
+/// A shared view of one replica's [`AppliedState`].
 ///
-/// The replica mutates it under the mutex as slots commit and signals the
-/// condvar; services block on [`LogView::wait_complete`] to turn a commit
-/// into a client acknowledgement. Cloning shares the same state.
+/// The replica mutates it under the mutex as slots commit; its client
+/// service, running on the same event thread, reads it after each tick to
+/// turn a commit into a client acknowledgement, and tests and tooling read
+/// it from anywhere. Cloning shares the same state.
 #[derive(Clone, Debug, Default)]
 pub struct LogView {
-    inner: Arc<(Mutex<AppliedState>, Condvar)>,
+    inner: Arc<Mutex<AppliedState>>,
 }
 
 impl LogView {
@@ -156,51 +156,18 @@ impl LogView {
 
     /// Runs `f` on the current applied state.
     pub fn with<R>(&self, f: impl FnOnce(&AppliedState) -> R) -> R {
-        f(&self.inner.0.lock().unwrap_or_else(PoisonError::into_inner))
+        f(&self.inner.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// Runs `f` mutably and wakes every waiter. Only the owning replica
-    /// should call this.
+    /// Runs `f` mutably. Only the owning replica should call this.
     pub fn update<R>(&self, f: impl FnOnce(&mut AppliedState) -> R) -> R {
-        let r = f(&mut self.inner.0.lock().unwrap_or_else(PoisonError::into_inner));
-        self.inner.1.notify_all();
-        r
+        f(&mut self.inner.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// A snapshot clone of the applied state.
     #[must_use]
     pub fn snapshot(&self) -> AppliedState {
         self.with(Clone::clone)
-    }
-
-    /// Blocks until `(client, request)` completes, `timeout` elapses or
-    /// `stop` is set; returns whether it completed. Whoever sets `stop`
-    /// then calls [`LogView::update`] to wake the waiters.
-    #[must_use]
-    pub fn wait_complete(
-        &self,
-        client: u64,
-        request: u64,
-        timeout: std::time::Duration,
-        stop: &AtomicBool,
-    ) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut state = self.inner.0.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if state.is_complete(client, request) {
-                return true;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline || stop.load(Ordering::SeqCst) {
-                return false;
-            }
-            let (s, _timed_out) = self
-                .inner
-                .1
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = s;
-        }
     }
 }
 
@@ -291,43 +258,5 @@ mod tests {
             winner: 0,
             commands: Vec::new(),
         });
-    }
-
-    #[test]
-    fn view_wait_complete() {
-        let view = LogView::new();
-        let v2 = view.clone();
-        static NEVER: AtomicBool = AtomicBool::new(false);
-        let t = std::thread::spawn(move || {
-            v2.wait_complete(1, 1, std::time::Duration::from_secs(5), &NEVER)
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        view.update(|a| {
-            a.apply(LogEntry {
-                slot: 0,
-                winner: 0,
-                commands: vec![put(1, 1, b"a", b"b")],
-            });
-        });
-        assert!(t.join().unwrap());
-        assert!(!view.wait_complete(1, 9, std::time::Duration::from_millis(10), &NEVER));
-    }
-
-    #[test]
-    fn view_wait_returns_once_stopped() {
-        let view = LogView::new();
-        let stop = Arc::new(AtomicBool::new(false));
-        let (v2, s2) = (view.clone(), Arc::clone(&stop));
-        let t = std::thread::spawn(move || {
-            let started = std::time::Instant::now();
-            let done = v2.wait_complete(1, 1, std::time::Duration::from_secs(60), &s2);
-            (done, started.elapsed())
-        });
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        stop.store(true, Ordering::SeqCst);
-        view.update(|_| ());
-        let (done, waited) = t.join().unwrap();
-        assert!(!done);
-        assert!(waited < std::time::Duration::from_secs(10), "{waited:?}");
     }
 }

@@ -238,9 +238,9 @@ fn pipelining_keeps_multiple_slots_in_flight() {
 /// A process that, at start, sends replica 0 a `Submit` of its own — a
 /// peer posing as replica 0's client service.
 #[derive(Debug)]
-struct ForeignSubmitter(Vec<Command>);
+struct ForeignProposer(Vec<Command>);
 
-impl simnet::Process for ForeignSubmitter {
+impl simnet::Process for ForeignProposer {
     type Msg = RsmMsg;
     fn on_start(&mut self, ctx: &mut Ctx<'_, RsmMsg>) {
         let commands = self.0.clone();
@@ -276,7 +276,7 @@ fn a_submit_from_another_process_is_counted_and_dropped() {
         builder.process(Box::new(replica), Role::Correct);
     }
     let forged = (1..=3).map(|r| put(99, r, b"forged", b"x")).collect();
-    builder.process(Box::new(ForeignSubmitter(forged)), Role::Faulty);
+    builder.process(Box::new(ForeignProposer(forged)), Role::Faulty);
     let report = builder
         .seed(5)
         .stop_when(StopWhen::Never)

@@ -1,9 +1,10 @@
-//! The client path is one hop: each handler submits its own proposal to
-//! the node, and the service bounds only the proposals awaiting
+//! The client path is one hop: the node's event loop hands each proposal
+//! to its service, which submits it to the node's core in the same
+//! wakeup, and the service bounds only the proposals awaiting
 //! commitment. These tests stall the log by killing a leader, then check
-//! that the count of waiting proposals is exact, that shutting a service
-//! down does not wait out a stalled proposal, and that concurrent
-//! proposals share slots: the replica packs them, nothing upstream does.
+//! that the count of waiting proposals is exact, that killing a node
+//! does not wait out a stalled proposal, and that concurrent proposals
+//! share slots: the replica packs them, nothing upstream does.
 
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -48,13 +49,19 @@ fn put_in_background(
     })
 }
 
+/// Node 2's count of proposals awaiting commitment, as its gauge reports
+/// it.
+fn gauge(cluster: &RsmCluster) -> u64 {
+    cluster
+        .registry(2)
+        .gauge("rsm_admission_queue", "", &[("node", "2")])
+        .get()
+}
+
 /// Node 2's count of proposals awaiting commitment, as its gauge and as
 /// its `Info` answer report it.
 fn waiting(cluster: &RsmCluster, info: &mut RsmClient) -> (u64, u64) {
-    let gauge = cluster
-        .registry(2)
-        .gauge("rsm_admission_queue", "", &[("node", "2")])
-        .get();
+    let gauge = gauge(cluster);
     let Ok(ClientResp::Info { pending, .. }) = info.info() else {
         panic!("node 2 did not answer Info");
     };
@@ -66,7 +73,11 @@ fn killing_a_node_does_not_wait_out_a_stalled_proposal() {
     let dir = temp_dir("stall-kill");
     let mut cluster = stalled_cluster(&dir);
     let stalled = put_in_background(cluster.client_addr(2), 2);
-    thread::sleep(Duration::from_millis(500));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while gauge(&cluster) != 1 && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(gauge(&cluster), 1, "the proposal never started waiting");
 
     let started = Instant::now();
     cluster.kill(2);
@@ -111,7 +122,7 @@ fn waiting_proposals_are_counted_until_they_commit() {
         let resp = p.join().unwrap().unwrap();
         assert!(matches!(resp, ClientResp::Committed { .. }), "{resp:?}");
     }
-    // A handler releases its count before it answers.
+    // The service releases a proposal's count as it answers it.
     assert_eq!(waiting(&cluster, &mut info), (0, 0));
 
     cluster.shutdown();

@@ -1,8 +1,9 @@
-//! A closed client gives its socket back: once a connection's handler has
-//! ended, the service holds no file descriptor for it, so short-lived
+//! A client costs a node a socket and nothing more: the node's event loop
+//! serves every client connection, so connecting clients start no
+//! thread; and a closed client gives its socket back, so short-lived
 //! clients cannot pile up in CLOSE_WAIT and run a long-lived node out of
 //! descriptors. This file holds one test on purpose: no other test shares
-//! the process, so nothing else moves its descriptor count.
+//! the process, so nothing else moves its thread or descriptor count.
 
 use std::time::{Duration, Instant};
 
@@ -13,8 +14,13 @@ fn open_fds() -> Option<usize> {
     Some(std::fs::read_dir("/proc/self/fd").ok()?.count())
 }
 
+/// How many threads this process runs.
+fn threads() -> usize {
+    std::fs::read_dir("/proc/self/task").unwrap().count()
+}
+
 #[test]
-fn closed_clients_release_their_sockets() {
+fn clients_start_no_threads_and_closed_clients_release_their_sockets() {
     if open_fds().is_none() {
         eprintln!("skipping: /proc/self/fd is unavailable");
         return;
@@ -31,17 +37,21 @@ fn closed_clients_release_their_sockets() {
     let addr = cluster.client_addr(0);
     let serve_one = |client: u64| {
         let mut c = RsmClient::connect(addr, client).expect("connect");
-        // A served read means the handler thread is up before we hang up.
+        // A served read means the node accepted the connection.
         assert_eq!(c.read(b"k").expect("read"), None);
+        c
     };
-    serve_one(1);
-    let baseline = open_fds().unwrap();
+    drop(serve_one(1));
+    let (baseline, idle_threads) = (open_fds().unwrap(), threads());
 
-    for client in 2..66 {
-        serve_one(client);
-    }
-    // Each handler sees EOF and ends; the acceptor prunes it on its next
-    // pass, every few milliseconds.
+    let connected: Vec<RsmClient> = (2..66).map(serve_one).collect();
+    assert_eq!(
+        threads(),
+        idle_threads,
+        "threads with 64 clients connected, against none"
+    );
+    drop(connected);
+    // The node reads each EOF on its next wakeup and closes that socket.
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut open = open_fds().unwrap();
     while open > baseline + 4 && Instant::now() < deadline {

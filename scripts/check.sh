@@ -28,16 +28,18 @@ if find crates/*/src src -name '*.rs' ! -path crates/bt-core/src/config.rs | sor
 done | grep .; then echo "resilience bounds come from Config::max_fail_stop_k / max_malicious_k"; exit 1; fi
 
 echo "==> one way into the replica: rsm names none of netstack's peer framing"
-# Client commands reach the node through its Submitter. A socket into the
-# node's own peer port (a Hello, a Msg, a read of its acks) must fail here.
+# Client commands reach the node as its client port's submissions. A
+# socket into the node's own peer port (a Hello, a Msg, a read of its
+# acks) must fail here.
 if for f in crates/rsm/src/*.rs; do
     sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' "$f" | grep -nE 'Frame::|write_frame|read_frame' | sed "s|^|$f:|"
-done | grep .; then echo "rsm must reach its node only through its Submitter"; exit 1; fi
+done | grep .; then echo "rsm must reach its node only through its client port"; exit 1; fi
 
-echo "==> one hop from client to replica: service.rs has no queue of its own and no polling accept"
-# Each handler submits its own proposal; the acceptor blocks in accept and
-# shutdown wakes it. A second channel or a nonblocking accept must fail here.
-if sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' crates/rsm/src/service.rs | grep -nE 'sync_channel|recv_timeout|WouldBlock|set_nonblocking\(true\)'; then echo "service.rs must hand proposals straight to the Submitter and block in accept"; exit 1; fi
+echo "==> sans-IO gate: rsm service.rs names no socket, thread, queue, condvar or clock read"
+# The node's event loop owns the client sockets and the clock; the
+# service only decides. A socket, a thread, a channel, a condvar or a
+# clock read of its own must fail here.
+if sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' crates/rsm/src/service.rs | grep -nE 'sync_channel|recv_timeout|WouldBlock|set_nonblocking|std::net|std::thread|Condvar|Instant::now\('; then echo "service.rs must stay sans-IO"; exit 1; fi
 
 echo "==> cargo test"
 cargo test --workspace -q

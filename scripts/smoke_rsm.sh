@@ -55,6 +55,7 @@ for i in 0 1 2 3; do
         --wal "$TMP/rsm$i.wal" $ADMIN_FLAG \
         >"$TMP/node$i.log" 2>&1 &
     PIDS="$PIDS $!"
+    [ "$i" = 1 ] && NODE1=$!
 done
 sleep 1
 
@@ -75,6 +76,19 @@ if ! "$BTLOAD" --targets "$TARGETS" --clients 8 --ops 120 \
     exit 1
 fi
 cat "$TMP/btload.log"
+
+echo "==> node 1 (no --admin) runs 2 threads: main and its event loop"
+# The event loop serves the client port: a thread per client, or a
+# service runtime beside the loop, must fail here.
+if [ -d "/proc/$NODE1/task" ]; then
+    THREADS=$(ls "/proc/$NODE1/task" | wc -l)
+    if [ "$THREADS" -ne 2 ]; then
+        echo "==> FAIL: node 1 runs $THREADS threads, not 2" >&2
+        exit 1
+    fi
+else
+    echo "    (no /proc: thread count skipped)"
+fi
 
 echo "==> scraping the live rsm metric families with btstat --once"
 if ! "$BTSTAT" --once --node "127.0.0.1:$ADMIN" \

@@ -51,9 +51,10 @@
 //! replicated log (see `docs/RSM.md`) instead of a one-shot consensus:
 //! `--client PORT` (required) serves the length-prefixed client API on
 //! the listen host, and `--window`/`--max-batch` tune the replica's
-//! pipelining and batching. Each client proposal enters the replica
-//! through the node's event loop as its own journaled input (the node's
-//! submit handle — no connection to its own port). `--input` does not apply;
+//! pipelining and batching. The node's one event loop serves the client
+//! port too: each proposal enters the replica as its own journaled input
+//! in the wakeup that read it, and no thread runs per client. `--input`
+//! does not apply;
 //! `--timeout` becomes the serving duration (0 = serve until killed). The
 //! `/status` admin endpoint gains an `rsm` section (applied slots, log
 //! digest, command counters), and `--supervise`/`--wal` work unchanged —
@@ -478,8 +479,9 @@ fn node_config(args: &Args, metrics: Option<Arc<Registry>>) -> NodeConfig {
 /// serving the client API on `--client` until `--timeout` elapses (0 =
 /// until killed) or the event loop dies.
 fn run_rsm(args: &Args, listener: TcpListener) -> Result<bool, String> {
+    use netstack::node::ClientPort;
     use obs::json::Json;
-    use rsm::{LogView, Replica, RsmService};
+    use rsm::{LogView, Replica, ServiceCore};
 
     let config = Config::malicious(args.n, args.k).map_err(|e| e.to_string())?;
     let me = ProcessId::new(args.id);
@@ -489,20 +491,22 @@ fn run_rsm(args: &Args, listener: TcpListener) -> Result<bool, String> {
         .with_view(view.clone())
         .with_metrics(&registry);
 
-    let cfg = node_config(args, Some(Arc::clone(&registry)));
-    let mut node = spawn(cfg, listener, args.peers.clone(), Box::new(replica), None)
-        .map_err(|e| format!("cannot boot rsm replica: {e}"))?;
-
     let client_port = args.client.expect("validated in parse_args");
     let client_bind = SocketAddr::new(args.listen.ip(), client_port);
     let client_listener = TcpListener::bind(client_bind)
         .map_err(|e| format!("cannot bind client port {client_bind}: {e}"))?;
-    let service = RsmService::spawn(client_listener, node.submitter(), view.clone(), &registry)
-        .map_err(|e| format!("cannot start client service: {e}"))?;
+    let client_addr = client_listener.local_addr().map_err(|e| e.to_string())?;
+    let client = ClientPort {
+        listener: client_listener,
+        service: Box::new(ServiceCore::new(view.clone(), &registry, me)),
+    };
+    let cfg = node_config(args, Some(Arc::clone(&registry)));
+    let peers = args.peers.clone();
+    let mut node = spawn(cfg, listener, peers, Box::new(replica), None, Some(client))
+        .map_err(|e| format!("cannot boot rsm replica: {e}"))?;
     eprintln!(
-        "btnode: rsm replica p{} serving clients on {}",
-        args.id,
-        service.local_addr()
+        "btnode: rsm replica p{} serving clients on {client_addr}",
+        args.id
     );
 
     // Admin endpoint with the node's status plus an `rsm` section.
@@ -541,7 +545,6 @@ fn run_rsm(args: &Args, listener: TcpListener) -> Result<bool, String> {
         std::thread::sleep(Duration::from_millis(100));
     };
 
-    drop(service);
     node.shutdown();
     let (applied, digest, commands) =
         view.with(|a| (a.next_slot(), a.digest(), a.applied_commands));

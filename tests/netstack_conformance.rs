@@ -71,6 +71,7 @@ fn spawn_probe_node(n: usize, seed: u64) -> (NodeHandle, Vec<TcpListener>, Socke
         addrs.clone(),
         Box::new(FailStop::new(config, Value::One)),
         None,
+        None,
     )
     .expect("boot the probe node");
     (node, fake_peers, addrs[0])
