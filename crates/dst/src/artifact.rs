@@ -50,9 +50,10 @@ pub fn render(scenario: &Scenario, violations: &[Violation], trace: &str) -> Str
                     .collect(),
             ),
         ),
-        // Informational: how the same scenario maps onto the socket
-        // runtime (`netstack::FaultPlan` spec string, parseable via
-        // `FaultPlan::from_str`).
+        // Informational, for a human reader: how the same scenario maps
+        // onto the socket runtime, as `netstack::FaultPlan`'s spec string.
+        // Nothing reads it back; replay rebuilds the plan from the
+        // scenario.
         (
             "netstack_fault_plan".into(),
             Json::str(netstack_fault_plan(scenario).to_string()),

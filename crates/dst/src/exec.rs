@@ -5,13 +5,14 @@
 //! [`run_netstack`] executes the *same* scenario over loopback TCP via
 //! `netstack::Cluster`, translating the schedule adversary into the
 //! nearest wall-clock link-fault plan and, by [`NetMode`], adding a
-//! seed-derived crash-restart or corrupt-WAL restart. The socket runtime is only
+//! seed-derived crash-restart or corrupt-WAL restart, which it sequences
+//! itself through `Cluster::kill` and `Cluster::restart`. The socket runtime is only
 //! reproducible in fault *pattern* (the OS interleaves arrivals), so
 //! cross-runtime conformance is judged on decision properties, not traces.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use adversary::TwoFacedMalicious;
 use bt_core::{Config, FailStop, Malicious, Simple, Termination};
@@ -214,9 +215,12 @@ pub enum NetMode {
     /// Nothing: WAL-less nodes under [`netstack_fault_plan`] only.
     Plain,
     /// Journaling nodes plus a crash-restart: one correct node, chosen by
-    /// seed, is killed mid-run and restarted from its WAL by the cluster
-    /// supervisor. All timing comes from the seed so a CI finding replays
-    /// on a laptop.
+    /// seed, is killed mid-run and restarted from its WAL. [`run_netstack`]
+    /// sequences both itself — `Cluster::kill`, a sleep, `Cluster::restart`
+    /// — at offsets from just before the cluster boots, then awaits the
+    /// verdict; nothing else restarts a node, so a died event loop is a
+    /// finding. All timing comes from the seed so a CI finding replays on
+    /// a laptop.
     Crash,
     /// [`NetMode::Crash`] plus a byte flip at offset 8 armed in the
     /// victim's WAL storage. Offset 8 is the first body byte of the WAL's
@@ -288,7 +292,7 @@ pub fn run_netstack(scenario: &Scenario, timeout: Duration, mode: NetMode) -> Op
         ProtoKind::Malicious => Proto::Malicious,
     };
     let mut link_fault = netstack_fault_plan(scenario);
-    let mut victim = None;
+    let mut crash = None;
     let mut recovery = None;
     if mode != NetMode::Plain {
         let correct: Vec<usize> = (0..scenario.n)
@@ -297,11 +301,10 @@ pub fn run_netstack(scenario: &Scenario, timeout: Duration, mode: NetMode) -> Op
         let v = correct[(scenario.seed as usize) % correct.len()];
         let kill = Duration::from_millis(20 + (scenario.seed >> 8) % 20);
         let restart = kill + Duration::from_millis(40 + (scenario.seed >> 16) % 40);
-        link_fault = link_fault.with_crash(v, kill, restart);
+        crash = Some((v, kill, restart));
         if mode == NetMode::Storage {
             link_fault = link_fault.with_disk(v, DiskFault::Flip { offset: 8 });
         }
-        victim = Some(v);
         recovery = Some(RecoveryOptions {
             wal_dir: std::env::temp_dir().join(format!(
                 "btdst-wal-{}-{}",
@@ -316,8 +319,6 @@ pub fn run_netstack(scenario: &Scenario, timeout: Duration, mode: NetMode) -> Op
             } else {
                 8
             },
-            max_restarts: 4,
-            backoff: Duration::from_millis(5),
         });
     }
     let wal_dir = recovery.as_ref().map(|r| r.wal_dir.clone());
@@ -329,9 +330,21 @@ pub fn run_netstack(scenario: &Scenario, timeout: Duration, mode: NetMode) -> Op
         recovery,
         admin: false,
     };
+    // The crash's offsets count from here, just before the cluster boots.
+    let began = Instant::now();
     let outcome = Cluster::spawn(scenario.n, scenario.k, proto, options, None)
         .ok()
         .map(|mut cluster| {
+            if let Some((v, kill, restart)) = crash {
+                std::thread::sleep((began + kill).saturating_duration_since(Instant::now()));
+                cluster.kill(v);
+                std::thread::sleep((began + restart).saturating_duration_since(Instant::now()));
+                // A failed restart leaves the victim down, which the
+                // verdict reports at once.
+                if let Err(e) = cluster.restart(v) {
+                    eprintln!("run_netstack: restart of p{v} failed: {e}");
+                }
+            }
             let report = cluster.await_verdict(timeout);
             let out = NetOutcome {
                 mode,
@@ -340,7 +353,7 @@ pub fn run_netstack(scenario: &Scenario, timeout: Duration, mode: NetMode) -> Op
                 restarts: cluster.restarts().to_vec(),
                 corruptions: cluster.wal_corruptions(),
                 transfers: cluster.state_transfers(),
-                victim,
+                victim: crash.map(|(v, _, _)| v),
             };
             cluster.shutdown();
             out
@@ -419,14 +432,12 @@ mod tests {
                 out.corruptions,
                 out.transfers
             );
-            let restarted = out.restarts.iter().sum::<u32>() >= 1;
-            assert_eq!(
-                restarted,
-                mode != NetMode::Plain,
-                "{mode:?}: the schedule restarts its victim and nobody else: {:?}",
-                out.restarts
-            );
             assert_eq!(out.victim.is_some(), mode != NetMode::Plain);
+            let expected: Vec<u32> = (0..s.n).map(|i| u32::from(out.victim == Some(i))).collect();
+            assert_eq!(
+                out.restarts, expected,
+                "{mode:?}: the run restarts its victim once and nobody else"
+            );
         }
     }
 

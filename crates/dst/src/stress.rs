@@ -25,9 +25,11 @@
 //!
 //! - a seeded healing **partition** cuts a random minority of the cluster
 //!   mid-run (exercising reconnect/backoff and backlog replay at scale);
-//! - the seed-derived **crash-restart** of [`NetMode::Crash`] kills one
-//!   correct node and restarts it from its WAL (exercising listener
-//!   handoff between event loops and byte-identical re-sends).
+//! - the seed-derived **crash-restart** of [`NetMode::Crash`]:
+//!   [`run_netstack`] kills one correct node and restarts it from its WAL
+//!   (exercising listener handoff between event loops and byte-identical
+//!   re-sends). Nothing else restarts a node, so an event loop that
+//!   panics on this input ends its case as a finding.
 
 use std::time::{Duration, Instant};
 

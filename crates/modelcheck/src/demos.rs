@@ -136,7 +136,7 @@ mod tests {
     }
 
     #[test]
-    fn simple_variant_mixed_inputs_bivalent_with_crash_budget() {
+    fn simple_variant_mixed_inputs_bivalent_under_crash_budget() {
         // The simple variant on 3 processes, k = 0 thresholds, one crash
         // allowed: with mixed inputs both outcomes should be reachable —
         // or at least a decision must be reachable.

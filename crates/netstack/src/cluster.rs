@@ -15,7 +15,7 @@
 //! the cluster keeps each listening socket for its own lifetime: the port
 //! survives the node, and every incarnation runs on a clone of it.
 //!
-//! # Lifecycle and supervision
+//! # Lifecycle
 //!
 //! [`Cluster::kill`] stops a node abruptly; [`Cluster::restart`] boots
 //! its replacement at once on the same port and metrics registry. A
@@ -23,12 +23,11 @@
 //! so to its peers the crash is indistinguishable from a slow link: same
 //! frames, same bytes, same sequence numbers.
 //!
-//! The polling loop inside [`Cluster::await_verdict`] is the supervisor:
-//! it executes the crash-restart schedule carried by the [`FaultPlan`]
-//! (kill node `i` now, restart it later) and restarts nodes whose event
-//! loops died — those after a jittered exponential backoff, so repeated
-//! failures do not hammer the machine in lockstep — charging every
-//! restart it grants against a per-node budget.
+//! These two calls are the only way a member goes down or comes back.
+//! When to crash a node and when to restart it belongs to the experiment,
+//! so the caller sequences them; the cluster itself never restarts
+//! anything. A node whose event loop died stays dead, and
+//! [`Cluster::await_verdict`] reports it at once.
 //!
 //! A networked run has no global step counter, so the synthesized report's
 //! `steps` is the sum of per-node atomic steps, and `RunStatus` reduces to
@@ -48,13 +47,11 @@ use adversary::{Crashing, Silent, TwoFacedMalicious};
 use benor::{BenOrConfig, BenOrProcess};
 use bt_core::{Config, FailStop, Malicious, Simple};
 use obs::metrics::{Registry, Snapshot};
-use prng::Prng;
 use simnet::{
     Metrics, Process, ProcessId, Role, RunReport, RunStatus, SharedSubscriber, Value, Wire,
 };
 
 use crate::admin::{self, AdminServer};
-use crate::conn::jittered;
 use crate::fault::FaultPlan;
 use crate::node::{spawn, ClientPort, NodeConfig, NodeHandle, NodeStatus};
 
@@ -181,7 +178,7 @@ pub fn spawn_proto(
     }
 }
 
-/// Durability and supervision policy for a cluster.
+/// Durability policy for a cluster.
 #[derive(Clone, Debug)]
 pub struct RecoveryOptions {
     /// Directory holding the nodes' WALs (created if absent);
@@ -190,34 +187,21 @@ pub struct RecoveryOptions {
     /// Per-node checkpoint cadence (see [`NodeConfig::snapshot_every`]);
     /// 0 replays from genesis.
     pub snapshot_every: u64,
-    /// How many restarts the supervisor will grant each node — scheduled
-    /// crash-restarts and died-event-loop restarts both draw on it.
-    pub max_restarts: u32,
-    /// Base of the jittered exponential backoff the supervisor waits
-    /// before automatic restart `r` of a died node (nominal
-    /// `backoff · 2^r`, at least half of which is honoured, the rest
-    /// uniform).
-    pub backoff: Duration,
 }
 
 impl Default for RecoveryOptions {
     fn default() -> Self {
-        RecoveryOptions {
-            wal_dir: std::env::temp_dir().join("btwal"),
-            snapshot_every: 0,
-            max_restarts: 4,
-            backoff: Duration::from_millis(10),
-        }
+        RecoveryOptions::in_dir(std::env::temp_dir().join("btwal"))
     }
 }
 
 impl RecoveryOptions {
-    /// A policy journaling into `wal_dir` with default supervision knobs.
+    /// A policy journaling into `wal_dir`, replaying from genesis.
     #[must_use]
     pub fn in_dir(wal_dir: impl Into<PathBuf>) -> Self {
         RecoveryOptions {
             wal_dir: wal_dir.into(),
-            ..RecoveryOptions::default()
+            snapshot_every: 0,
         }
     }
 }
@@ -235,12 +219,13 @@ pub struct ClusterOptions {
     /// Process fault per node; nodes beyond the vector's length are
     /// correct. Read by [`Cluster::spawn`] only.
     pub faults: Vec<NodeFault>,
-    /// Link faults, applied to every node's outbound messages. Any
-    /// crash-restart clauses in the plan are executed by the cluster
-    /// supervisor and require [`ClusterOptions::recovery`].
+    /// Link faults, applied to every node's outbound messages, and disk
+    /// faults, applied to the WALs (these require
+    /// [`ClusterOptions::recovery`]).
     pub link_fault: FaultPlan,
-    /// Durable WALs + supervised restart. `None` (the default) runs
-    /// without durability: nodes can be killed but never restarted.
+    /// Durable WALs, which [`Cluster::restart`] needs. `None` (the
+    /// default) runs without durability: nodes can be killed but never
+    /// restarted.
     pub recovery: Option<RecoveryOptions>,
     /// Serve an HTTP admin endpoint (`/metrics`, `/metrics.json`,
     /// `/status`) per node on an OS-assigned loopback port — what `btstat`
@@ -264,15 +249,6 @@ type Boot = Box<
         ) -> io::Result<NodeHandle>
         + Send,
 >;
-
-/// Where the supervisor stands with one clause of the crash-restart
-/// schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CrashPhase {
-    Pending,
-    Down,
-    Done,
-}
 
 /// A running loopback cluster. Shuts every node down on drop.
 pub struct Cluster {
@@ -301,17 +277,6 @@ pub struct Cluster {
     /// Nodes stopped by [`Cluster::kill`] and not restarted since.
     down: Vec<bool>,
     restarts_used: Vec<u32>,
-    /// When the supervisor may next restart a node whose event loop died
-    /// (set when the death is first seen; the backoff never blocks the
-    /// loop).
-    retry_at: Vec<Option<Instant>>,
-    /// When the run began: the crash schedule's clauses are offsets from
-    /// here.
-    started: Instant,
-    /// One phase per clause of `options.link_fault.crashes()`.
-    crash_phase: Vec<CrashPhase>,
-    /// Deterministic jitter stream for restart backoff.
-    jitter: Prng,
 }
 
 impl fmt::Debug for Cluster {
@@ -379,11 +344,9 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if the link fault plan schedules crash-restarts without
-    /// [`ClusterOptions::recovery`] (a restart needs a WAL to restart
-    /// from; without one a rebooted node could equivocate) or disk faults
-    /// without it (there is no storage to corrupt), or if `roles`/`wals`
-    /// do not have one entry per node.
+    /// Panics if the fault plan carries disk faults without
+    /// [`ClusterOptions::recovery`] (there is no storage to corrupt), or
+    /// if `roles`/`wals` do not have one entry per node.
     pub fn host<M: Wire + Send + 'static>(
         n: usize,
         k: usize,
@@ -411,11 +374,6 @@ impl Cluster {
         subscriber: Option<SharedSubscriber>,
     ) -> io::Result<Self> {
         assert!(
-            options.link_fault.crashes().is_empty() || options.recovery.is_some(),
-            "crash-restart faults require ClusterOptions::recovery: \
-             a node restarted without its WAL could equivocate"
-        );
-        assert!(
             options.link_fault.disk().is_empty() || options.recovery.is_some(),
             "disk faults require ClusterOptions::recovery: \
              without a WAL there is no storage to corrupt"
@@ -442,16 +400,8 @@ impl Cluster {
                 .on_run_start(n, options.seed);
         }
 
-        let crashes = options.link_fault.crashes();
-        assert!(
-            crashes.iter().all(|c| c.node < n),
-            "crash-restart clause targets a node outside the system"
-        );
-
         let mut cluster = Cluster {
             k,
-            crash_phase: vec![CrashPhase::Pending; crashes.len()],
-            jitter: Prng::seed_from_u64(options.seed ^ 0x7375_7056), // distinct supervisor stream
             options,
             boot,
             nodes: Vec::with_capacity(n),
@@ -465,8 +415,6 @@ impl Cluster {
             admins: Vec::new(),
             down: vec![false; n],
             restarts_used: vec![0; n],
-            retry_at: vec![None; n],
-            started: Instant::now(),
         };
         for i in 0..n {
             let node = cluster.boot(i)?;
@@ -608,9 +556,7 @@ impl Cluster {
     /// Restarts node `i` from its WAL, now: stops the old incarnation if
     /// it is still running and boots the next one on a clone of the
     /// original listener, the same registry, and `expect_history` set.
-    /// An explicit restart is the caller's decision — it waits out no
-    /// backoff and is never refused for budget, though it counts in
-    /// [`Cluster::restarts`].
+    /// Counted in [`Cluster::restarts`].
     ///
     /// # Errors
     ///
@@ -632,7 +578,7 @@ impl Cluster {
         self.registries[i]
             .counter(
                 "bt_restarts_total",
-                "supervised restarts performed for this node",
+                "restarts of this node performed by Cluster::restart",
                 &[("node", &node)],
             )
             .inc();
@@ -651,131 +597,37 @@ impl Cluster {
         Ok(())
     }
 
-    /// Whether the supervisor could still grant node `i` a restart.
-    fn restartable(&self, i: usize) -> bool {
-        self.options
-            .recovery
-            .as_ref()
-            .is_some_and(|r| self.restarts_used[i] < r.max_restarts)
-    }
-
-    /// Whether a crash clause is holding node `i` down until its
-    /// scheduled restart.
-    fn held_down(&self, i: usize) -> bool {
-        let crashes = self.options.link_fault.crashes();
-        let mut clauses = crashes.iter().zip(&self.crash_phase);
-        clauses.any(|(c, phase)| c.node == i && *phase == CrashPhase::Down)
-    }
-
-    /// A restart on the supervisor's initiative: charged against the
-    /// budget, and narrated on stderr.
-    fn supervised_restart(&mut self, i: usize) {
-        if !self.restartable(i) {
-            eprintln!("supervisor: restart of p{i} refused: restart budget spent");
-            return;
-        }
-        let attempt = self.restarts_used[i] + 1;
-        match self.restart(i) {
-            Ok(()) => eprintln!(
-                "supervisor: restarted p{i} from WAL (attempt {attempt}, {} deliveries replayed)",
-                self.nodes[i].status().recovered
-            ),
-            Err(e) => eprintln!("supervisor: restart of p{i} failed (attempt {attempt}): {e}"),
-        }
-    }
-
-    /// One supervision pass: execute due crash-schedule clauses and
-    /// restart nodes whose event loops died.
-    fn supervise(&mut self) {
-        let now = Instant::now();
-        for c in 0..self.crash_phase.len() {
-            let clause = self.options.link_fault.crashes()[c];
-            match self.crash_phase[c] {
-                CrashPhase::Pending if now >= self.started + clause.kill_after => {
-                    self.kill(clause.node);
-                    self.crash_phase[c] = CrashPhase::Down;
-                }
-                CrashPhase::Down if now >= self.started + clause.restart_after => {
-                    // Done whether or not the restart is granted: a
-                    // refused one leaves the node down for good, which
-                    // `await_verdict` reads as hopeless.
-                    self.crash_phase[c] = CrashPhase::Done;
-                    self.supervised_restart(clause.node);
-                }
-                _ => {}
-            }
-        }
-        let Some(backoff) = self.options.recovery.as_ref().map(|r| r.backoff) else {
-            return;
-        };
-        for i in 0..self.nodes.len() {
-            // A node still scheduled as Down is intentionally dead — do
-            // not resurrect it early.
-            if !self.nodes[i].died() || self.held_down(i) || !self.restartable(i) {
-                continue;
-            }
-            // Jittered exponential backoff, as a deadline rather than a
-            // sleep: restarts triggered by the same incident spread out
-            // instead of thundering back, and waiting for one node never
-            // stalls the schedule of the others.
-            let used = self.restarts_used[i];
-            let jitter = &mut self.jitter;
-            let due = *self.retry_at[i].get_or_insert_with(|| {
-                let nominal = backoff.saturating_mul(1 << used.min(31));
-                now + jittered(nominal, jitter.next_u64())
-            });
-            if now >= due {
-                self.retry_at[i] = None;
-                self.supervised_restart(i);
-            }
-        }
-    }
-
     /// Waits (polling) until every correct node has decided or `timeout`
     /// elapses, then synthesizes the run's [`RunReport`], forwards it to
     /// the subscriber's `on_run_end` (first call only), and returns it.
     ///
-    /// The polling loop doubles as the supervisor (see the module docs):
-    /// scheduled crash-restarts and died-node restarts happen here.
-    ///
-    /// On timeout the undecided nodes and their last observed phases are
-    /// reported to stderr — a silent `StepLimitReached` names nobody.
+    /// An undecided correct node that is down — killed, or its event
+    /// loop died — will never decide, since nothing here restarts it: the
+    /// wait ends at once, and waiting out the deadline would only
+    /// disguise a crash as slowness. Undecided nodes are reported to
+    /// stderr with their last observed phases, so a `StepLimitReached`
+    /// names who held it up.
     ///
     /// The cluster keeps running afterwards — post-decision traffic (the
     /// paper's exit broadcasts) still flows until [`Cluster::shutdown`].
     pub fn await_verdict(&mut self, timeout: Duration) -> RunReport {
         let deadline = Instant::now() + timeout;
-        let (undecided, schedule_done) = loop {
-            self.supervise();
+        let undecided = loop {
             let undecided: Vec<(usize, NodeStatus)> = (0..self.nodes.len())
                 .filter(|&i| self.roles[i] == Role::Correct)
                 .map(|i| (i, self.nodes[i].status()))
                 .filter(|(_, st)| st.decision.is_none())
                 .collect();
-            // A node that is not running and that nothing will bring back
-            // — no restart budget left, or killed with no scheduled
-            // restart pending — will never decide: waiting out the full
-            // deadline would only disguise a crash as slowness.
-            let hopeless = undecided.iter().any(|(i, st)| {
-                let returning = self.restartable(*i) && (st.died || self.held_down(*i));
-                (st.died || self.down[*i]) && !returning
-            });
-            // The crash schedule is part of the experiment: a verdict
-            // taken before every scheduled kill/restart has executed
-            // would be a verdict on a different (easier) run. Keep
-            // supervising until the schedule drains, then require the
-            // restarted nodes to have (re-)decided too.
-            let schedule_done = self.crash_phase.iter().all(|p| *p == CrashPhase::Done);
-            let settled = undecided.is_empty() && schedule_done;
-            if settled || hopeless || Instant::now() >= deadline {
-                break (undecided, schedule_done);
+            let hopeless = undecided.iter().any(|&(i, _)| !self.is_up(i));
+            if undecided.is_empty() || hopeless || Instant::now() >= deadline {
+                break undecided;
             }
             std::thread::sleep(Duration::from_millis(10));
         };
-        let all_decided = undecided.is_empty() && schedule_done;
+        let all_decided = undecided.is_empty();
         for (i, st) in &undecided {
             eprintln!(
-                "await_verdict: p{i} undecided at deadline — phase {}, {} steps, {} restarts{}{}",
+                "await_verdict: p{i} undecided — phase {}, {} steps, {} restarts{}{}",
                 st.phase,
                 st.steps,
                 self.restarts_used[*i],
@@ -867,6 +719,11 @@ pub fn sockets_available() -> bool {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    use bt_core::FailStopMsg;
+    use simnet::{Ctx, Envelope};
+
     use super::*;
 
     #[test]
@@ -895,42 +752,35 @@ mod tests {
         cluster.shutdown();
     }
 
-    fn recovering(tag: &str, recovery: RecoveryOptions, link_fault: FaultPlan) -> ClusterOptions {
+    fn recovering(tag: &str, link_fault: FaultPlan) -> ClusterOptions {
         let wal_dir = std::env::temp_dir().join(format!("btcluster-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&wal_dir);
         ClusterOptions {
             seed: 5,
             inputs: vec![Value::One; 4],
             link_fault,
-            recovery: Some(RecoveryOptions {
-                wal_dir,
-                ..recovery
-            }),
+            recovery: Some(RecoveryOptions::in_dir(wal_dir)),
             ..ClusterOptions::default()
         }
     }
 
-    /// A scheduled restart the budget refuses leaves its node down for
-    /// good; the verdict must say so at once instead of burning the whole
-    /// deadline on a node that cannot come back.
+    /// A killed node stays down until its caller restarts it; the verdict
+    /// must say so at once instead of burning the whole deadline on a
+    /// node that nothing will bring back.
     #[test]
-    fn refused_scheduled_restart_is_hopeless_not_slow() {
+    fn a_killed_node_makes_the_verdict_hopeless_at_once() {
         if !sockets_available() {
             eprintln!("skipping: loopback sockets unavailable in this sandbox");
             return;
         }
-        let broke = RecoveryOptions {
-            max_restarts: 0,
-            ..RecoveryOptions::default()
-        };
-        // The delay keeps node 1 from deciding before the 0 ms kill lands.
-        let plan = FaultPlan::reliable()
-            .with_delay(Duration::from_millis(5), Duration::from_millis(10))
-            .with_crash(1, Duration::ZERO, Duration::from_millis(20));
-        let options = recovering("refused", broke, plan);
+        // The delay keeps node 1 from deciding before the kill lands.
+        let plan =
+            FaultPlan::reliable().with_delay(Duration::from_millis(5), Duration::from_millis(10));
+        let options = recovering("killed", plan);
         let wal_dir = options.recovery.as_ref().unwrap().wal_dir.clone();
         let mut cluster =
             Cluster::spawn(4, 1, Proto::FailStop, options, None).expect("loopback spawn");
+        cluster.kill(1);
         let began = Instant::now();
         let report = cluster.await_verdict(Duration::from_secs(20));
         let took = began.elapsed();
@@ -940,24 +790,96 @@ mod tests {
         assert_eq!(report.status, RunStatus::StepLimitReached);
         assert_eq!(report.decisions[1], None, "the victim never decided");
         assert!(took < Duration::from_secs(5), "verdict took {took:?}");
-        assert_eq!(cluster.restarts()[1], 0, "the restart was refused");
+        assert_eq!(cluster.restarts()[1], 0, "nobody restarted the victim");
         assert!(!cluster.is_up(1));
     }
 
-    /// An explicit restart is the caller's decision: it happens now, on
-    /// the same port, whatever backoff the supervisor would have waited —
-    /// and without a WAL it is refused outright.
+    /// Fail-stop, except that the first delivery to any incarnation of
+    /// it panics the event loop.
+    #[derive(Debug)]
+    struct PanicsOnce {
+        inner: FailStop,
+        armed: Arc<AtomicBool>,
+    }
+
+    impl Process for PanicsOnce {
+        type Msg = FailStopMsg;
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_, FailStopMsg>) {
+            self.inner.on_start(ctx);
+        }
+
+        fn on_receive(&mut self, env: Envelope<FailStopMsg>, ctx: &mut Ctx<'_, FailStopMsg>) {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                panic!("injected: the event loop dies on its first delivery");
+            }
+            self.inner.on_receive(env, ctx);
+        }
+
+        fn decision(&self) -> Option<Value> {
+            self.inner.decision()
+        }
+
+        fn phase(&self) -> u64 {
+            self.inner.phase()
+        }
+    }
+
+    /// A died event loop is a finding, not something to paper over: the
+    /// cluster restarts nobody on its own, so a journaling node whose loop
+    /// panics stays down and the verdict names it at once.
     #[test]
-    fn explicit_restart_skips_backoff_and_needs_a_wal() {
+    fn a_died_loop_is_a_finding_not_a_restart() {
         if !sockets_available() {
             eprintln!("skipping: loopback sockets unavailable in this sandbox");
             return;
         }
-        let sluggish = RecoveryOptions {
-            backoff: Duration::from_secs(3),
-            ..RecoveryOptions::default()
+        let wal_dir = std::env::temp_dir().join(format!("btcluster-died-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&wal_dir);
+        let options = ClusterOptions {
+            seed: 9,
+            recovery: Some(RecoveryOptions::in_dir(&wal_dir)),
+            ..ClusterOptions::default()
         };
-        let options = recovering("explicit", sluggish, FaultPlan::reliable());
+        let wals = (0..4)
+            .map(|i| wal_dir.join(format!("node{i}.wal")))
+            .collect();
+        let armed = Arc::new(AtomicBool::new(true));
+        let make = move |i: usize, _: &Arc<Registry>| -> io::Result<Hosted<_>> {
+            let config = Config::fail_stop(4, 1).expect("within the fail-stop bound");
+            let inner = FailStop::new(config, Value::One);
+            let process: Box<dyn Process<Msg = _> + Send> = if i == 3 {
+                let armed = Arc::clone(&armed);
+                Box::new(PanicsOnce { inner, armed })
+            } else {
+                Box::new(inner)
+            };
+            Ok((process, None))
+        };
+        let roles = vec![Role::Correct; 4];
+        let mut cluster =
+            Cluster::host(4, 1, roles, options, wals, make, None).expect("loopback host");
+        let began = Instant::now();
+        let report = cluster.await_verdict(Duration::from_secs(20));
+        let took = began.elapsed();
+        cluster.shutdown();
+        let _ = std::fs::remove_dir_all(&wal_dir);
+
+        assert_eq!(report.status, RunStatus::StepLimitReached);
+        assert!(took < Duration::from_secs(5), "verdict took {took:?}");
+        assert!(!cluster.is_up(3), "the died node stays down");
+        assert_eq!(cluster.restarts(), &[0; 4], "nobody was restarted");
+    }
+
+    /// An explicit restart is the caller's decision: it happens now, on
+    /// the same port — and without a WAL it is refused outright.
+    #[test]
+    fn explicit_restart_is_immediate_and_needs_a_wal() {
+        if !sockets_available() {
+            eprintln!("skipping: loopback sockets unavailable in this sandbox");
+            return;
+        }
+        let options = recovering("explicit", FaultPlan::reliable());
         let wal_dir = options.recovery.as_ref().unwrap().wal_dir.clone();
         let mut cluster =
             Cluster::spawn(4, 1, Proto::FailStop, options, None).expect("loopback spawn");
@@ -996,24 +918,5 @@ mod tests {
     fn sockets_probe_is_callable() {
         // Either answer is fine; the probe itself must not panic.
         let _ = sockets_available();
-    }
-
-    #[test]
-    #[should_panic(expected = "crash-restart faults require")]
-    fn crash_schedule_without_recovery_is_refused() {
-        if !sockets_available() {
-            // Can't exercise the real path; satisfy the expected panic.
-            panic!("crash-restart faults require ClusterOptions::recovery");
-        }
-        let options = ClusterOptions {
-            seed: 3,
-            link_fault: FaultPlan::reliable().with_crash(
-                1,
-                Duration::from_millis(10),
-                Duration::from_millis(20),
-            ),
-            ..ClusterOptions::default()
-        };
-        let _ = Cluster::spawn(4, 1, Proto::FailStop, options, None);
     }
 }

@@ -421,7 +421,7 @@ impl<M: Wire> NodeCore<M> {
         if recovered.damage.is_unsafe() || (recovered.records.is_empty() && cfg.expect_history) {
             // Mid-log damage: the durable prefix cannot be trusted (the
             // records after the damage are gone, so replay would regress
-            // the watermark peers saw acked). A log the supervisor says
+            // the watermark peers saw acked). A log the restarter says
             // must exist but is empty was lost (or torn back to nothing).
             // Either way: no `on_start`, no replay, no WAL appends — the
             // damaged log stays untouched as evidence until adoption

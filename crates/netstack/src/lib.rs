@@ -40,9 +40,9 @@
 //! * [`fault`] — seeded link-fault injection (delay, drop, partition);
 //! * [`admin`] — HTTP/1.0 `/metrics` + `/status` endpoint and the
 //!   dependency-free scraper behind `btstat` and `Cluster::scrape`;
-//! * [`cluster`] — the one loopback runner and supervisor:
+//! * [`cluster`] — the one loopback runner:
 //!   `Cluster::spawn(n, k, proto)` or `Cluster::host(.., make)`, inject
-//!   inputs/faults, `kill`/`restart`, `await_verdict`.
+//!   inputs/faults, `kill`/`restart` on the caller's say-so, `await_verdict`.
 //!
 //! The `btnode` binary boots a single node from the command line so a
 //! cluster can also be assembled by hand across terminals (or machines).
@@ -79,7 +79,7 @@ pub use cluster::{
     NodeFault, Proto, RecoveryOptions,
 };
 pub use conn::jittered;
-pub use fault::{CrashRestart, FaultInjector, FaultPlan, LinkAction};
+pub use fault::{FaultInjector, FaultPlan, LinkAction};
 pub use frame::{drain_frames, encode_chunk, read_frame, write_frame, Frame, MAX_FRAME_LEN};
 pub use node::{fnv1a64, spawn, NetCounters, NodeConfig, NodeHandle, NodeStatus};
 pub use storage::{DiskFault, FaultyStorage, RealStorage, Storage};

@@ -138,8 +138,9 @@ pub struct NodeConfig {
     /// Faults to inject on this node's outbound links (and, via the
     /// `disk=` clauses, on this node's WAL storage).
     pub fault: FaultPlan,
-    /// This boot is expected to find durable history on disk — set by a
-    /// supervisor respawning a crashed incarnation. An empty or missing
+    /// This boot is expected to find durable history on disk — set by
+    /// whoever restarts a crashed incarnation (`Cluster::restart`,
+    /// `btnode --supervise`). An empty or missing
     /// WAL is then a *lost log* (the node marks itself amnesiac and
     /// requests quorum state transfer) rather than a fresh start.
     pub expect_history: bool,
@@ -154,8 +155,8 @@ pub struct NodeConfig {
     /// match. A node without a WAL only prunes, on the same cadence.
     pub snapshot_every: u64,
     /// The metrics registry this node records into. `None` gives the node
-    /// a fresh enabled registry of its own. A supervisor that restarts
-    /// nodes should pass the *same* registry to every incarnation: the
+    /// a fresh enabled registry of its own. Whoever restarts nodes
+    /// should pass the *same* registry to every incarnation: the
     /// cells are keyed by `(name, labels)`, so the replacement's handles
     /// land on the predecessor's cells and long-run totals survive the
     /// restart.

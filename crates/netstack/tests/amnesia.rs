@@ -1,14 +1,16 @@
 //! Amnesia-tolerant recovery, end to end over real sockets: a correct
-//! node is SIGKILLed mid-consensus, a storage fault flips a byte in the
-//! middle of its write-ahead log, and the supervised restart must detect
+//! node is killed mid-consensus, a storage fault flips a byte in the
+//! middle of its write-ahead log, and the restart must detect
 //! the corruption, refuse to replay the poisoned state, and rejoin by
 //! fetching state confirmed by a quorum of peers — all without a single
 //! equivocation on the wire.
 //!
-//! This is the ISSUE's acceptance scenario as an in-tree test; the same
-//! shape runs as a shell smoke leg in `scripts/smoke_recovery.sh`.
+//! Each test sequences its own crash: `Cluster::kill` and
+//! `Cluster::restart` at fixed offsets from just before the cluster
+//! boots. The same shape runs as a shell smoke leg in
+//! `scripts/smoke_recovery.sh`.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use netstack::{
     sockets_available, Cluster, ClusterOptions, DiskFault, FaultPlan, Proto, RecoveryOptions,
@@ -25,6 +27,11 @@ macro_rules! require_sockets {
             return;
         }
     };
+}
+
+/// Sleeps until `offset` past `began`.
+fn sleep_until(began: Instant, offset: Duration) {
+    std::thread::sleep((began + offset).saturating_duration_since(Instant::now()));
 }
 
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -50,16 +57,21 @@ fn flipped_wal_byte_triggers_quorum_state_transfer() {
     let options = ClusterOptions {
         seed: 0xA3_1983,
         inputs: vec![Value::One; 4],
-        link_fault: FaultPlan::reliable()
-            .with_crash(victim, Duration::from_millis(30), Duration::from_millis(90))
-            // Applied at every WAL open: a no-op on the first boot (the
-            // file is empty, offset 8 is past EOF) and a mid-log flip on
-            // the restart — exactly a bit rot discovered at reboot.
-            .with_disk(victim, DiskFault::Flip { offset: 8 }),
+        // Applied at every WAL open: a no-op on the first boot (the
+        // file is empty, offset 8 is past EOF) and a mid-log flip on the
+        // restart — exactly a bit rot discovered at reboot.
+        link_fault: FaultPlan::reliable().with_disk(victim, DiskFault::Flip { offset: 8 }),
         recovery: Some(RecoveryOptions::in_dir(&wal_dir)),
         ..ClusterOptions::default()
     };
+    let began = Instant::now();
     let mut cluster = Cluster::spawn(4, 1, Proto::FailStop, options, None).expect("spawn cluster");
+    sleep_until(began, Duration::from_millis(30));
+    cluster.kill(victim);
+    sleep_until(began, Duration::from_millis(90));
+    cluster
+        .restart(victim)
+        .expect("restart from the flipped WAL");
     let report = cluster.await_verdict(DEADLINE);
 
     assert_eq!(report.status, RunStatus::Stopped, "every node decided");
@@ -79,10 +91,6 @@ fn flipped_wal_byte_triggers_quorum_state_transfer() {
     assert!(
         equivocations.iter().all(|&e| e == 0),
         "zero equivocations: {equivocations:?}"
-    );
-    assert!(
-        cluster.restarts().iter().sum::<u32>() >= 1,
-        "the schedule actually restarted the victim"
     );
     let st = cluster.nodes()[victim].status();
     assert!(st.state_transferred, "the victim rejoined via transfer");
@@ -107,7 +115,7 @@ fn flipped_wal_byte_triggers_quorum_state_transfer() {
 
 /// A vanished WAL is amnesia too: the victim's log is deleted while it is
 /// down (the restart boots on an empty file with `expect_history` set by
-/// the supervisor), so the node must refuse to masquerade as a fresh
+/// the cluster), so the node must refuse to masquerade as a fresh
 /// process and instead rejoin through the quorum transfer path.
 #[test]
 fn lost_wal_on_restart_is_detected_and_transferred() {
@@ -117,36 +125,23 @@ fn lost_wal_on_restart_is_detected_and_transferred() {
     let options = ClusterOptions {
         seed: 0xBEE,
         inputs: vec![Value::One; 4],
-        link_fault: FaultPlan::reliable()
-            .with_crash(
-                victim,
-                Duration::from_millis(30),
-                Duration::from_millis(120),
-            )
-            // LostRename never fires here (no compaction in so short a
-            // run); the clause's presence routes the node through the
-            // fault-injecting storage layer.
-            .with_disk(victim, DiskFault::LostRename),
+        // LostRename never fires here (no compaction in so short a run);
+        // the clause's presence routes the node through the
+        // fault-injecting storage layer.
+        link_fault: FaultPlan::reliable().with_disk(victim, DiskFault::LostRename),
         recovery: Some(RecoveryOptions::in_dir(&wal_dir)),
         ..ClusterOptions::default()
     };
+    let began = Instant::now();
     let mut cluster = Cluster::spawn(4, 1, Proto::FailStop, options, None).expect("spawn cluster");
-
-    // Erase the victim's journal while it is scheduled down. The kill
-    // lands at 30ms; keep trying until the delete sticks or the restart
-    // window closes.
-    let path = wal_dir.join(format!("node{victim}.wal"));
-    let erase_until = std::time::Instant::now() + Duration::from_millis(110);
-    let mut erased = false;
-    while std::time::Instant::now() < erase_until {
-        std::thread::sleep(Duration::from_millis(10));
-        if std::fs::remove_file(&path).is_ok() {
-            erased = true;
-            break;
-        }
-    }
+    sleep_until(began, Duration::from_millis(30));
+    cluster.kill(victim);
+    // Erase the victim's journal while it is down.
+    std::fs::remove_file(wal_dir.join(format!("node{victim}.wal")))
+        .expect("the victim's WAL exists and can be deleted");
+    sleep_until(began, Duration::from_millis(120));
+    cluster.restart(victim).expect("restart onto the lost WAL");
     let report = cluster.await_verdict(DEADLINE);
-    assert!(erased, "the victim's WAL was deleted while it was down");
     assert_eq!(report.status, RunStatus::Stopped, "every node decided");
     assert!(report.agreement());
     assert!(

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bt_core::{Config, FailStop, FailStopMsg};
 use netstack::{
@@ -216,8 +216,8 @@ fn restarted_node_resends_byte_identical_frames() {
 /// deliver frames. This is the regression the event-driven rewrite could
 /// have introduced silently — with one thread owning every socket, the
 /// listener's edge-triggered readiness must not be stranded in the dead
-/// incarnation's (closed) poller, and the supervisor restart path leans
-/// on exactly this handoff.
+/// incarnation's (closed) poller, and `Cluster::restart` leans on exactly
+/// this handoff.
 #[test]
 fn relistened_socket_accepts_dials_in_the_next_event_loop() {
     require_sockets!();
@@ -259,8 +259,8 @@ fn relistened_socket_accepts_dials_in_the_next_event_loop() {
 
     // Incarnation one accepts a dial and delivers a frame, so the
     // listener's readiness has been consumed inside the first event
-    // loop's poller before the handoff.
-    let baseline = node.status().steps;
+    // loop's poller before the handoff. The cumulative ack says the
+    // frame is journaled: acks never run ahead of the WAL.
     let mut from_p1 = TcpStream::connect(addrs[0]).expect("dial incarnation one");
     write_frame(
         &mut from_p1,
@@ -282,13 +282,15 @@ fn relistened_socket_accepts_dials_in_the_next_event_loop() {
         },
     )
     .expect("deliver from peer 1");
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while node.status().steps <= baseline {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "incarnation one never delivered the frame"
-        );
-        std::thread::sleep(Duration::from_millis(5));
+    from_p1
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    loop {
+        match read_frame(&mut from_p1) {
+            Ok(Frame::Ack { next }) if next >= 1 => break,
+            Ok(_) => {}
+            Err(e) => panic!("incarnation one never journaled the frame: {e}"),
+        }
     }
     node.shutdown();
     drop(from_p1);
@@ -348,32 +350,39 @@ fn relistened_socket_accepts_dials_in_the_next_event_loop() {
     node.shutdown();
 }
 
-/// The cluster supervisor executes a scheduled crash-restart: node 1 is
-/// killed mid-consensus and restarted from its WAL. All correct nodes —
-/// the restarted one included — decide, agree, and observe zero
+/// Sleeps until `offset` past `began`.
+fn sleep_until(began: Instant, offset: Duration) {
+    std::thread::sleep((began + offset).saturating_duration_since(Instant::now()));
+}
+
+/// A crash-restart sequenced by the caller: node 1 is killed
+/// mid-consensus and restarted from its WAL. All correct nodes — the
+/// restarted one included — decide, agree, and observe zero
 /// equivocations.
 #[test]
-fn supervisor_restarts_scheduled_crash_and_cluster_decides() {
+fn killed_node_restarts_from_its_wal_and_cluster_decides() {
     require_sockets!();
-    let scratch = ScratchDir::new("supervised");
+    let scratch = ScratchDir::new("restarted");
     let options = ClusterOptions {
         seed: 0x5EC0_7E12,
         inputs: vec![Value::One; 4],
         // Delay stretches the run so the kill lands mid-consensus on fast
         // machines; correctness must hold either way.
         link_fault: FaultPlan::reliable()
-            .with_delay(Duration::from_millis(1), Duration::from_millis(6))
-            .with_crash(1, Duration::from_millis(25), Duration::from_millis(80)),
+            .with_delay(Duration::from_millis(1), Duration::from_millis(6)),
         recovery: Some(RecoveryOptions {
             wal_dir: scratch.0.clone(),
             snapshot_every: 8,
-            max_restarts: 4,
-            backoff: Duration::from_millis(5),
         }),
         ..ClusterOptions::default()
     };
+    let began = Instant::now();
     let mut cluster =
         Cluster::spawn(4, 1, netstack::Proto::FailStop, options, None).expect("loopback spawn");
+    sleep_until(began, Duration::from_millis(25));
+    cluster.kill(1);
+    sleep_until(began, Duration::from_millis(80));
+    cluster.restart(1).expect("restart from WAL");
     let report = cluster.await_verdict(DEADLINE);
 
     assert_eq!(report.status, RunStatus::Stopped, "all nodes decided");
@@ -381,9 +390,14 @@ fn supervisor_restarts_scheduled_crash_and_cluster_decides() {
     for i in 0..4 {
         assert_eq!(report.decisions[i], Some(Value::One), "validity at p{i}");
     }
-    assert!(
-        cluster.restarts()[1] >= 1,
-        "the supervisor restarted node 1 at least once"
+    let recoveries = cluster
+        .node_registry(1)
+        .snapshot()
+        .scalar_total("bt_recoveries_total");
+    assert_eq!(
+        recoveries,
+        Some(1),
+        "node 1 came back from its WAL, not from scratch"
     );
     for (i, node) in cluster.nodes().iter().enumerate() {
         assert_eq!(
@@ -395,13 +409,10 @@ fn supervisor_restarts_scheduled_crash_and_cluster_decides() {
     cluster.shutdown();
 }
 
-/// An unscheduled death is also recovered: a node whose WAL directory is
-/// present but whose event loop is killed out-of-band comes back through
-/// the same restart path. Here we exercise the budget instead: with
-/// recovery configured but no crash schedule, a healthy run must perform
-/// zero restarts and still decide — the supervisor must not meddle.
+/// With recovery configured and nobody killed, a healthy run performs
+/// zero restarts and still decides.
 #[test]
-fn supervisor_is_inert_on_a_healthy_run() {
+fn healthy_journaling_run_restarts_nobody() {
     require_sockets!();
     let scratch = ScratchDir::new("inert");
     let options = ClusterOptions {
@@ -436,18 +447,20 @@ fn snapshot_restart_preserves_agreement() {
         seed: 77,
         inputs: vec![Value::One, Value::Zero, Value::One, Value::One],
         link_fault: FaultPlan::reliable()
-            .with_delay(Duration::from_millis(1), Duration::from_millis(5))
-            .with_crash(2, Duration::from_millis(20), Duration::from_millis(60)),
+            .with_delay(Duration::from_millis(1), Duration::from_millis(5)),
         recovery: Some(RecoveryOptions {
             wal_dir: scratch.0.clone(),
             snapshot_every: 1,
-            max_restarts: 4,
-            backoff: Duration::from_millis(5),
         }),
         ..ClusterOptions::default()
     };
+    let began = Instant::now();
     let mut cluster =
         Cluster::spawn(4, 1, netstack::Proto::FailStop, options, None).expect("loopback spawn");
+    sleep_until(began, Duration::from_millis(20));
+    cluster.kill(2);
+    sleep_until(began, Duration::from_millis(60));
+    cluster.restart(2).expect("restart from WAL");
     let report = cluster.await_verdict(DEADLINE);
 
     assert_eq!(report.status, RunStatus::Stopped);

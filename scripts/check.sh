@@ -41,6 +41,18 @@ echo "==> sans-IO gate: rsm service.rs names no socket, thread, queue, condvar o
 # clock read of its own must fail here.
 if sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' crates/rsm/src/service.rs | grep -nE 'sync_channel|recv_timeout|WouldBlock|set_nonblocking|std::net|std::thread|Condvar|Instant::now\('; then echo "service.rs must stay sans-IO"; exit 1; fi
 
+echo "==> one supervisor: netstack's Cluster restarts a node only when its caller does"
+# btnode --supervise is the one restart policy. A crash schedule in the
+# FaultPlan, a restart budget or a jittered backoff in cluster.rs or
+# fault.rs must fail here. fault.rs keeps its seeded Prng: that stream
+# draws the link faults, not restarts. (The brackets keep the removed
+# names themselves out of the tree's text.)
+if for f in crates/netstack/src/cluster.rs crates/netstack/src/fault.rs; do
+    pattern='with_cras[h]|CrashRestar[t]|jittered|backoff|max_restart[s]'
+    [ "$f" = crates/netstack/src/cluster.rs ] && pattern="$pattern|Prng"
+    sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' "$f" | grep -nE "$pattern" | sed "s|^|$f:|"
+done | grep .; then echo "only the caller restarts a loopback node"; exit 1; fi
+
 echo "==> cargo test"
 cargo test --workspace -q
 
@@ -49,6 +61,26 @@ cargo build --release --workspace
 
 FUZZTMP=$(mktemp -d)
 trap 'rm -rf "$FUZZTMP"' EXIT INT TERM
+
+# The socket legs skip themselves (exit 0, with a "skipping" note) where
+# loopback sockets are unavailable. A skip does not fail the gate; it is
+# tallied, and the last line names every leg that skipped.
+SOCKET_RAN=0
+SOCKET_SKIPPED=""
+socket_leg() {
+    name=$1
+    shift
+    { "$@" 2>&1 || echo "$?" > "$FUZZTMP/$name.status"; } | tee "$FUZZTMP/$name.log"
+    if [ -f "$FUZZTMP/$name.status" ]; then
+        echo "socket leg $name failed"
+        exit "$(cat "$FUZZTMP/$name.status")"
+    fi
+    if grep -qE '^(==> |btfuzz: )skipping' "$FUZZTMP/$name.log"; then
+        SOCKET_SKIPPED="$SOCKET_SKIPPED $name"
+    else
+        SOCKET_RAN=$((SOCKET_RAN + 1))
+    fi
+}
 
 echo "==> metrics overhead bench (fast config, 5% budget)"
 # The committed BENCH_metrics.json documents the measured overhead
@@ -125,9 +157,10 @@ target/release/btfuzz --budget 30 --out "$FUZZTMP/repro.jsonl"
 
 echo "==> btfuzz netstack stress leg (30s budget, clusters up to n=50)"
 # Loopback clusters up the size ladder under healing partitions and
-# seeded crash-restarts — the event-loop scale gate. Skips internally
+# seeded crash-restarts, which run_netstack sequences itself — the
+# event-loop scale gate. A died event loop is a finding, never restarted. Skips internally
 # (with a note) where the sandbox forbids loopback sockets.
-target/release/btfuzz --netstack-stress --budget 30 \
+socket_leg netstack-stress target/release/btfuzz --netstack-stress --budget 30 \
     --out "$FUZZTMP/stress-repro.json"
 
 echo "==> btfuzz storage-fault leg (15s budget, corrupt-WAL recovery)"
@@ -135,20 +168,20 @@ echo "==> btfuzz storage-fault leg (15s budget, corrupt-WAL recovery)"
 # detect the corruption, boot amnesiac, and recover by quorum state
 # transfer with zero equivocations. Skips internally (with a note) where
 # the sandbox forbids loopback sockets.
-target/release/btfuzz --storage --budget 15 \
+socket_leg storage target/release/btfuzz --storage --budget 15 \
     --out "$FUZZTMP/storage-repro.json"
 
 echo "==> netstack smoke test (release btnode cluster, end to end)"
 # Skips internally (with a note) where the sandbox forbids sockets.
-sh scripts/smoke_netstack.sh
+socket_leg smoke_netstack sh scripts/smoke_netstack.sh
 
 echo "==> crash-recovery smoke test (SIGKILL workers, restart from WAL; corrupt-WAL leg)"
 # Skips internally where the sandbox forbids sockets or lacks pgrep/dd.
-sh scripts/smoke_recovery.sh
+socket_leg smoke_recovery sh scripts/smoke_recovery.sh
 
 echo "==> replicated-log smoke test (btnode rsm cluster, btload, btstat)"
 # Skips internally (with a note) where the sandbox forbids sockets.
-sh scripts/smoke_rsm.sh
+socket_leg smoke_rsm sh scripts/smoke_rsm.sh
 
 echo "==> btbench (own workspace): unit tests + --quick smoke of every workload"
 # The root `cargo test` does not build btbench, yet it compiles against
@@ -185,3 +218,5 @@ awk '$1=="simnet.steps_total"{steps=($2+0 == 58351)}
          echo "sim-byz-n32 no longer takes 58351 steps / sends 73760 messages at seed 1983"; exit 1; }
 
 echo "==> all checks passed"
+set -- $SOCKET_SKIPPED
+echo "socket legs: $SOCKET_RAN ran, $# skipped: ${*:-none}"

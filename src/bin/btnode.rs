@@ -6,7 +6,7 @@
 //! btnode --id I --n N --k K --proto failstop|simple|malicious|benor|rsm \
 //!        [--input 0|1] --listen HOST:PORT --peer HOST:PORT [--peer ...] \
 //!        [--seed S] [--timeout SECS] [--jsonl PATH] [--admin PORT] \
-//!        [--client PORT] [--window W] [--max-batch B]
+//!        [--client PORT] [--wal PATH [--snapshot-every STEPS] [--supervise]]
 //! ```
 //!
 //! `--peer` must appear exactly `N` times, in process-id order; entry `I`
@@ -27,12 +27,13 @@
 //! WAL recovers the pre-crash state and re-sends the unacknowledged
 //! backlog byte-for-byte, so a restart can never turn into equivocation.
 //!
-//! `--supervise` (requires `--wal`) adds the supervisor: the parent
-//! binds the listening socket once, hands a duplicate of it to a worker
-//! child via stdin, and if the worker dies to a signal (SIGKILL, SIGSEGV,
-//! OOM-killer) restarts it from the WAL — on the *same* port, with
-//! jittered exponential backoff, up to `--max-restarts` times (default
-//! 4). Normal exits, success or timeout, are propagated as-is.
+//! `--supervise` (requires `--wal`) adds the supervisor — the one restart
+//! policy in the workspace: the parent binds the listening socket once,
+//! hands a duplicate of it to a worker child via stdin, and if the worker
+//! dies to a signal (SIGKILL, SIGSEGV, OOM-killer) restarts it from the
+//! WAL — on the *same* port, with jittered exponential backoff, up to
+//! `MAX_RESTARTS` times. Normal exits, success or timeout, are
+//! propagated as-is.
 //!
 //! # Live telemetry
 //!
@@ -50,7 +51,7 @@
 //! `--proto rsm` runs the node as one replica of the multi-decree
 //! replicated log (see `docs/RSM.md`) instead of a one-shot consensus:
 //! `--client PORT` (required) serves the length-prefixed client API on
-//! the listen host, and `--window`/`--max-batch` tune the replica's
+//! the listen host, and the replica runs on `RsmOptions::default()`'s
 //! pipelining and batching. The node's one event loop serves the client
 //! port too: each proposal enters the replica as its own journaled input
 //! in the wakeup that read it, and no thread runs per client. `--input`
@@ -82,8 +83,11 @@ const USAGE: &str = "usage: btnode --id I --n N --k K \
 --proto failstop|simple|malicious|benor|rsm [--input 0|1] \
 --listen HOST:PORT --peer HOST:PORT [--peer ...] \
 [--seed S] [--timeout SECS] [--jsonl PATH] [--admin PORT] \
-[--client PORT] [--window W] [--max-batch B] \
-[--wal PATH [--snapshot-every STEPS] [--supervise] [--max-restarts R]]";
+[--client PORT] [--wal PATH [--snapshot-every STEPS] [--supervise]]";
+
+/// How many times `--supervise` restarts a worker that died to a signal
+/// before it gives up.
+const MAX_RESTARTS: u32 = 4;
 
 struct Args {
     id: usize,
@@ -94,8 +98,6 @@ struct Args {
     input: Option<Value>,
     /// Client-API port for `--proto rsm`.
     client: Option<u16>,
-    /// `--window`/`--max-batch` over the replica's defaults.
-    replica: RsmOptions,
     listen: SocketAddr,
     peers: Vec<SocketAddr>,
     seed: u64,
@@ -105,7 +107,6 @@ struct Args {
     wal: Option<PathBuf>,
     snapshot_every: u64,
     supervise: bool,
-    max_restarts: u32,
     /// Internal (set by the supervisor on the worker it spawns): the
     /// listening socket is inherited on stdin instead of bound fresh.
     listen_stdin: bool,
@@ -122,7 +123,6 @@ fn parse_args() -> Result<Args, String> {
     let mut proto = None;
     let mut input = None;
     let mut client = None;
-    let mut replica = RsmOptions::default();
     let mut listen = None;
     let mut peers = Vec::new();
     let mut seed = 0u64;
@@ -132,7 +132,6 @@ fn parse_args() -> Result<Args, String> {
     let mut wal = None;
     let mut snapshot_every = 0u64;
     let mut supervise = false;
-    let mut max_restarts = 4u32;
     let mut listen_stdin = false;
     let mut expect_wal = false;
 
@@ -157,8 +156,6 @@ fn parse_args() -> Result<Args, String> {
                 });
             }
             "--client" => client = Some(parse(&value("--client")?, "--client")?),
-            "--window" => replica.window = parse(&value("--window")?, "--window")?,
-            "--max-batch" => replica.max_batch = parse(&value("--max-batch")?, "--max-batch")?,
             "--listen" => listen = Some(parse_addr(&value("--listen")?)?),
             "--peer" => peers.push(parse_addr(&value("--peer")?)?),
             "--seed" => seed = parse(&value("--seed")?, "--seed")?,
@@ -172,7 +169,6 @@ fn parse_args() -> Result<Args, String> {
                 snapshot_every = parse(&value("--snapshot-every")?, "--snapshot-every")?;
             }
             "--supervise" => supervise = true,
-            "--max-restarts" => max_restarts = parse(&value("--max-restarts")?, "--max-restarts")?,
             "--listen-stdin" => listen_stdin = true,
             "--expect-wal" => expect_wal = true,
             other => return Err(format!("unknown flag {other}")),
@@ -186,7 +182,6 @@ fn parse_args() -> Result<Args, String> {
         proto: proto.ok_or("--proto is required")?,
         input,
         client,
-        replica,
         listen: listen.ok_or("--listen is required")?,
         peers,
         seed,
@@ -196,7 +191,6 @@ fn parse_args() -> Result<Args, String> {
         wal,
         snapshot_every,
         supervise,
-        max_restarts,
         listen_stdin,
         expect_wal,
     };
@@ -206,9 +200,6 @@ fn parse_args() -> Result<Args, String> {
         }
         if args.jsonl.is_some() {
             return Err("--jsonl applies to one-shot runs, not --proto rsm".to_string());
-        }
-        if args.replica.window == 0 || args.replica.max_batch == 0 {
-            return Err("--window and --max-batch must be at least 1".to_string());
         }
     } else if args.input.is_none() {
         return Err("--input is required (except under --proto rsm)".to_string());
@@ -397,7 +388,7 @@ fn listener_from_stdin() -> std::io::Result<TcpListener> {
 
 /// The parent side of `--supervise`: bind the port once, run the worker
 /// on a duplicate of the socket, and restart it from the WAL — same port,
-/// jittered exponential backoff, bounded by `--max-restarts` — whenever
+/// jittered exponential backoff, bounded by `MAX_RESTARTS` — whenever
 /// it dies to a signal. Normal worker exits (decided, timed out, usage
 /// errors) are propagated unchanged.
 fn run_supervisor(args: &Args) -> Result<bool, String> {
@@ -439,10 +430,10 @@ fn run_supervisor(args: &Args) -> Result<bool, String> {
             return Ok(status.success());
         }
         // Signal death: the crash the WAL exists for.
-        if restarts >= args.max_restarts {
+        if restarts >= MAX_RESTARTS {
             return Err(format!(
-                "worker for p{} killed again; restart budget ({}) exhausted",
-                args.id, args.max_restarts
+                "worker for p{} killed again; restart budget ({MAX_RESTARTS}) exhausted",
+                args.id
             ));
         }
         restarts += 1;
@@ -451,8 +442,8 @@ fn run_supervisor(args: &Args) -> Result<bool, String> {
         backoff = backoff.saturating_mul(2);
         eprintln!(
             "btnode: worker for p{} died to a signal; restarting from WAL \
-             in {wait:?} (attempt {restarts}/{})",
-            args.id, args.max_restarts
+             in {wait:?} (attempt {restarts}/{MAX_RESTARTS})",
+            args.id
         );
         std::thread::sleep(wait);
     }
@@ -487,7 +478,7 @@ fn run_rsm(args: &Args, listener: TcpListener) -> Result<bool, String> {
     let me = ProcessId::new(args.id);
     let registry = Arc::new(Registry::new());
     let view = LogView::new();
-    let replica = Replica::new(config, me, args.replica)
+    let replica = Replica::new(config, me, RsmOptions::default())
         .with_view(view.clone())
         .with_metrics(&registry);
 
