@@ -1,37 +1,47 @@
-//! `experiments` — regenerates every table of EXPERIMENTS.md (E1–E12).
+//! `experiments` — regenerates every table of EXPERIMENTS.md (E1–E12,
+//! the large-n sweep and the n = 1024 slice) and `BENCH_phases.json`.
 //!
 //! Each `eN` function runs one experiment with fixed seeds, trial counts
 //! and step limits, and returns its table. The `assert!`s inside are the
 //! paper's claims: Theorem 2/4 agreement at maximal `k`, the 3-phase and
 //! 2-phase fast paths, E8's lag ≤ 1 for `k < n/5`, the E5 lower-bound
 //! demonstrations, E11's safe paper bars (and unsafe lowered Figure 2
-//! bars at `n = 4`) and E12's scheduler-independent safety. A run that
-//! finishes is a run in which all of them held.
+//! bars at `n = 4`), E12's scheduler-independent safety, and the slice's
+//! exact work within its wall budget. A run that finishes is a run in
+//! which all of them held.
 //!
 //! `main` prints every table to stdout and writes one CSV per table, with
-//! the same rows, to the output directory (default `results/`):
+//! the same rows, to the output directory (default `results/`). E3, E4,
+//! E8 and the sweep also write their trials' histograms and the sweep's
+//! rows to `OUT_DIR/BENCH_phases.json`; the repository root holds the
+//! committed copy:
 //!
 //! ```sh
 //! cargo run --release -p bench --bin experiments -- [OUT_DIR]
 //! ```
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::time::Instant;
 
 use adversary::{ContrarianMalicious, EquivocatingEchoer, Silent, TwoFacedMalicious};
 use bench::{
-    alternating_inputs, failstop_system, malicious_system, malicious_system_capped,
-    malicious_system_silent, simple_system, split_inputs,
+    alternating_inputs, failstop_system, malicious_sweep_limit, malicious_system,
+    malicious_system_capped, malicious_system_silent, simple_sweep_limit, simple_system,
+    simple_system_capped, split_inputs, sweep_k,
 };
 use benor::BenOrConfig;
 use bt_core::{Config, DeadMsg, InitiallyDead, Malicious, MaliciousMsg, Threshold};
 use markov::{collapsed, FailStopChain, MaliciousChain};
 use modelcheck::demos;
+use obs::json::Json;
 use simnet::scheduler::{
     DelayingScheduler, DeliveryOrder, FairScheduler, PartitionScheduler, RoundRobinScheduler,
     Scheduler,
 };
 use simnet::{
-    run_trials, run_trials_seq, Process, ProcessId, Role, Sim, SimRng, TrialStats, Value,
+    run_trials, run_trials_seq, Process, ProcessId, Role, RunStatus, Sim, SimRng, Summary,
+    TrialStats, Value,
 };
 
 /// One experiment's result: printed as aligned text, written as CSV.
@@ -43,6 +53,8 @@ struct Table {
     rows: Vec<Vec<String>>,
     /// How to read the table; printed under it, empty for none.
     note: &'static str,
+    /// The table's section of `BENCH_phases.json`, if it has one.
+    phases: Option<(&'static str, Json)>,
 }
 
 impl Table {
@@ -54,6 +66,7 @@ impl Table {
             columns: header.split(',').collect(),
             rows: Vec::new(),
             note: "",
+            phases: None,
         }
     }
 
@@ -106,6 +119,43 @@ impl Table {
         }
         out
     }
+}
+
+/// One row of a `BENCH_phases.json` distribution section: a
+/// configuration's trial count, and the summary and histogram (value →
+/// trial count) of its decided trials' samples.
+fn distribution_json(
+    n: usize,
+    k: usize,
+    trials: usize,
+    summary: &Summary,
+    histogram: &BTreeMap<u64, usize>,
+) -> Json {
+    Json::Obj(vec![
+        ("n".into(), Json::num(n as u64)),
+        ("k".into(), Json::num(k as u64)),
+        ("trials".into(), Json::num(trials as u64)),
+        ("decided".into(), Json::num(summary.count as u64)),
+        ("summary".into(), summary_json(summary)),
+        (
+            "histogram".into(),
+            Json::Obj(
+                histogram
+                    .iter()
+                    .map(|(value, &count)| (value.to_string(), Json::num(count as u64)))
+                    .collect(),
+            ),
+        ),
+    ])
+}
+
+fn summary_json(summary: &Summary) -> Json {
+    Json::Obj(vec![
+        ("mean".into(), Json::Num(summary.mean)),
+        ("p50".into(), Json::Num(summary.p50)),
+        ("p95".into(), Json::Num(summary.p95)),
+        ("max".into(), Json::Num(summary.max)),
+    ])
 }
 
 /// `part` of `whole` as a whole-number percentage (rounded down).
@@ -212,6 +262,7 @@ fn e3() -> Table {
             .into(),
         "n,exact_chain,eq13_bound,simulated,under_7",
     );
+    let mut phases = Vec::new();
     for n in [12usize, 18, 24, 30] {
         let chain = FailStopChain::paper(n);
         let bound = collapsed::headline_bound(n);
@@ -229,7 +280,15 @@ fn e3() -> Table {
             format!("{:.3}", s.phases.mean),
             (if s.phases.mean < 7.0 { "yes" } else { "NO" }).to_string(),
         ]);
+        phases.push(distribution_json(
+            n,
+            config.k(),
+            s.trials,
+            &s.phases,
+            &s.phase_histogram,
+        ));
     }
+    t.phases = Some(("e3_simple_phases", Json::Arr(phases)));
     t
 }
 
@@ -241,6 +300,7 @@ fn e4() -> Table {
         "E4: §4.2 malicious expected phases vs balancing adversary (150 simulated trials)".into(),
         "n,k,l,exact_chain,paper_bound,simulated",
     );
+    let mut phases = Vec::new();
     for &(n, k) in &[(16usize, 1usize), (25, 2), (36, 3), (49, 3)] {
         let chain = MaliciousChain::new(n, k);
         let l = chain.l_parameter();
@@ -256,8 +316,16 @@ fn e4() -> Table {
             format!("{:.3}", MaliciousChain::paper_bound(l)),
             format!("{:.3}", s.phases.mean),
         ]);
+        phases.push(distribution_json(
+            n,
+            k,
+            s.trials,
+            &s.phases,
+            &s.phase_histogram,
+        ));
     }
     t.note = "k = o(√n) ⇒ l → 0 ⇒ bound → 1: constant expected phases.";
+    t.phases = Some(("e4_malicious_phases", Json::Arr(phases)));
     t
 }
 
@@ -446,6 +514,7 @@ fn e8() -> Table {
         "n,k,k_below_n_5,mean_lag,max_lag,lag_le_1_pct",
     );
     let mut rng = SimRng::seed(0xE8);
+    let mut lag_section = Vec::new();
     for &(n, k) in &[(11usize, 2usize), (16, 3), (13, 4)] {
         let config = Config::malicious(n, k).expect("within bound");
         let inputs = alternating_inputs(n);
@@ -460,6 +529,11 @@ fn e8() -> Table {
                 Some(phases.iter().max().unwrap() - phases.iter().min().unwrap())
             })
             .collect();
+        let mut histogram = BTreeMap::new();
+        for &lag in &lags {
+            *histogram.entry(lag).or_insert(0) += 1;
+        }
+        let lag = Summary::of(lags.iter().map(|&l| l as f64).collect());
         let small_k = 5 * k < n;
         let within = lags.iter().filter(|&&l| l <= 1).count() * 100 / lags.len();
         if small_k {
@@ -469,11 +543,13 @@ fn e8() -> Table {
             n.to_string(),
             k.to_string(),
             (if small_k { "yes" } else { "no" }).to_string(),
-            format!("{:.2}", lags.iter().sum::<u64>() as f64 / lags.len() as f64),
-            lags.iter().max().unwrap().to_string(),
+            format!("{:.2}", lag.mean),
+            lag.max.to_string(),
             within.to_string(),
         ]);
+        lag_section.push(distribution_json(n, k, 60, &lag, &histogram));
     }
+    t.phases = Some(("e8_decision_lag", Json::Arr(lag_section)));
     t
 }
 
@@ -712,24 +788,247 @@ fn e12() -> Table {
     t
 }
 
+/// The large-n sweep's sizes, trials per point before
+/// [`POINT_STEP_BUDGET`] trims them, and base seed.
+const SWEEP_N: [usize; 8] = [32, 64, 128, 256, 512, 1024, 2048, 4096];
+const SWEEP_TRIALS: usize = 25;
+const SWEEP_SEED: u64 = 0x5EE9;
+/// The largest malicious sweep size: Figure 2 costs `O(n³)` deliveries
+/// per run, so larger points cost minutes each.
+const SWEEP_MALICIOUS_CAP: usize = 256;
+/// Per-point step budget: trials are trimmed (never below 3) so one point
+/// costs at most about this many deliveries.
+const POINT_STEP_BUDGET: u64 = 60_000_000;
+
+/// One large-n sweep point's `BENCH_phases.json` row: `k = l·√n/2`
+/// (`l² = 1.5`) from split inputs, Figure 2 against `k` balancing
+/// attackers or the §4.1 simple variant with `k` as its quota slack, its
+/// trials fanned across workers. Every field but `wall_ms` and
+/// `ns_per_delivery` is a seeded count, the same on any machine.
+fn sweep_point(malicious: bool, n: usize) -> Json {
+    let k = sweep_k(n);
+    let inputs = split_inputs(n, n / 2);
+    // Trials affordable under the budget at ≈ 3n³ (Figure 2) or 3n²
+    // (simple) deliveries per trial.
+    let per_trial = 3 * (n as u64).pow(if malicious { 3 } else { 2 });
+    let trials = ((POINT_STEP_BUDGET / per_trial) as usize).clamp(3, SWEEP_TRIALS);
+    let start = Instant::now();
+    let (protocol, step_limit, s) = if malicious {
+        let config = Config::malicious(n, k).expect("sweep_k stays within (n-1)/3");
+        let limit = malicious_sweep_limit(n);
+        let s = run_trials(trials, SWEEP_SEED ^ (n as u64), |seed| {
+            malicious_system_capped(config, &inputs, k, seed, limit)
+        });
+        ("malicious", limit, s)
+    } else {
+        let config = Config::unchecked(n, k);
+        let limit = simple_sweep_limit(n);
+        let s = run_trials(trials, SWEEP_SEED ^ (n as u64).rotate_left(32), |seed| {
+            simple_system_capped(config, &inputs, 0, seed, limit)
+        });
+        ("simple", limit, s)
+    };
+    let wall_ns = start.elapsed().as_nanos() as f64;
+    let l = collapsed::paper_l();
+    let bound = collapsed::eq13_bound(n, l);
+    Json::Obj(vec![
+        ("protocol".into(), Json::str(protocol)),
+        ("n".into(), Json::num(n as u64)),
+        ("k".into(), Json::num(k as u64)),
+        ("n_minus_k".into(), Json::num((n - k) as u64)),
+        ("l".into(), Json::Num(l)),
+        ("trials".into(), Json::num(s.trials as u64)),
+        ("decided".into(), Json::num(s.decided as u64)),
+        ("timeouts".into(), Json::num(s.timeouts as u64)),
+        ("deadlocks".into(), Json::num(s.deadlocks as u64)),
+        ("disagreements".into(), Json::num(s.disagreements as u64)),
+        ("step_limit".into(), Json::num(step_limit)),
+        ("steps_total".into(), Json::num(s.total_steps)),
+        ("messages_mean".into(), Json::Num(s.messages.mean)),
+        ("wall_ms".into(), Json::Num(wall_ns / 1e6)),
+        (
+            "ns_per_delivery".into(),
+            Json::Num(wall_ns / s.total_steps.max(1) as f64),
+        ),
+        ("phases".into(), summary_json(&s.phases)),
+        ("eq13_bound".into(), Json::Num(bound)),
+        (
+            "mean_within_bound".into(),
+            Json::Bool(s.phases.mean <= bound),
+        ),
+    ])
+}
+
+/// §4's O(1) expected phases as a trajectory in `n`: Figure 2 up to
+/// [`SWEEP_MALICIOUS_CAP`], the simple variant over the whole sweep. The
+/// table's rows are the JSON rows, `phases_*` read from `phases`.
+fn sweep() -> Table {
+    let mut t = Table::new(
+        "large_n_sweep",
+        "Large-n sweep: phases to decide vs n, k = l·√n/2, split inputs".into(),
+        "protocol,n,k,n_minus_k,trials,decided,timeouts,deadlocks,disagreements,steps_total,\
+         messages_mean,phases_mean,phases_p50,phases_p95,phases_max,eq13_bound,wall_ms,\
+         ns_per_delivery",
+    );
+    let malicious: Vec<Json> = SWEEP_N
+        .iter()
+        .filter(|&&n| n <= SWEEP_MALICIOUS_CAP)
+        .map(|&n| sweep_point(true, n))
+        .collect();
+    let simple: Vec<Json> = SWEEP_N.iter().map(|&n| sweep_point(false, n)).collect();
+    let cell = |value: &Json| match value {
+        Json::Str(s) => s.clone(),
+        Json::Num(x) if x.fract() != 0.0 => format!("{x:.2}"),
+        other => other.render(),
+    };
+    for row in malicious.iter().chain(&simple) {
+        let field = |column: &str| match column.strip_prefix("phases_") {
+            Some(stat) => row.get("phases").and_then(|p| p.get(stat)),
+            None => row.get(column),
+        };
+        assert_eq!(
+            field("disagreements").and_then(Json::as_u64),
+            Some(0),
+            "agreement violated: {}",
+            row.render()
+        );
+        t.row(t.columns.iter().map(|c| cell(field(c).unwrap())).collect());
+    }
+    t.phases = Some((
+        "large_n_sweep",
+        Json::Obj(vec![
+            ("l".into(), Json::Num(collapsed::paper_l())),
+            ("malicious".into(), Json::Arr(malicious)),
+            ("simple".into(), Json::Arr(simple)),
+        ]),
+    ));
+    t.note = "wall_ms and ns_per_delivery are this machine's clock; every other column is \
+              seeded. Simple rows read 1 phase where n−k is even: ties break to 0.";
+    t
+}
+
+/// The delivery-engine regression gate: the first million deliveries of
+/// one seeded Figure 2 trial at n = 1024 (a full run is ≈ 2.8·10⁹) must
+/// stay safe, do exactly the work they always did, and finish in 8 s.
+fn slice() -> Table {
+    const N: usize = 1024;
+    const SEED: u64 = 42;
+    const STEP_CAP: u64 = 1_000_000;
+    const MAX_SECONDS: u64 = 8;
+    let mut t = Table::new(
+        "large_n_slice",
+        format!("Large-n slice: first {STEP_CAP} deliveries of one Figure 2 trial at n = {N}"),
+        "n,k,seed,steps,messages_sent,status,wall_ms,ns_per_delivery",
+    );
+    let k = sweep_k(N);
+    let config = Config::malicious(N, k).expect("k = l·√n/2 is within (n-1)/3");
+    let start = Instant::now();
+    let r = malicious_system_capped(config, &split_inputs(N, N / 2), k, SEED, STEP_CAP).run();
+    let elapsed = start.elapsed();
+    assert!(r.agreement(), "agreement violated");
+    assert!(
+        r.status != RunStatus::Quiescent || r.all_correct_decided(),
+        "deadlocked before the step cap"
+    );
+    assert_eq!(
+        (r.steps, r.metrics.messages_sent),
+        (STEP_CAP, 46_018_560),
+        "the seeded slice no longer delivers the cap and sends 46 018 560 messages"
+    );
+    let ns_per_delivery = elapsed.as_nanos() as f64 / r.steps as f64;
+    assert!(
+        elapsed.as_secs() <= MAX_SECONDS,
+        "{} deliveries took {elapsed:.1?} (budget {MAX_SECONDS} s, {ns_per_delivery:.0} ns/delivery)",
+        r.steps
+    );
+    t.row(vec![
+        N.to_string(),
+        k.to_string(),
+        SEED.to_string(),
+        r.steps.to_string(),
+        r.metrics.messages_sent.to_string(),
+        format!("{:?}", r.status),
+        format!("{:.0}", elapsed.as_secs_f64() * 1e3),
+        format!("{ns_per_delivery:.0}"),
+    ]);
+    t
+}
+
 fn main() {
     let dir = std::env::args()
         .nth(1)
         .map_or_else(|| PathBuf::from("results"), PathBuf::from);
     std::fs::create_dir_all(&dir).expect("creating output directory");
-    let experiments: [fn() -> Table; 15] = [
-        e1, e2, e3, e4, e5, e6a, e6b, e6c, e7, e8, e9, e10, e11, e11_fig2, e12,
+    let experiments: [fn() -> Table; 17] = [
+        e1, e2, e3, e4, e5, e6a, e6b, e6c, e7, e8, e9, e10, e11, e11_fig2, e12, sweep, slice,
     ];
+    let params = Json::Obj(vec![
+        (
+            "sweep_n".into(),
+            Json::Arr(SWEEP_N.iter().map(|&n| Json::num(n as u64)).collect()),
+        ),
+        ("trials".into(), Json::num(SWEEP_TRIALS as u64)),
+        ("seed".into(), Json::num(SWEEP_SEED)),
+        (
+            "malicious_cap".into(),
+            Json::num(SWEEP_MALICIOUS_CAP as u64),
+        ),
+    ]);
+    let mut phases = vec![("params".to_string(), params)];
     for run in experiments {
         let table = run();
         table.print();
         let path = dir.join(format!("{}.csv", table.name));
         std::fs::write(&path, table.csv())
             .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+        phases.extend(table.phases.map(|(key, json)| (key.to_string(), json)));
     }
+    let path = dir.join("BENCH_phases.json");
+    std::fs::write(&path, Json::Obj(phases).render() + "\n")
+        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     println!(
-        "\nwrote {} CSV tables to {}",
+        "\nwrote {} CSV tables and BENCH_phases.json to {}",
         experiments.len(),
         dir.display()
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The sweep's n = 32 points reproduce the committed
+    /// `BENCH_phases.json` rows in every field but the two clock readings.
+    #[test]
+    fn sweep_n32_rows_match_the_committed_artifact() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_phases.json");
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+        let committed = Json::parse(&text).expect("BENCH_phases.json parses");
+        let seeded = |row: &Json| match row {
+            Json::Obj(fields) => fields
+                .iter()
+                .filter(|(key, _)| key != "wall_ms" && key != "ns_per_delivery")
+                .cloned()
+                .collect::<Vec<_>>(),
+            other => panic!("a sweep row is an object, not {other:?}"),
+        };
+        for (malicious, protocol) in [(true, "malicious"), (false, "simple")] {
+            let Some(Json::Arr(rows)) = committed
+                .get("large_n_sweep")
+                .and_then(|sweep| sweep.get(protocol))
+            else {
+                panic!("no large_n_sweep.{protocol} array");
+            };
+            let row = rows
+                .iter()
+                .find(|row| row.get("n").and_then(Json::as_u64) == Some(32))
+                .expect("a committed n = 32 row");
+            assert_eq!(
+                seeded(&sweep_point(malicious, 32)),
+                seeded(row),
+                "{protocol}"
+            );
+        }
+    }
 }

@@ -1,10 +1,9 @@
 //! # bench — shared helpers for the experiment harness
 //!
 //! The `experiments` binary of this crate computes every table of
-//! `EXPERIMENTS.md` (E1–E12); `phases` and `large_n_smoke` run the
-//! large-n sweep and its perf gate. This library holds the
-//! system-assembly helpers they share, so each experiment reads like the
-//! claim it checks.
+//! `EXPERIMENTS.md` (E1–E12, the large-n sweep and the n = 1024 slice)
+//! and `BENCH_phases.json`. This library holds its system-assembly
+//! helpers, so each experiment reads like the claim it checks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -189,12 +189,6 @@ pub struct RecoveryOptions {
     pub snapshot_every: u64,
 }
 
-impl Default for RecoveryOptions {
-    fn default() -> Self {
-        RecoveryOptions::in_dir(std::env::temp_dir().join("btwal"))
-    }
-}
-
 impl RecoveryOptions {
     /// A policy journaling into `wal_dir`, replaying from genesis.
     #[must_use]

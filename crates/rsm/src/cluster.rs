@@ -38,8 +38,6 @@ pub struct RsmClusterOptions {
     pub n: usize,
     /// Base seed; node `i` runs with `seed + i`.
     pub seed: u64,
-    /// Replica pipelining/batching knobs.
-    pub replica: RsmOptions,
     /// Directory holding one `rsm<i>.wal` per node. Created if absent.
     pub wal_dir: PathBuf,
     /// WAL checkpoint cadence (deliveries between snapshots; 0 replays
@@ -55,7 +53,6 @@ impl RsmClusterOptions {
         RsmClusterOptions {
             n,
             seed: 0xb70a_d001,
-            replica: RsmOptions::default(),
             wal_dir,
             snapshot_every: 4096,
         }
@@ -100,7 +97,6 @@ impl RsmCluster {
         let views: Vec<LogView> = (0..n).map(|_| LogView::new()).collect();
 
         let node_views = views.clone();
-        let replica = opts.replica;
         let make = move |i: usize, registry: &Arc<Registry>| {
             let (me, view) = (ProcessId::new(i), &node_views[i]);
             // The replica rebuilds the applied state deterministically
@@ -109,7 +105,7 @@ impl RsmCluster {
             // re-applies from slot 0 — which must land on an empty fold,
             // not on the pre-kill state still held by the retained view.
             view.update(|a| *a = AppliedState::default());
-            let replica = Replica::new(config, me, replica)
+            let replica = Replica::new(config, me, RsmOptions::default())
                 .with_view(view.clone())
                 .with_metrics(registry);
             let client = ClientPort {

@@ -9,6 +9,7 @@
 //! any individual failure can be replayed from its reported seed.
 
 use core::fmt;
+use std::collections::BTreeMap;
 
 use crate::{RunReport, RunStatus, Sim, SimRng, Value};
 
@@ -29,6 +30,8 @@ pub struct TrialStats {
     pub timeouts: usize,
     /// Per-decided-trial phases to decision (max over correct processes).
     pub phases: Summary,
+    /// The same samples as [`TrialStats::phases`], as phases → trial count.
+    pub phase_histogram: BTreeMap<u64, usize>,
     /// Per-decided-trial steps to decision.
     pub steps: Summary,
     /// Per-trial messages sent.
@@ -243,6 +246,7 @@ fn aggregate(reports: &[(u64, RunReport)]) -> TrialStats {
     let mut timeouts = 0;
     let mut ones_decided = 0;
     let mut phases = Vec::new();
+    let mut phase_histogram = BTreeMap::new();
     let mut steps = Vec::new();
     let mut messages = Vec::new();
     let mut violation_seeds = Vec::new();
@@ -262,6 +266,7 @@ fn aggregate(reports: &[(u64, RunReport)]) -> TrialStats {
             }
             if let Some(p) = r.phases_to_decision() {
                 phases.push(p as f64);
+                *phase_histogram.entry(p).or_insert(0) += 1;
             }
             if let Some(s) = r.steps_to_decision() {
                 steps.push(s as f64);
@@ -285,6 +290,7 @@ fn aggregate(reports: &[(u64, RunReport)]) -> TrialStats {
         deadlocks,
         timeouts,
         phases: Summary::of(phases),
+        phase_histogram,
         steps: Summary::of(steps),
         messages: Summary::of(messages),
         total_steps,
@@ -442,5 +448,6 @@ mod tests {
         assert!(stats.all_safe());
         assert!(stats.violation_seeds.is_empty());
         assert_eq!(stats.phases.mean, 1.0);
+        assert_eq!(stats.phase_histogram, BTreeMap::from([(1, 10)]));
     }
 }
