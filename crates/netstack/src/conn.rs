@@ -10,10 +10,13 @@
 //! replays the peer's whole queue in order after every reconnect, and
 //! reads the acks and probe answers coming back; [`InConn`] frames an
 //! accepted connection's bytes — a peer's frames, or a client's requests
-//! one at a time — and writes the replies. A link holds no
-//! protocol state — drop one mid-run and nothing is lost but a
-//! connection — so nothing that must survive a crash belongs in this
-//! file.
+//! one at a time — and writes the replies. A link also applies the
+//! node's injected link faults ([`crate::fault`]): it draws each frame's
+//! release when the frame first reaches it and holds the frame — and,
+//! FIFO, everything behind it — until then; that changes when a frame
+//! leaves, never its bytes or its seq. A link holds no protocol state —
+//! drop one mid-run and nothing is lost but a connection — so nothing
+//! that must survive a crash belongs in this file.
 //!
 //! Nothing here owns a thread. The driver is the **single writer** for
 //! every socket, so no lock is ever taken on a connection, and a frame's
@@ -39,6 +42,7 @@ use obs::metrics::{Counter, Gauge, Histogram, Registry};
 use simnet::ProcessId;
 
 use crate::core::SendQueue;
+use crate::fault::FaultInjector;
 use crate::frame::{complete_body, drain_frames, encode_chunk, Frame};
 use crate::node::Answer;
 
@@ -329,10 +333,49 @@ pub(crate) struct Link {
     /// xorshift64 state for redial jitter, seeded per-link so links
     /// that fail together do not redial in lockstep.
     jitter: u64,
+    /// The frames this link holds back under the node's
+    /// [`FaultPlan`](crate::FaultPlan); `None` when the plan never holds
+    /// one here, so a reliable link does no per-frame work.
+    holds: Option<Holds>,
+}
+
+/// A faulty link's release bookkeeping. Each frame's release is drawn
+/// once, when the frame first reaches the link; a held frame holds every
+/// frame behind it (FIFO), and once released it is never held again.
+#[derive(Debug)]
+struct Holds {
+    injector: FaultInjector,
+    /// The lowest queue seq whose release is not drawn yet.
+    next_draw: u64,
+    /// `(seq, release)` of the drawn frames not yet released, oldest
+    /// first.
+    held: VecDeque<(u64, Instant)>,
+}
+
+impl Holds {
+    /// Draws a release for every frame that reached `queue` since the
+    /// last call, releases what is due at `now`, and returns the seq of
+    /// the first frame still held: it and everything behind it wait.
+    fn gate(&mut self, queue: &SendQueue, now: Instant) -> Option<u64> {
+        for f in queue.frames_from(self.next_draw) {
+            self.held.push_back((f.seq, self.injector.release(now)));
+            self.next_draw = f.seq + 1;
+        }
+        while self.held.front().is_some_and(|&(_, at)| at <= now) {
+            self.held.pop_front();
+        }
+        self.held.front().map(|&(seq, _)| seq)
+    }
 }
 
 impl Link {
-    pub fn new(me: ProcessId, peer_addr: SocketAddr, stats: LinkStats, now: Instant) -> Link {
+    pub fn new(
+        me: ProcessId,
+        peer_addr: SocketAddr,
+        stats: LinkStats,
+        injector: Option<FaultInjector>,
+        now: Instant,
+    ) -> Link {
         Link {
             peer_addr,
             stats,
@@ -343,6 +386,11 @@ impl Link {
             backoff: BACKOFF_INITIAL,
             next_dial: now,
             jitter: 0x6a69_7474_6572u64 ^ ((me.index() as u64) << 20) ^ u64::from(peer_addr.port()),
+            holds: injector.map(|injector| Holds {
+                injector,
+                next_draw: 0,
+                held: VecDeque::new(),
+            }),
         }
     }
 
@@ -402,8 +450,9 @@ impl Link {
 
     /// Moves every transmittable frame of `queue` onto the connection's
     /// write queue and flushes with vectored writes. Transmittable means
-    /// past the connection's written watermark and released by the fault
-    /// injector's delay — a delayed frame holds later frames back (FIFO).
+    /// past the connection's written watermark and released by the link's
+    /// injected faults — a held frame holds later frames back (FIFO).
+    /// Frames new on the queue draw their release here, connected or not.
     ///
     /// # Errors
     ///
@@ -415,6 +464,7 @@ impl Link {
         now: Instant,
         stats: &LoopStats,
     ) -> io::Result<()> {
+        let held = self.holds.as_mut().and_then(|h| h.gate(queue, now));
         let Some(conn) = &mut self.conn else {
             return Ok(());
         };
@@ -425,11 +475,8 @@ impl Link {
         // against protocol frames is meaningless, and a state-transfer
         // probe should not wait behind a delayed frame.
         conn.wq.extend(queue.take_control());
-        for f in queue.frames() {
-            if conn.written.is_some_and(|w| f.seq <= w) {
-                continue;
-            }
-            if f.not_before > now {
+        for f in queue.frames_from(conn.written.map_or(0, |w| w + 1)) {
+            if held.is_some_and(|seq| f.seq >= seq) {
                 break;
             }
             conn.wq.push_back(Arc::clone(&f.chunk));
@@ -501,8 +548,8 @@ impl Link {
     }
 
     /// The earliest instant this link needs attention without any
-    /// readiness event: its redial time, or the release of a delayed
-    /// frame at the transmit head. `None` when only readiness matters.
+    /// readiness event: its redial time, or the release of a held frame
+    /// at the transmit head. `None` when only readiness matters.
     pub fn next_deadline(&self, queue: &SendQueue, now: Instant) -> Option<Instant> {
         let Some(conn) = &self.conn else {
             return queue.wants_transport().then_some(self.next_dial);
@@ -510,11 +557,14 @@ impl Link {
         if conn.connecting {
             return None;
         }
-        // An undelayed untransmitted frame means pump() should run now;
-        // report it as an immediate deadline.
-        (queue.frames())
-            .find(|f| conn.written.is_none_or(|w| f.seq > w))
-            .map(|f| f.not_before.max(now))
+        // An untransmitted frame nothing holds back means pump() should
+        // run now; report it as an immediate deadline.
+        let first = queue
+            .frames_from(conn.written.map_or(0, |w| w + 1))
+            .next()?;
+        let head = self.holds.as_ref().and_then(|h| h.held.front());
+        let release = head.filter(|&&(seq, _)| seq <= first.seq);
+        Some(release.map_or(now, |&(_, at)| at.max(now)))
     }
 }
 
@@ -709,19 +759,30 @@ impl InConn {
 mod tests {
     use std::net::TcpListener;
 
+    use crate::fault::FaultPlan;
     use crate::frame::read_frame;
 
     use super::*;
+
+    /// The seed every test link's fault stream derives from.
+    const SEED: u64 = 7;
 
     fn test_stats() -> LoopStats {
         LoopStats::new(&Registry::new(), ProcessId::new(0))
     }
 
-    /// The socket half and the core-owned half of one `p0 → p1` path.
-    fn link_to(addr: SocketAddr) -> (Link, SendQueue) {
+    /// The `p0 → p1` link's share of `plan`, booted at `epoch`.
+    fn injector(plan: &FaultPlan, epoch: Instant) -> Option<FaultInjector> {
+        FaultInjector::for_link(plan, SEED, ProcessId::new(0), ProcessId::new(1), epoch)
+    }
+
+    /// The socket half and the core-owned half of one `p0 → p1` path
+    /// under `plan`, booted now.
+    fn link_to(addr: SocketAddr, plan: &FaultPlan) -> (Link, SendQueue) {
         let me = ProcessId::new(0);
         let stats = LinkStats::new(&Registry::new(), me, 1);
-        let link = Link::new(me, addr, stats.clone(), Instant::now());
+        let now = Instant::now();
+        let link = Link::new(me, addr, stats.clone(), injector(plan, now), now);
         (link, SendQueue::new(stats))
     }
 
@@ -779,9 +840,9 @@ mod tests {
         };
         let addr = listener.local_addr().unwrap();
         let stats = test_stats();
-        let (mut link, mut queue) = link_to(addr);
+        let (mut link, mut queue) = link_to(addr, &FaultPlan::reliable());
         for seq in 0..2 {
-            queue.push(seq, vec![seq as u8], Instant::now());
+            queue.push(seq, vec![seq as u8]);
         }
 
         // First connection: hello + both frames arrive in one writev.
@@ -830,9 +891,9 @@ mod tests {
         };
         let addr = listener.local_addr().unwrap();
         let stats = test_stats();
-        let (mut link, mut queue) = link_to(addr);
+        let (mut link, mut queue) = link_to(addr, &FaultPlan::reliable());
         for seq in 0..3 {
-            queue.push(seq, vec![seq as u8], Instant::now());
+            queue.push(seq, vec![seq as u8]);
         }
         link.adopt(TcpStream::connect(addr).unwrap(), 1, false);
         link.pump(&mut queue, Instant::now(), &stats).unwrap();
@@ -871,10 +932,12 @@ mod tests {
         };
         let addr = listener.local_addr().unwrap();
         let stats = test_stats();
-        let (mut link, mut queue) = link_to(addr);
+        let minute = Duration::from_secs(60);
+        let (mut link, mut queue) =
+            link_to(addr, &FaultPlan::reliable().with_delay(minute, minute));
         let now = Instant::now();
         // A far-future delayed head gates the whole backlog...
-        queue.push(0, vec![0], now + Duration::from_secs(60));
+        queue.push(0, vec![0]);
         let probe = Frame::StateRequest {
             from: ProcessId::new(0),
         };
@@ -931,33 +994,61 @@ mod tests {
         };
         let addr = listener.local_addr().unwrap();
         let stats = test_stats();
-        let (mut link, mut queue) = link_to(addr);
-        let now = Instant::now();
-        let release = now + Duration::from_millis(50);
-        queue.push(0, vec![0], release);
-        queue.push(1, vec![1], now);
+
+        // Under a reliable plan nothing is held: an untransmitted frame is
+        // due now, and leaves at the next pump.
+        let (mut link, mut queue) = link_to(addr, &FaultPlan::reliable());
+        queue.push(0, vec![0]);
         link.adopt(TcpStream::connect(addr).unwrap(), 1, false);
         let (_conn, _) = listener.accept().unwrap();
+        let now = Instant::now();
+        assert_eq!(link.next_deadline(&queue, now), Some(now), "due at once");
+        link.pump(&mut queue, now, &stats).unwrap();
+        assert_eq!(link.stats.frames_sent.get(), 1);
+        assert_eq!(
+            link.next_deadline(&queue, now),
+            None,
+            "nothing left to send"
+        );
 
-        // Before the release instant nothing but the hello may leave —
-        // frame 1 is undelayed but FIFO holds it behind frame 0.
+        // Under a delay, each frame draws its release when it first
+        // reaches the link — the draws a twin of the link's injector
+        // predicts — and a frame leaves only once it and every frame
+        // before it are released.
+        let plan = FaultPlan::reliable().with_delay(Duration::ZERO, Duration::from_millis(50));
+        let (mut link, mut queue) = link_to(addr, &plan);
+        let now = Instant::now();
+        let mut twin = injector(&plan, now).unwrap();
+        let releases: Vec<Instant> = (0..8).map(|_| twin.release(now)).collect();
+        assert!(
+            releases.windows(2).any(|w| w[1] < w[0]),
+            "some frame is released before the one ahead of it"
+        );
+        for seq in 0..8 {
+            queue.push(seq, vec![seq as u8]);
+        }
+        link.adopt(TcpStream::connect(addr).unwrap(), 1, false);
+        let (_conn, _) = listener.accept().unwrap();
         link.pump(&mut queue, now, &stats).unwrap();
         assert_eq!(
             link.stats.frames_sent.get(),
             0,
             "delayed head gates the link"
         );
-        assert_eq!(
-            link.next_deadline(&queue, now),
-            Some(release),
-            "timer is the release"
-        );
-
-        link.pump(&mut queue, release, &stats).unwrap();
-        assert_eq!(
-            link.stats.frames_sent.get(),
-            2,
-            "both frames leave at release"
-        );
+        let mut times = releases.clone();
+        times.sort();
+        for at in times {
+            link.pump(&mut queue, at, &stats).unwrap();
+            // FIFO: the frames sent are the longest prefix released by now.
+            let first_held = releases.iter().position(|&r| r > at);
+            let sent = first_held.unwrap_or(releases.len()) as u64;
+            assert_eq!(link.stats.frames_sent.get(), sent, "at {at:?}");
+            assert_eq!(
+                link.next_deadline(&queue, at),
+                first_held.map(|i| releases[i]),
+                "timer is the held head's release"
+            );
+        }
+        assert_eq!(link.stats.frames_sent.get(), 8, "every frame left");
     }
 }

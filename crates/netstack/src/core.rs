@@ -4,15 +4,20 @@
 //! [`NodeCore`] owns the [`Process`], its seeded RNG, the write-ahead log,
 //! the receiver sequence tables, the equivocation evidence, the amnesia /
 //! adoption state and the per-peer [`SendQueue`]s. It owns no socket, no
-//! poller and no thread, and it never reads the clock: every entry point
-//! that needs the time is handed `now`. (Latency histograms time
-//! themselves — [`obs::metrics::Histogram::time_us`] — so telemetry never
-//! feeds a decision.) WAL I/O goes through [`crate::storage::Storage`],
-//! so a test swaps memory for disk and runs the same code.
+//! poller, no thread and no fault injector, and it never reads the clock:
+//! the protocol path — admit, journal, step, seal — reads no time at all,
+//! and only [`NodeCore::tick`], for the amnesiac's probe timer, is handed
+//! `now`. (Latency histograms time themselves —
+//! [`obs::metrics::Histogram::time_us`] — so telemetry never feeds a
+//! decision.) Injected link delays are the link's business
+//! ([`crate::conn`]): they change when a sealed frame leaves, never its
+//! bytes or its sequence number. WAL I/O goes through
+//! [`crate::storage::Storage`], so a test swaps memory for disk and runs
+//! the same code.
 //!
 //! ```text
 //! inputs                                   outputs
-//!   boot(config, process, wal, now)          the frames on_start causes, sealed on the SendQueues
+//!   boot(config, process, wal)               the frames on_start causes, sealed on the SendQueues
 //!   on_frame(peer, Msg)                      (admitted: seq-checked, decoded, validated — not yet stepped)
 //!   submit(payload)                          (admitted the same way, as this node's own next frame)
 //!   on_frame(peer, StateRequest)          ─▶ the StateChunk to answer with
@@ -47,8 +52,7 @@
 //!   gone).
 //! * **One payload per `(sender, seq)`.** A run is a deterministic
 //!   function of the configuration and the delivery sequence (coins
-//!   included — the RNG is seeded and checkpointed, and so is the fault
-//!   injector, whose drops gate what is staged), and where the ticks
+//!   included — the RNG is seeded and checkpointed), and where the ticks
 //!   ended is in the log too ([`WalRecord::Seal`]), so replaying the log
 //!   re-seals at the same points and re-derives byte-identical frames
 //!   under the same sequence numbers. Acks are *durability-gated* — with
@@ -73,7 +77,6 @@ use simnet::{
 };
 
 use crate::conn::LinkStats;
-use crate::fault::{FaultInjector, LinkAction};
 use crate::frame::{encode_chunk, Frame};
 use crate::node::{fnv1a64, lock_status, NetCounters, NodeConfig, NodeMetrics, NodeStatus};
 use crate::wal::{
@@ -125,9 +128,6 @@ fn decode_all<M: Wire>(payload: &[u8], n: usize) -> Option<Vec<M>> {
 pub(crate) struct QueuedFrame {
     /// Per-link sequence number (assigned by the core at sealing time).
     pub seq: u64,
-    /// Earliest instant the frame may leave (fault injection). Later
-    /// frames to the same peer wait behind it, like a slow link.
-    pub not_before: Instant,
     /// The full wire chunk: length prefix + encoded [`Frame::Msg`],
     /// shared with whatever write queue is transmitting it.
     pub chunk: Arc<Vec<u8>>,
@@ -178,13 +178,12 @@ impl SendQueue {
     /// Queues one sealed frame under `seq` — the core's job, at sealing
     /// time (and when a checkpoint's backlog is re-offered); nothing else
     /// assigns sequence numbers.
-    pub fn push(&mut self, seq: u64, payload: Vec<u8>, not_before: Instant) {
+    pub fn push(&mut self, seq: u64, payload: Vec<u8>) {
         let payload_len = payload.len();
         let chunk = Arc::new(encode_chunk(&Frame::Msg { seq, payload }));
         self.unacked_bytes += payload_len as u64;
         self.frames.push_back(QueuedFrame {
             seq,
-            not_before,
             chunk,
             payload_len,
         });
@@ -211,6 +210,12 @@ impl SendQueue {
         self.frames.iter()
     }
 
+    /// The unacked frames from sequence number `seq` on, oldest first.
+    pub fn frames_from(&self, seq: u64) -> impl Iterator<Item = &QueuedFrame> {
+        let at = self.frames.partition_point(|f| f.seq < seq);
+        self.frames.range(at..)
+    }
+
     /// Sets the pending probe, replacing one no transport took yet — so a
     /// dead link never accumulates duplicates.
     pub fn set_control(&mut self, chunk: Arc<Vec<u8>>) {
@@ -228,37 +233,24 @@ impl SendQueue {
     }
 }
 
-/// One frame in the making: what the current tick's steps have sent one
-/// peer so far. It has no sequence number and is on no queue — nothing
-/// can transmit it — until the tick is sealed.
-#[derive(Debug)]
-struct StagedFrame {
-    /// The messages, encoded back to back.
-    payload: Vec<u8>,
-    /// The latest release instant among them (fault-injected delays).
-    not_before: Instant,
-}
-
-/// Adds one message to a peer's stage: onto the open (last) frame, or
-/// onto a new one if that would take the open frame over
-/// [`FRAME_BUDGET`].
-fn stage<M: Wire>(frames: &mut Vec<StagedFrame>, msg: &M, not_before: Instant) {
+/// Adds one message to a peer's stage — the payloads of the frames the
+/// current tick has sent it so far, which have no sequence number and
+/// are on no queue (nothing can transmit them) until the tick is sealed:
+/// onto the open (last) frame, or onto a new one if that would take the
+/// open frame over [`FRAME_BUDGET`].
+fn stage<M: Wire>(frames: &mut Vec<Vec<u8>>, msg: &M) {
     let payload = match frames.last_mut() {
         Some(open) => {
-            let at = open.payload.len();
-            msg.encode(&mut open.payload);
-            if open.payload.len() <= FRAME_BUDGET {
-                open.not_before = open.not_before.max(not_before);
+            let at = open.len();
+            msg.encode(open);
+            if open.len() <= FRAME_BUDGET {
                 return;
             }
-            open.payload.split_off(at)
+            open.split_off(at)
         }
         None => msg.to_bytes(),
     };
-    frames.push(StagedFrame {
-        payload,
-        not_before,
-    });
+    frames.push(payload);
 }
 
 /// One peer's answer to a state-transfer probe, held until `k + 1` of
@@ -277,7 +269,6 @@ pub(crate) struct NodeCore<M: Wire> {
     k: usize,
     process: Box<dyn Process<Msg = M> + Send>,
     rng: SimRng,
-    injector: FaultInjector,
     step: u64,
     out_seq: Vec<u64>,
     outbox: Vec<(ProcessId, M)>,
@@ -295,8 +286,9 @@ pub(crate) struct NodeCore<M: Wire> {
     /// Self-addressed sends (the paper's broadcasts include the sender)
     /// never leave the core.
     self_stage: Vec<u8>,
-    /// What the current tick has sent each peer so far, by peer index.
-    stages: Vec<Vec<StagedFrame>>,
+    /// What the current tick has sent each peer so far, by peer index:
+    /// one payload per frame in the making (see [`stage`]).
+    stages: Vec<Vec<Vec<u8>>>,
     /// Outbound queues by peer index (`None` at this node's own slot).
     queues: Vec<Option<SendQueue>>,
     wal: Option<Wal>,
@@ -365,7 +357,6 @@ impl<M: Wire> NodeCore<M> {
         wal: Option<(Wal, Recovered)>,
         registry: &Registry,
         subscriber: Option<SharedSubscriber>,
-        now: Instant,
     ) -> io::Result<Self> {
         let me = cfg.id;
         let queues = (0..cfg.n)
@@ -377,8 +368,6 @@ impl<M: Wire> NodeCore<M> {
             k: cfg.k,
             process,
             rng: SimRng::seed(cfg.seed),
-            // A distinct stream from the protocol's.
-            injector: FaultInjector::new(cfg.fault.clone(), cfg.seed ^ 0x6e65_7473, now),
             step: 0,
             out_seq: vec![0; cfg.n],
             outbox: Vec::new(),
@@ -414,10 +403,18 @@ impl<M: Wire> NodeCore<M> {
             offers: BTreeMap::new(),
         };
         let Some((mut wal, recovered)) = wal else {
-            core.run_start(true, now);
+            core.run_start(true);
             core.publish_status();
             return Ok(core);
         };
+        if recovered.boot().is_some_and(|b| b.version != WAL_VERSION) {
+            // Another version lays out its records or groups messages
+            // into frames differently, and its frames are already on the
+            // wire: replayed under this format they would be misread or
+            // renumbered. Checked before the damage is judged — a record
+            // in another layout reads as damage to this build's decoder.
+            return Err(bad("wal was written in another format version"));
+        }
         if recovered.damage.is_unsafe() || (recovered.records.is_empty() && cfg.expect_history) {
             // Mid-log damage: the durable prefix cannot be trusted (the
             // records after the damage are gone, so replay would regress
@@ -434,24 +431,18 @@ impl<M: Wire> NodeCore<M> {
         } else if recovered.records.is_empty() {
             wal.append(&WalRecord::Boot(core.boot.clone()))?;
             core.wal = Some(wal);
-            core.run_start(true, now);
+            core.run_start(true);
         } else {
             let on_disk = recovered
                 .boot()
                 .ok_or_else(|| bad("wal has no boot header"))?;
-            if on_disk.version != WAL_VERSION {
-                // Another version grouped messages into frames
-                // differently, and its frames are already on the wire:
-                // replayed under this grouping they would be renumbered.
-                return Err(bad("wal was written in another format version"));
-            }
             if *on_disk != core.boot {
                 return Err(bad("wal belongs to a different node or configuration"));
             }
             core.wal = Some(wal);
             let (snapshot, tail) = recovered.replay_plan();
             let replay_us = core.metrics.recovery_replay_us.clone();
-            let replayed = replay_us.time_us(|| core.recover(snapshot.cloned(), tail, now))?;
+            let replayed = replay_us.time_us(|| core.recover(snapshot.cloned(), tail))?;
             core.metrics.recoveries.inc();
             core.metrics.recovered_deliveries.add(replayed);
             core.st.recovered = replayed;
@@ -612,7 +603,7 @@ impl<M: Wire> NodeCore<M> {
                 *durable = (*durable).max(seq + 1);
             }
             for msg in msgs {
-                self.deliver(from, msg, true, now);
+                self.deliver(from, msg, true);
             }
         }
         while !self.self_stage.is_empty() {
@@ -621,7 +612,7 @@ impl<M: Wire> NodeCore<M> {
             self.journal(self.me, None, bytes);
             self.append_group();
             for msg in msgs {
-                self.deliver(self.me, msg, true, now);
+                self.deliver(self.me, msg, true);
             }
         }
         if !idle {
@@ -724,11 +715,11 @@ impl<M: Wire> NodeCore<M> {
     /// they always form the first frames, live and in replay. With `live`
     /// false this is a replay re-derivation: same state, same sends, no
     /// publishing, no counting.
-    fn run_start(&mut self, live: bool, now: Instant) {
+    fn run_start(&mut self, live: bool) {
         if live {
             self.publish(Event::Start { pid: self.me });
         }
-        self.step_process(live, now, |process, ctx| process.on_start(ctx));
+        self.step_process(live, |process, ctx| process.on_start(ctx));
         self.seal();
     }
 
@@ -738,7 +729,6 @@ impl<M: Wire> NodeCore<M> {
     fn step_process(
         &mut self,
         live: bool,
-        now: Instant,
         step: impl FnOnce(&mut (dyn Process<Msg = M> + Send), &mut Ctx<'_, M>),
     ) {
         let events = {
@@ -757,7 +747,7 @@ impl<M: Wire> NodeCore<M> {
                 });
             }
         }
-        self.dispatch(live, now);
+        self.dispatch(live);
         self.observe(live);
     }
 
@@ -767,12 +757,7 @@ impl<M: Wire> NodeCore<M> {
     /// replayed. The end of the log seals implicitly: the tick it cuts
     /// short released no frame, so where it would have ended is not a
     /// fact anyone saw.
-    fn recover(
-        &mut self,
-        snapshot: Option<SnapshotRecord>,
-        tail: &[WalRecord],
-        now: Instant,
-    ) -> io::Result<u64> {
+    fn recover(&mut self, snapshot: Option<SnapshotRecord>, tail: &[WalRecord]) -> io::Result<u64> {
         match snapshot {
             Some(s) => {
                 if s.out_seq.len() != self.n
@@ -783,8 +768,6 @@ impl<M: Wire> NodeCore<M> {
                 }
                 self.step = s.step;
                 self.rng = SimRng::restore(s.rng_seed, words4(&s.rng_state, "rng state")?);
-                let injector_state = words4(&s.injector_state, "injector state")?;
-                self.injector.restore(injector_state);
                 self.adopted = s.adopted;
                 self.adopted_decision = s.adopted_decision;
                 // A learner's checkpoint may carry no process bytes
@@ -805,12 +788,12 @@ impl<M: Wire> NodeCore<M> {
                 for (queue, frames) in self.queues.iter_mut().zip(s.backlogs) {
                     let Some(queue) = queue else { continue };
                     for (seq, payload) in frames {
-                        queue.push(seq, payload, now);
+                        queue.push(seq, payload);
                     }
                 }
             }
             // No checkpoint: re-derive genesis, silently.
-            None => self.run_start(false, now),
+            None => self.run_start(false),
         }
         let mut replayed = 0;
         for record in tail {
@@ -856,7 +839,7 @@ impl<M: Wire> NodeCore<M> {
                 .ok_or_else(|| bad("undecodable logged delivery payload"))?;
             replayed += msgs.len() as u64;
             for msg in msgs {
-                self.deliver(d.from, msg, false, now);
+                self.deliver(d.from, msg, false);
             }
             self.seal_owed = true;
         }
@@ -877,7 +860,7 @@ impl<M: Wire> NodeCore<M> {
     /// `live` false this is log replay: nothing is published or counted,
     /// but sends are still staged — sealed, they are retransmissions of
     /// frames the crashed incarnation already owned.
-    fn deliver(&mut self, from: ProcessId, msg: M, live: bool, now: Instant) {
+    fn deliver(&mut self, from: ProcessId, msg: M, live: bool) {
         if live {
             self.since_snapshot += 1;
         }
@@ -900,17 +883,14 @@ impl<M: Wire> NodeCore<M> {
                 index: 0,
             });
         }
-        self.step_process(live, now, |process, ctx| {
+        self.step_process(live, |process, ctx| {
             process.on_receive(Envelope::new(from, msg), ctx);
         });
     }
 
     /// Routes one step's outbox: self-sends join the next round, remote
-    /// sends pass the fault injector and are staged for their peer. The
-    /// injector is consulted (and its RNG stream advanced) in replay too
-    /// — a drop keeps a message out of its frame, so skipping the draws
-    /// would change the replayed frames.
-    fn dispatch(&mut self, live: bool, now: Instant) {
+    /// sends are staged for their peer.
+    fn dispatch(&mut self, live: bool) {
         // A node without a trusted durable history must stay silent on
         // the protocol plane, forever: its pre-damage send history is
         // unknowable, and any fresh send could contradict it. This is
@@ -938,17 +918,7 @@ impl<M: Wire> NodeCore<M> {
             let Some(frames) = self.stages.get_mut(to.index()) else {
                 continue; // address outside the system: a Byzantine no-op
             };
-            let not_before = match self.injector.action(self.me, to, now) {
-                LinkAction::Drop => {
-                    if live {
-                        self.counters.injected_drops.inc();
-                    }
-                    continue;
-                }
-                LinkAction::Deliver => now,
-                LinkAction::DelayBy(d) => now + d,
-            };
-            stage(frames, &msg, not_before);
+            stage(frames, &msg);
         }
         self.outbox = outbox;
     }
@@ -958,12 +928,11 @@ impl<M: Wire> NodeCore<M> {
     /// which protocol frames come to exist.
     fn seal(&mut self) {
         for (to, frames) in self.stages.iter_mut().enumerate() {
-            for frame in frames.drain(..) {
+            for payload in frames.drain(..) {
                 let queue = self.queues[to].as_mut().expect("staged for a peer");
                 let seq = self.out_seq[to];
                 self.out_seq[to] += 1;
-                (self.metrics.msg_encode_us)
-                    .time_us(|| queue.push(seq, frame.payload, frame.not_before));
+                (self.metrics.msg_encode_us).time_us(|| queue.push(seq, payload));
             }
         }
     }
@@ -1016,7 +985,6 @@ impl<M: Wire> NodeCore<M> {
             next_seq,
             backlogs: vec![Vec::new(); self.n],
             self_queue: Vec::new(),
-            injector_state: self.injector.rng_state().to_vec(),
             adopted: self.adopted,
             adopted_decision: self.adopted_decision,
         }
@@ -1383,7 +1351,7 @@ mod tests {
             let config = Config::malicious(N, K).unwrap();
             let process = Box::new(Malicious::new(config, self.inputs[i]));
             let wal = Some(self.disks[i].open());
-            let core = Core::boot(&cfg, process, wal, &self.registries[i], None, self.now);
+            let core = Core::boot(&cfg, process, wal, &self.registries[i], None);
             self.cores[i] = Some(core.unwrap());
             self.ack_due.retain(|&(to, from)| to != i && from != i);
             for j in 0..N {
@@ -1743,7 +1711,7 @@ mod tests {
             Config::malicious(N, K).unwrap(),
             Value::Zero,
         ));
-        let mut bare = Core::boot(&cfg, process, None, &Registry::new(), None, sim.now).unwrap();
+        let mut bare = Core::boot(&cfg, process, None, &Registry::new(), None).unwrap();
         bare.on_frame(ProcessId::new(1), msg(0, &[0xff; 3]));
         assert_eq!(bare.ack(1), 1);
     }
@@ -1987,14 +1955,7 @@ mod tests {
         let cfg = NodeConfig::new(ProcessId::new(0), 2, 7, FaultPlan::reliable());
         let boot = || {
             let wal = Some(disk.open());
-            NodeCore::boot(
-                &cfg,
-                Box::new(Blaster),
-                wal,
-                &Registry::new(),
-                None,
-                Instant::now(),
-            )
+            NodeCore::boot(&cfg, Box::new(Blaster), wal, &Registry::new(), None)
         };
         let frames = |core: &NodeCore<Vec<u8>>| -> Vec<(u64, Vec<u8>)> {
             let frames = core.queue(1).unwrap().frames();
@@ -2016,11 +1977,22 @@ mod tests {
         assert_eq!(frames(&boot().unwrap()), live);
     }
 
+    /// A log as records framed by hand, one body each.
+    fn framed(bodies: &[Vec<u8>]) -> Vec<u8> {
+        let mut log = Vec::new();
+        for body in bodies {
+            log.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            log.extend_from_slice(&crate::wal::crc32(body).to_le_bytes());
+            log.extend_from_slice(body);
+        }
+        log
+    }
+
     #[test]
     fn a_log_in_the_format_before_seals_is_refused() {
-        // By hand, as the previous format wrote it: a boot header with no
-        // version, one delivery record per message, no seal.
         let sim = Sim::booted(14, 0);
+        // By hand, as version 0 wrote it: a boot header with no version,
+        // one delivery record per message, no seal.
         let mut header = vec![0u8];
         ProcessId::new(0).encode(&mut header);
         N.encode(&mut header);
@@ -2030,22 +2002,34 @@ mod tests {
             seq: Some(0),
             payload: valid_payload(&sim),
         });
-        let mut log = Vec::new();
-        for body in [header, delivery.to_bytes()] {
-            log.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            log.extend_from_slice(&crate::wal::crc32(&body).to_le_bytes());
-            log.extend_from_slice(&body);
+        let v0 = framed(&[header.clone(), delivery.to_bytes()]);
+        // As version 1 wrote a checkpoint: the same layout as today's plus
+        // the link-fault injector's RNG state after the pending
+        // self-sends. This build's decoder reads that record as damage.
+        1u64.encode(&mut header);
+        let mut snapshot = vec![2u8];
+        (5u64, 7u64).encode(&mut snapshot); // step, rng seed
+        vec![1u64, 2, 3, 4].encode(&mut snapshot); // rng state
+        Vec::<u8>::new().encode(&mut snapshot); // process
+        vec![0u64; N].encode(&mut snapshot); // out_seq
+        vec![0u64; N].encode(&mut snapshot); // next_seq
+        vec![Vec::<(u64, Vec<u8>)>::new(); N].encode(&mut snapshot); // backlogs
+        Vec::<Vec<u8>>::new().encode(&mut snapshot); // self_queue
+        vec![5u64, 6, 7, 8].encode(&mut snapshot); // the injector's state
+        (false, None::<Value>).encode(&mut snapshot); // adopted, decision
+        let v1 = framed(&[header, snapshot]);
+        for (log, intact) in [(v0, 2), (v1, 1)] {
+            let disk = MemDisk::default();
+            disk.platter.lock().unwrap().log = log;
+            let (wal, recovered) = disk.open();
+            assert_eq!(recovered.records.len(), intact);
+            let cfg = NodeConfig::new(ProcessId::new(0), N, 7, FaultPlan::reliable());
+            let config = Config::malicious(N, K).unwrap();
+            let process = Box::new(Malicious::new(config, Value::Zero));
+            let wal = Some((wal, recovered));
+            let refused = Core::boot(&cfg, process, wal, &Registry::new(), None);
+            assert_eq!(refused.err().unwrap().kind(), io::ErrorKind::InvalidData);
         }
-        let disk = MemDisk::default();
-        disk.platter.lock().unwrap().log = log;
-        let (wal, recovered) = disk.open();
-        assert_eq!(recovered.records.len(), 2, "the log itself is intact");
-        let cfg = NodeConfig::new(ProcessId::new(0), N, 7, FaultPlan::reliable());
-        let config = Config::malicious(N, K).unwrap();
-        let process = Box::new(Malicious::new(config, Value::Zero));
-        let wal = Some((wal, recovered));
-        let refused = Core::boot(&cfg, process, wal, &Registry::new(), None, sim.now);
-        assert_eq!(refused.err().unwrap().kind(), io::ErrorKind::InvalidData);
     }
 
     /// Core 0's own INITIAL for `phase`: valid local input that makes it

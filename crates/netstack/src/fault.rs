@@ -6,23 +6,22 @@
 //! and the fair scheduler's randomness realises §2.3's probabilistic
 //! assumption. Over sockets there is no scheduler to replace, so the same
 //! adversities are injected where a real network would produce them — on
-//! the sender's outbound path, per link:
+//! the sender's outbound link, per frame:
 //!
-//! * **delay** — each message draws a uniform extra latency, the
-//!   wall-clock analogue of the fair scheduler's reordering freedom
-//!   (messages on *different* links overtake each other; a single link
-//!   stays FIFO, which the paper's model permits);
-//! * **partition** — messages crossing the cut are held back until the
+//! * **delay** — each frame draws a uniform extra latency, the wall-clock
+//!   analogue of the fair scheduler's reordering freedom (frames on
+//!   *different* links overtake each other; a single link stays FIFO,
+//!   which the paper's model permits);
+//! * **partition** — frames crossing the cut are held back until the
 //!   partition heals, the analogue of `PartitionScheduler`'s deferral.
-//!   A healing partition only *delays* traffic, so the §2.1 reliable
-//!   channel assumption still holds and consensus must still terminate;
-//! * **drop** — true message loss. This one has no simnet counterpart
-//!   because the paper's model forbids it; it exists to demonstrate,
-//!   on stress runs, that the protocols' liveness (not safety) is what
-//!   breaks when reliability is violated.
 //!
-//! All randomness comes from one seeded [`prng::Prng`], so a given plan +
-//! seed injects the same fault pattern per message index on every run
+//! Both only change *when* a sealed frame leaves, never its bytes or its
+//! sequence number: the §2.1 channels stay reliable, so consensus must
+//! still terminate. There is no message loss — the paper's model has
+//! none, and its only adversary is the scheduler.
+//!
+//! All randomness comes from one seeded [`prng::Prng`] per link, so a
+//! given plan + seed injects the same delay per frame index on every run
 //! (arrival timing still depends on the OS scheduler — networked runs are
 //! reproducible in *pattern*, not in interleaving).
 
@@ -36,17 +35,21 @@ use crate::storage::DiskFault;
 
 /// Declarative description of the faults to inject on outbound links.
 ///
-/// The default plan is a perfectly reliable network: no delay, no drops,
-/// no partition.
+/// The default plan is a perfectly reliable network: no delay, no
+/// partition.
 ///
-/// A plan renders as a compact spec string through its
-/// [`Display`](fmt::Display), so fuzzer repro artifacts can record the
+/// The link clauses (delay, partition) only ever hold a sealed frame
+/// back; none loses one. A plan renders as a compact spec string through
+/// its [`Display`](fmt::Display), so fuzzer repro artifacts can record the
 /// exact network conditions of a failing run:
 ///
 /// ```
 /// use std::time::Duration;
 /// use netstack::FaultPlan;
 ///
+/// assert_eq!(FaultPlan::reliable().to_string(), "reliable");
+/// // Every frame waits 0–20 ms; frames between {0, 1} and {2, 3} also
+/// // wait until 50 ms after their sender's boot.
 /// let plan = FaultPlan::reliable()
 ///     .with_delay(Duration::ZERO, Duration::from_millis(20))
 ///     .with_partition(4, &[0, 1], Duration::from_millis(50));
@@ -55,7 +58,6 @@ use crate::storage::DiskFault;
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     delay: Option<(Duration, Duration)>,
-    drop_per_mille: u16,
     partition: Option<Partition>,
     disk: Vec<(usize, DiskFault)>,
 }
@@ -76,7 +78,7 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Adds a uniform per-message delay in `[min, max]`.
+    /// Adds a uniform per-frame delay in `[min, max]`.
     ///
     /// # Panics
     ///
@@ -88,23 +90,9 @@ impl FaultPlan {
         self
     }
 
-    /// Drops each message independently with probability
-    /// `per_mille / 1000`. Violates the paper's reliable-channel
-    /// assumption — use only to study what loss does to liveness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `per_mille > 1000`.
-    #[must_use]
-    pub fn with_drop(mut self, per_mille: u16) -> Self {
-        assert!(per_mille <= 1000, "probability is at most 1000‰");
-        self.drop_per_mille = per_mille;
-        self
-    }
-
     /// Partitions `side_a` (indices into the system) from the rest for
-    /// `heal_after`, measured from injector creation. Cross-cut messages
-    /// are delayed until healing, not lost.
+    /// `heal_after`, measured from each node incarnation's boot. Cross-cut
+    /// frames are delayed until healing, not lost.
     #[must_use]
     pub fn with_partition(mut self, n: usize, side_a: &[usize], heal_after: Duration) -> Self {
         let mut members = vec![false; n];
@@ -120,7 +108,7 @@ impl FaultPlan {
 
     /// Injects `fault` into node `node`'s write-ahead-log storage layer
     /// (executed by the node's [`FaultyStorage`](crate::storage::FaultyStorage)
-    /// wrapper, not by the per-link injector). Operation counts restart
+    /// wrapper, not by a link). Operation counts restart
     /// with each node incarnation, and a `flip` only bites once the log
     /// is long enough — so a fresh boot is unaffected and a *restart*
     /// observes the damage, which is the interesting case.
@@ -146,23 +134,10 @@ impl FaultPlan {
             .collect()
     }
 
-    /// Whether this plan can lose messages (and therefore void the
-    /// reliable-channel guarantee consensus termination rests on).
-    #[must_use]
-    pub fn is_lossy(&self) -> bool {
-        self.drop_per_mille > 0
-    }
-
-    /// The configured per-message delay range, if any.
+    /// The configured per-frame delay range, if any.
     #[must_use]
     pub fn delay(&self) -> Option<(Duration, Duration)> {
         self.delay
-    }
-
-    /// The configured per-message drop probability in per-mille.
-    #[must_use]
-    pub fn drop_per_mille(&self) -> u16 {
-        self.drop_per_mille
     }
 
     /// The configured partition as `(side_a members, n, heal_after)`,
@@ -178,7 +153,7 @@ impl FaultPlan {
 
 /// Renders the plan as a compact spec string — `reliable` for the default
 /// plan, otherwise `;`-separated clauses with durations in integer
-/// nanoseconds: `delay=0..20000000;drop=5;partition=0,1/4@50000000;`
+/// nanoseconds: `delay=0..20000000;partition=0,1/4@50000000;`
 /// `disk=2:flip@8` (node 2 reads the log byte at offset 8 flipped on
 /// every open — see [`DiskFault`] for the fault grammar).
 impl fmt::Display for FaultPlan {
@@ -186,9 +161,6 @@ impl fmt::Display for FaultPlan {
         let mut clauses = Vec::new();
         if let Some((min, max)) = self.delay {
             clauses.push(format!("delay={}..{}", min.as_nanos(), max.as_nanos()));
-        }
-        if self.drop_per_mille > 0 {
-            clauses.push(format!("drop={}", self.drop_per_mille));
         }
         if let Some((members, n, heal)) = self.partition() {
             let side: Vec<String> = members.iter().map(ToString::to_string).collect();
@@ -210,90 +182,61 @@ impl fmt::Display for FaultPlan {
     }
 }
 
-/// What the injector decided for one message on one link.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkAction {
-    /// Send immediately.
-    Deliver,
-    /// Hold the message back for the given duration, then send.
-    DelayBy(Duration),
-    /// Lose the message.
-    Drop,
-}
-
-/// Applies a [`FaultPlan`] to a node's outbound messages.
+/// Applies a [`FaultPlan`] to one outbound link: when each frame may
+/// leave.
 ///
-/// One injector lives in each node. It never reads the clock: its owner
-/// hands it the boot instant (`epoch`, what partition healing is measured
-/// against) and the current time of every decision.
+/// A node's link to each peer owns one, built by
+/// [`FaultInjector::for_link`] and consulted once per frame, when the
+/// frame first reaches the link. It never reads the clock: its owner hands
+/// it the boot instant (`epoch`, what partition healing is measured
+/// against — each incarnation's own) and the time of every draw.
 #[derive(Debug)]
 pub struct FaultInjector {
-    plan: FaultPlan,
+    delay: Option<(Duration, Duration)>,
+    /// When the partition across this link heals, if one cuts it.
+    heal_at: Option<Instant>,
     rng: Prng,
-    epoch: Instant,
 }
 
 impl FaultInjector {
-    /// Creates an injector, booted at `epoch`, whose random stream is
-    /// derived from `seed`.
+    /// The injector for the link `from → to` of a node booted at `epoch`
+    /// whose seed is `seed`, or `None` when the plan never holds a frame
+    /// on this link (no delay, and no partition across it): a reliable
+    /// link does no per-frame work.
     #[must_use]
-    pub fn new(plan: FaultPlan, seed: u64, epoch: Instant) -> Self {
-        FaultInjector {
-            plan,
-            rng: Prng::seed_from_u64(seed),
-            epoch,
-        }
+    pub fn for_link(
+        plan: &FaultPlan,
+        seed: u64,
+        from: ProcessId,
+        to: ProcessId,
+        epoch: Instant,
+    ) -> Option<Self> {
+        let side = |p: &Partition, i: ProcessId| p.side_a.get(i.index()).copied().unwrap_or(false);
+        let heal_at = (plan.partition.as_ref())
+            .filter(|p| side(p, from) != side(p, to))
+            .map(|p| epoch + p.heal_after);
+        (plan.delay.is_some() || heal_at.is_some()).then(|| FaultInjector {
+            delay: plan.delay,
+            heal_at,
+            // A stream distinct from the protocol's (which `seed` also
+            // seeds) and from every other link's.
+            rng: Prng::seed_from_u64(seed ^ 0x6e65_7473 ^ ((to.index() as u64) << 32)),
+        })
     }
 
-    /// Resumes the random stream from a saved
-    /// [`FaultInjector::rng_state`] — recovery uses this so that replayed
-    /// sends draw the *same* fate decisions (in particular the same
-    /// drops, which gate sequence-number assignment) as the pre-crash
-    /// incarnation. The epoch stays this boot's: partition healing is a
-    /// wall-clock fault and is not replayed.
-    pub fn restore(&mut self, state: [u64; 4]) {
-        self.rng = Prng::from_state(state);
-    }
-
-    /// The injector's current 256-bit RNG state, for checkpointing.
-    #[must_use]
-    pub fn rng_state(&self) -> [u64; 4] {
-        self.rng.state()
-    }
-
-    /// Decides the fate of one message from `from` to `to` sent at `now`.
-    pub fn action(&mut self, from: ProcessId, to: ProcessId, now: Instant) -> LinkAction {
-        let rng = &mut self.rng;
-        if self.plan.drop_per_mille > 0 && rng.below_u64(1000) < u64::from(self.plan.drop_per_mille)
-        {
-            return LinkAction::Drop;
-        }
-        let mut delay = Duration::ZERO;
-        if let Some((min, max)) = self.plan.delay {
-            let span = max.saturating_sub(min);
-            let extra = if span.is_zero() {
-                Duration::ZERO
+    /// When a frame that reaches the link at `now` may leave.
+    pub fn release(&mut self, now: Instant) -> Instant {
+        let mut at = now;
+        if let Some((min, max)) = self.delay {
+            let span = u64::try_from(max.saturating_sub(min).as_nanos()).unwrap_or(u64::MAX);
+            let extra = if span == 0 {
+                0
             } else {
-                let nanos = u64::try_from(span.as_nanos()).unwrap_or(u64::MAX);
-                Duration::from_nanos(rng.below_u64(nanos.saturating_add(1)))
+                self.rng.below_u64(span.saturating_add(1))
             };
-            delay = min + extra;
+            at += min + Duration::from_nanos(extra);
         }
-        if let Some(partition) = &self.plan.partition {
-            let cut = partition.side_a.get(from.index()).copied().unwrap_or(false)
-                != partition.side_a.get(to.index()).copied().unwrap_or(false);
-            if cut {
-                let elapsed = now.saturating_duration_since(self.epoch);
-                if elapsed < partition.heal_after {
-                    delay = delay.max(partition.heal_after - elapsed);
-                }
-            }
-        }
-        if delay.is_zero() {
-            LinkAction::Deliver
-        } else {
-            LinkAction::DelayBy(delay)
-        }
+        self.heal_at.map_or(at, |heal| at.max(heal))
     }
 }
 
@@ -301,29 +244,15 @@ impl FaultInjector {
 mod tests {
     use super::*;
 
-    #[test]
-    fn reliable_plan_always_delivers() {
-        let mut inj = FaultInjector::new(FaultPlan::reliable(), 1, Instant::now());
-        for i in 0..50 {
-            assert_eq!(
-                inj.action(
-                    ProcessId::new(i % 4),
-                    ProcessId::new((i + 1) % 4),
-                    Instant::now()
-                ),
-                LinkAction::Deliver
-            );
-        }
+    fn link(plan: &FaultPlan, from: usize, to: usize, epoch: Instant) -> Option<FaultInjector> {
+        FaultInjector::for_link(plan, 1, ProcessId::new(from), ProcessId::new(to), epoch)
     }
 
     #[test]
-    fn full_drop_loses_everything() {
-        let mut inj = FaultInjector::new(FaultPlan::reliable().with_drop(1000), 1, Instant::now());
-        for _ in 0..20 {
-            assert_eq!(
-                inj.action(ProcessId::new(0), ProcessId::new(1), Instant::now()),
-                LinkAction::Drop
-            );
+    fn reliable_plan_always_delivers() {
+        // No injector at all: no link of a reliable plan ever holds a frame.
+        for i in 0..4 {
+            assert!(link(&FaultPlan::reliable(), i, (i + 1) % 4, Instant::now()).is_none());
         }
     }
 
@@ -331,16 +260,12 @@ mod tests {
     fn delay_stays_in_range() {
         let min = Duration::from_millis(2);
         let max = Duration::from_millis(9);
-        let mut inj = FaultInjector::new(
-            FaultPlan::reliable().with_delay(min, max),
-            7,
-            Instant::now(),
-        );
+        let plan = FaultPlan::reliable().with_delay(min, max);
+        let mut inj = link(&plan, 0, 1, Instant::now()).unwrap();
         for _ in 0..100 {
-            match inj.action(ProcessId::new(0), ProcessId::new(1), Instant::now()) {
-                LinkAction::DelayBy(d) => assert!(d >= min && d <= max, "{d:?}"),
-                other => panic!("expected a delay, got {other:?}"),
-            }
+            let now = Instant::now();
+            let d = inj.release(now) - now;
+            assert!(d >= min && d <= max, "{d:?}");
         }
     }
 
@@ -348,43 +273,26 @@ mod tests {
     fn partition_delays_cross_cut_only_until_heal() {
         let plan = FaultPlan::reliable().with_partition(4, &[0, 1], Duration::from_millis(40));
         let boot = Instant::now();
-        let mut inj = FaultInjector::new(plan, 3, boot);
-        // Cross-cut: delayed by exactly the remaining partition time.
+        // Cross-cut: held until the partition heals.
+        let mut cut = link(&plan, 0, 2, boot).unwrap();
         let at = boot + Duration::from_millis(10);
-        assert_eq!(
-            inj.action(ProcessId::new(0), ProcessId::new(2), at),
-            LinkAction::DelayBy(Duration::from_millis(30))
-        );
+        assert_eq!(cut.release(at), boot + Duration::from_millis(40));
         // Same side: unaffected.
-        assert_eq!(
-            inj.action(ProcessId::new(0), ProcessId::new(1), at),
-            LinkAction::Deliver
-        );
+        assert!(link(&plan, 0, 1, boot).is_none());
         // Healed: cross-cut flows again.
         let healed = boot + Duration::from_millis(50);
-        assert_eq!(
-            inj.action(ProcessId::new(0), ProcessId::new(2), healed),
-            LinkAction::Deliver
-        );
+        assert_eq!(cut.release(healed), healed);
     }
 
     #[test]
     fn same_plan_and_seed_repeat_the_same_pattern() {
-        let plan = FaultPlan::reliable().with_drop(500);
-        let mut a = FaultInjector::new(plan.clone(), 42, Instant::now());
-        let mut b = FaultInjector::new(plan, 42, Instant::now());
+        let plan = FaultPlan::reliable().with_delay(Duration::ZERO, Duration::from_millis(10));
+        let now = Instant::now();
+        let mut a = link(&plan, 0, 1, now).unwrap();
+        let mut b = link(&plan, 0, 1, now).unwrap();
         for _ in 0..64 {
-            assert_eq!(
-                a.action(ProcessId::new(0), ProcessId::new(1), Instant::now()),
-                b.action(ProcessId::new(0), ProcessId::new(1), Instant::now())
-            );
+            assert_eq!(a.release(now), b.release(now));
         }
-    }
-
-    #[test]
-    fn lossy_detection() {
-        assert!(!FaultPlan::reliable().is_lossy());
-        assert!(FaultPlan::reliable().with_drop(1).is_lossy());
     }
 
     #[test]
@@ -392,7 +300,6 @@ mod tests {
         assert_eq!(FaultPlan::reliable().to_string(), "reliable");
         let plan = FaultPlan::reliable()
             .with_delay(Duration::from_micros(100), Duration::from_millis(3))
-            .with_drop(999)
             .with_partition(7, &[2, 4, 6], Duration::from_secs(1))
             .with_disk(1, DiskFault::Flip { offset: 8 })
             .with_disk(1, DiskFault::ShortWrite { nth: 3 })
@@ -401,41 +308,20 @@ mod tests {
             .with_disk(4, DiskFault::LostRename);
         assert_eq!(
             plan.to_string(),
-            "delay=100000..3000000;drop=999;partition=2,4,6/7@1000000000;\
+            "delay=100000..3000000;partition=2,4,6/7@1000000000;\
              disk=1:flip@8;disk=1:short@3;disk=0:fsyncerr@1;disk=3:enospc@2;disk=4:lostrename"
         );
-    }
-
-    #[test]
-    fn rng_state_round_trip_resumes_the_decision_stream() {
-        let plan = FaultPlan::reliable().with_drop(500);
-        let mut a = FaultInjector::new(plan.clone(), 99, Instant::now());
-        // Burn part of the stream, checkpoint, keep going on `a`.
-        for _ in 0..17 {
-            let _ = a.action(ProcessId::new(0), ProcessId::new(1), Instant::now());
-        }
-        let state = a.rng_state();
-        let mut b = FaultInjector::new(plan, 0, Instant::now());
-        b.restore(state);
-        for _ in 0..64 {
-            assert_eq!(
-                a.action(ProcessId::new(0), ProcessId::new(1), Instant::now()),
-                b.action(ProcessId::new(0), ProcessId::new(1), Instant::now())
-            );
-        }
     }
 
     #[test]
     fn accessors_expose_the_plan() {
         let plan = FaultPlan::reliable()
             .with_delay(Duration::from_millis(1), Duration::from_millis(2))
-            .with_drop(7)
             .with_partition(5, &[1, 3], Duration::from_millis(9));
         assert_eq!(
             plan.delay(),
             Some((Duration::from_millis(1), Duration::from_millis(2)))
         );
-        assert_eq!(plan.drop_per_mille(), 7);
         assert_eq!(
             plan.partition(),
             Some((vec![1, 3], 5, Duration::from_millis(9)))

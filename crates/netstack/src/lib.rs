@@ -12,10 +12,10 @@
 //! | paper §2.1 model            | simnet                    | netstack |
 //! |-----------------------------|---------------------------|----------|
 //! | reliable channel            | buffer, never loses       | ack-gated send queues + seq-dedup (`core`, [`frame`]) |
-//! | arbitrary finite delay      | scheduler's choice        | OS scheduling + injected delay ([`fault`]) |
+//! | arbitrary finite delay      | scheduler's choice        | OS scheduling + injected per-frame delay ([`fault`], on the link) |
 //! | authenticated sender (§3.1) | envelope `from` field     | per-connection `Hello` handshake naming another process ([`frame`]) |
 //! | atomic step                 | engine calls `on_receive` | one core, one event-loop thread per node ([`node`]) |
-//! | adversarial scheduler       | `DelayingScheduler` etc.  | [`FaultPlan`] delay/partition/drop knobs |
+//! | adversarial scheduler       | `DelayingScheduler` etc.  | [`FaultPlan`] delay/partition knobs |
 //!
 //! Module map — a node is a **core** driven through **links** by a
 //! **driver**:
@@ -24,11 +24,13 @@
 //!   durability-gated acks, log-before-send journaling and replay — one
 //!   journal write per round and one sealed frame per peer per tick —
 //!   equivocation evidence, amnesia and `k + 1` adoption, the per-peer
-//!   send queues. No sockets, no clock; tested one frame and one tick at
-//!   a time. A new obligation a node must keep goes here;
+//!   send queues. No sockets, no clock, no fault injection; tested one
+//!   frame and one tick at a time. A new obligation a node must keep goes
+//!   here;
 //! * [`conn`] (private) — the links: per-connection socket machinery
-//!   (dial/backoff, framing, coalesced vectored writes) that carries the
-//!   core's queues and replies. A new transport concern goes here;
+//!   (dial/backoff, framing, coalesced vectored writes, injected release
+//!   delays) that carries the core's queues and replies. A new transport
+//!   concern goes here;
 //! * [`node`] — the driver: `spawn`, `NodeHandle`, config/telemetry
 //!   types, the optional client port (a listener plus a sans-IO
 //!   `ClientService` whose requests become the node's own input), and the
@@ -37,7 +39,7 @@
 //! * [`frame`] — length-prefixed framing and the connection protocol;
 //! * [`wal`] / [`storage`] — the write-ahead log and the file-I/O trait
 //!   under it (the seam disk faults — and in-memory tests — plug into);
-//! * [`fault`] — seeded link-fault injection (delay, drop, partition);
+//! * [`fault`] — seeded link-fault injection (delay, partition);
 //! * [`admin`] — HTTP/1.0 `/metrics` + `/status` endpoint and the
 //!   dependency-free scraper behind `btstat` and `Cluster::scrape`;
 //! * [`cluster`] — the one loopback runner:
@@ -79,7 +81,7 @@ pub use cluster::{
     NodeFault, Proto, RecoveryOptions,
 };
 pub use conn::jittered;
-pub use fault::{FaultInjector, FaultPlan, LinkAction};
+pub use fault::FaultPlan;
 pub use frame::{drain_frames, encode_chunk, read_frame, write_frame, Frame, MAX_FRAME_LEN};
 pub use node::{fnv1a64, spawn, NetCounters, NodeConfig, NodeHandle, NodeStatus};
 pub use storage::{DiskFault, FaultyStorage, RealStorage, Storage};

@@ -18,14 +18,16 @@
 //! ```
 //!
 //! * The **core** (`crate::core`) is every decision: what to deliver,
-//!   journal, send, acknowledge, adopt. No sockets, no clock — it is fed
-//!   frames and `now`, and answers with per-peer send queues and the ack
-//!   each peer is owed. A new *obligation* (something that must hold
+//!   journal, send, acknowledge, adopt. No sockets, no clock, no fault
+//!   injection — it is fed frames (and `now` for its probe timer), and
+//!   answers with per-peer send queues and the ack each peer is owed. A new *obligation* (something that must hold
 //!   across a crash, or about what a peer may be told) goes there, where
 //!   a test can check it one frame and one tick at a time.
 //! * The **links** (`crate::conn`) are the per-connection socket
-//!   machinery: dialing, backoff, framing, coalesced vectored writes. A
-//!   new *transport* concern (TLS, a different framing) goes there.
+//!   machinery: dialing, backoff, framing, coalesced vectored writes, and
+//!   the [`FaultPlan`]'s injected delays, which only ever hold a sealed
+//!   frame back. A new *transport* concern (TLS, a different framing)
+//!   goes there.
 //! * The **driver**, in this file, owns the poller, the listeners and
 //!   the connection tables, and nothing else. It resolves each inbound
 //!   connection's `Hello` (tearing down anything that skips it, names a
@@ -78,7 +80,7 @@ use simnet::{Process, ProcessId, SharedSubscriber, Wire};
 
 use crate::conn::{InConn, Link, LoopStats};
 use crate::core::NodeCore;
-use crate::fault::FaultPlan;
+use crate::fault::{FaultInjector, FaultPlan};
 use crate::frame::Frame;
 use crate::poll::{connect_nonblocking, Dial, PollEvent, Poller};
 use crate::storage::FaultyStorage;
@@ -225,8 +227,6 @@ pub struct NetCounters {
     pub sent: Counter,
     /// Messages delivered to the process.
     pub delivered: Counter,
-    /// Messages the fault injector dropped on purpose.
-    pub injected_drops: Counter,
     /// Messages discarded because this process had halted.
     pub dropped_at_halted: Counter,
     /// Inbound payloads rejected at the wire: bytes that did not decode,
@@ -271,11 +271,6 @@ impl NetCounters {
             delivered: registry.counter(
                 "bt_msgs_delivered_total",
                 "messages delivered to the process state machine",
-                labels,
-            ),
-            injected_drops: registry.counter(
-                "bt_injected_drops_total",
-                "messages the fault injector dropped on purpose",
                 labels,
             ),
             dropped_at_halted: registry.counter(
@@ -511,11 +506,10 @@ impl NodeHandle {
         self.counters.delivered.get()
     }
 
-    /// Messages lost to fault injection plus messages addressed to this
-    /// node after it halted.
+    /// Messages addressed to this node after it halted.
     #[must_use]
     pub fn messages_dropped(&self) -> u64 {
-        self.counters.injected_drops.get() + self.counters.dropped_at_halted.get()
+        self.counters.dropped_at_halted.get()
     }
 
     /// Times any outbound link of this node had to redial.
@@ -645,17 +639,22 @@ where
             })
         }
     };
+    // This incarnation's boot: the epoch its links measure partition
+    // healing against.
     let now = Instant::now();
-    let core = NodeCore::boot(&cfg, process, wal, &registry, subscriber, now)?;
+    let core = NodeCore::boot(&cfg, process, wal, &registry, subscriber)?;
 
-    // Outbound: one passive link per remote peer.
+    // Outbound: one passive link per remote peer, each holding frames
+    // back as the plan says.
     let mut links = Vec::with_capacity(cfg.n);
     let mut link_counters = Vec::new();
     for (i, addr) in peers.iter().enumerate() {
         links.push(core.queue(i).map(|queue| {
             let stats = queue.stats.clone();
             link_counters.push((stats.reconnects.clone(), stats.retransmits.clone()));
-            Link::new(cfg.id, *addr, stats, now)
+            let to = ProcessId::new(i);
+            let injector = FaultInjector::for_link(&cfg.fault, cfg.seed, cfg.id, to, now);
+            Link::new(cfg.id, *addr, stats, injector, now)
         }));
     }
 
@@ -1109,7 +1108,7 @@ impl<M: Wire> EventLoop<M> {
                     Err(_) => link.conn_failed(false, now),
                 }
             }
-            if link.conn.is_some() && link.pump(queue, now, &self.io).is_err() {
+            if link.pump(queue, now, &self.io).is_err() {
                 self.teardown_outbound(peer, true, now);
             } else {
                 self.sync_out_interest(peer);

@@ -49,8 +49,11 @@
 //! The boot header carries a format version ([`WAL_VERSION`]). A log
 //! written before frames were grouped per tick has none (it reads as
 //! version 0) and no seals, while its per-message frames are already on
-//! the wire: replaying it under this grouping would renumber them, so the
-//! node core refuses it with `InvalidData`.
+//! the wire: replaying it under this grouping would renumber them.
+//! Version 1 checkpoints also carried the link-fault injector's RNG
+//! state, from when an injected drop decided what a frame held; this
+//! build's decoder reads such a record as damage. The node core refuses
+//! every other version with `InvalidData`, before it judges damage.
 //!
 //! # Damage classification
 //!
@@ -125,10 +128,12 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
-/// The log format this build writes and replays: version 1 groups a
-/// tick's messages into one frame per peer and marks tick boundaries with
-/// [`WalRecord::Seal`]. Version 0 is the unversioned format before it.
-pub const WAL_VERSION: u64 = 1;
+/// The log format this build writes and replays: version 2 groups a
+/// tick's messages into one frame per peer, marks tick boundaries with
+/// [`WalRecord::Seal`], and checkpoints no link-fault state. Version 1
+/// checkpointed the fault injector's RNG; version 0 is the unversioned
+/// format before seals.
+pub const WAL_VERSION: u64 = 2;
 
 /// The log header: enough to refuse replaying a log onto the wrong node,
 /// the wrong cluster configuration, or under the wrong frame grouping.
@@ -223,14 +228,6 @@ pub struct SnapshotRecord {
     /// Pending self-deliveries (encoded messages the process sent to
     /// itself that had not yet been consumed at the checkpoint).
     pub self_queue: Vec<Vec<u8>>,
-    /// The fault injector's 256-bit RNG state (always 4 words). Injector
-    /// decisions consume random draws *and* gate sequence-number
-    /// assignment (a dropped send allocates no seq), so replaying
-    /// deliveries after the checkpoint with the injector stream at the
-    /// wrong position would assign different seqs to the same payloads —
-    /// wire-level equivocation. Restoring the stream keeps replayed
-    /// frames byte-identical.
-    pub injector_state: Vec<u64>,
     /// Whether this checkpoint was installed by quorum state transfer
     /// rather than derived from the node's own history. An adopted node
     /// is a *learner*: it reports `adopted_decision` and serves state,
@@ -255,7 +252,6 @@ impl Wire for SnapshotRecord {
         self.next_seq.encode(out);
         self.backlogs.encode(out);
         self.self_queue.encode(out);
-        self.injector_state.encode(out);
         self.adopted.encode(out);
         self.adopted_decision.encode(out);
     }
@@ -270,7 +266,6 @@ impl Wire for SnapshotRecord {
             next_seq: Wire::decode(r)?,
             backlogs: Wire::decode(r)?,
             self_queue: Wire::decode(r)?,
-            injector_state: Wire::decode(r)?,
             adopted: Wire::decode(r)?,
             adopted_decision: Wire::decode(r)?,
         })
@@ -592,7 +587,6 @@ mod tests {
             next_seq: vec![1, 0, 2],
             backlogs: vec![vec![(2, vec![8])], vec![], vec![(4, vec![])]],
             self_queue: vec![vec![1, 2], vec![]],
-            injector_state: vec![5, 6, 7, 8],
             adopted: true,
             adopted_decision: Some(Value::One),
         })

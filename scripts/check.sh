@@ -53,6 +53,16 @@ if for f in crates/netstack/src/cluster.rs crates/netstack/src/fault.rs; do
     sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' "$f" | grep -nE "$pattern" | sed "s|^|$f:|"
 done | grep .; then echo "only the caller restarts a loopback node"; exit 1; fi
 
+echo "==> the core knows no faults: link delays live on the link, and nothing loses a message"
+# An injected delay or partition changes only when a sealed frame leaves,
+# never its bytes or its seq, so the link (conn.rs) draws it and the
+# core's protocol path reads no time. A fault plan, an injector or a
+# release instant in core.rs must fail here, and so must a message-loss
+# knob anywhere: the paper's channels are reliable. (The brackets keep
+# the removed names themselves out of the tree's text.)
+if sed -e '/#\[cfg(test)\]/,$d' -e 's|//.*||' crates/netstack/src/core.rs | grep -nE 'fault[:][:]|FaultInjecto[r]|not_befor[e]|injecto[r]'; then echo "core.rs must not inject link faults"; exit 1; fi
+if grep -rnE 'with_dro[p]|drop_per_mill[e]|is_loss[y]|injected_drop[s]|injector_stat[e]|LinkActio[n]' crates/*/src crates/*/tests src tests docs; then echo "no message loss: the paper's channels are reliable"; exit 1; fi
+
 echo "==> cargo test"
 cargo test --workspace -q
 

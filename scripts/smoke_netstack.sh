@@ -53,7 +53,12 @@ trap cleanup EXIT INT TERM
 
 # Derive a port block from the PID so parallel runs rarely collide; a
 # bind failure is reported by btnode and treated as a skip below.
-BASE=$((21000 + $$ % 20000))
+# Every port stays below 32768, under the kernel's ephemeral range
+# (Linux's default ip_local_port_range is 32768-60999): the outbound
+# dials of the fuzz legs that run before this script leave thousands of
+# TIME_WAIT sockets on ephemeral ports, and those block a listener's bind
+# there, which read as a skip.
+BASE=$((20000 + $$ % 10000))
 PEERS=""
 i=0
 while [ "$i" -lt "$SMOKE_N" ]; do

@@ -43,7 +43,13 @@ mkdir -p "$TMP/wal"
 
 # Derive a port block from the PID so parallel runs rarely collide; a
 # bind failure is reported by btnode and treated as a skip below.
-BASE=$((23000 + $$ % 20000))
+# Every port stays below 32768, under the kernel's ephemeral range
+# (Linux's default ip_local_port_range is 32768-60999): the outbound
+# dials of the fuzz legs that run before this script leave thousands of
+# TIME_WAIT sockets on ephemeral ports, and those block a listener's bind
+# there, which read as a skip.
+# Layout: BASE..BASE+4 the first leg, BASE+5..BASE+9 the corruption leg.
+BASE=$((20000 + $$ % 10000))
 PEERS="--peer 127.0.0.1:$BASE --peer 127.0.0.1:$((BASE + 1)) \
 --peer 127.0.0.1:$((BASE + 2)) --peer 127.0.0.1:$((BASE + 3)) \
 --peer 127.0.0.1:$((BASE + 4))"

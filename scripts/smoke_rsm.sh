@@ -38,8 +38,13 @@ trap cleanup EXIT INT TERM
 
 # Derive a port block from the PID so parallel runs rarely collide; a
 # bind failure is reported by btnode and treated as a skip below.
+# Every port stays below 32768, under the kernel's ephemeral range
+# (Linux's default ip_local_port_range is 32768-60999): the outbound
+# dials of the fuzz legs that run before this script leave thousands of
+# TIME_WAIT sockets on ephemeral ports, and those block a listener's bind
+# there, which read as a skip.
 # Layout: BASE..BASE+3 protocol, BASE+4..BASE+7 client API, BASE+8 admin.
-BASE=$((21000 + $$ % 20000))
+BASE=$((20000 + $$ % 10000))
 PEERS="--peer 127.0.0.1:$BASE --peer 127.0.0.1:$((BASE + 1)) \
 --peer 127.0.0.1:$((BASE + 2)) --peer 127.0.0.1:$((BASE + 3))"
 ADMIN=$((BASE + 8))
@@ -57,11 +62,27 @@ for i in 0 1 2 3; do
     PIDS="$PIDS $!"
     [ "$i" = 1 ] && NODE1=$!
 done
-sleep 1
+
+# Wait (10 s at most) until every replica logs that it serves clients,
+# which btnode does once the node is spawned; a replica that cannot bind
+# logs that instead, and the branch below skips.
+tries=0
+while [ "$tries" -lt 100 ]; do
+    ready=$(grep -l "serving clients on" "$TMP"/node*.log 2>/dev/null | wc -l)
+    [ "$ready" -eq 4 ] && break
+    grep -q "cannot bind" "$TMP"/node*.log 2>/dev/null && break
+    sleep 0.1
+    tries=$((tries + 1))
+done
 
 if grep -q "cannot bind" "$TMP"/node*.log 2>/dev/null; then
     echo "==> skipping: sandbox forbids binding loopback sockets"
     exit 0
+fi
+if [ "$ready" -ne 4 ]; then
+    echo "==> FAIL: $ready of 4 replicas serving clients after 10 s; logs follow" >&2
+    cat "$TMP"/node*.log >&2
+    exit 1
 fi
 
 TARGETS="127.0.0.1:$((BASE + 4)),127.0.0.1:$((BASE + 5)),\
